@@ -33,4 +33,4 @@ from .invariant import (FilterEstimate, ResidueClassData, fourier_classes,
                         recover_operator, recover_signal,
                         recover_spectrum_invariant)
 from .prony import (SparseSpectrum, prony_reconstruct, prony_support,
-                    prony_values, random_sparse_signal)
+                    prony_values, random_sparse_signal, snap_support)

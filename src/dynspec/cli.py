@@ -31,7 +31,7 @@ from .model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
                     random_circulant, random_diagonalizable, random_signal,
                     shift_operator, simulate)
 from .numerics import dft, poly_roots, set_match_error
-from .prony import prony_reconstruct, prony_support, prony_values, random_sparse_signal
+from .prony import prony_reconstruct, prony_values, random_sparse_signal, snap_support
 from .spectral import merge_roots, recover_observable_spectrum, recover_spectrum_via_extrapolation
 
 # Ground-truth comparisons (recover's verified block and the verify
@@ -247,7 +247,8 @@ def cmd_recover(args) -> int:
             start = int(om[0])
             entries = samples.samples[:2 * s, 0]
             ann = scalar_annihilator(entries, s, tol=tol)
-            support = prony_support(entries, samples.d, s, tol=tol)
+            roots = poly_roots(ann.poly)
+            support = snap_support(roots, samples.d)
             spectrum = prony_values(entries, start, support, samples.d, tol=tol)
             grid = np.exp(2j * np.pi * np.array(support, dtype=float) / samples.d)
             report["source_kind"] = "index"
@@ -256,7 +257,7 @@ def cmd_recover(args) -> int:
             report["recovered_signal"] = complex_to_pairs(prony_reconstruct(spectrum))
             report["per_source"] = {str(start): {
                 "degree": ann.degree,
-                "roots": complex_to_pairs(poly_roots(ann.poly)),
+                "roots": complex_to_pairs(roots),
                 "residual": ann.relative_residual,
             }}
     except RecoveryError as exc:

@@ -82,10 +82,11 @@ def _require_uniform(samples: SampleSet) -> Uniform:
 def fourier_classes(samples: SampleSet, min_levels: int | None = None) -> list[ResidueClassData]:
     """Split the subsampled data into its residue-class scalar series.
 
-    Each restricted sample is embedded back to length d (zeros off the
-    kept coordinates) and transformed; the result is constant on every
-    class, and that common value (read off as the class average) is the
-    class series entry for that time level.
+    Embedding a restricted sample s_l back to length d (zeros off the
+    kept coordinates n*m) and transforming it gives a J-periodic vector,
+    since exp(-2*pi*i*k*n*m/d) = exp(-2*pi*i*k*n/J); its common value on
+    class j is series_l(j). That value is entry j of the length-J DFT of
+    s_l, so each time level costs one length-J FFT.
     """
     sampler = _require_uniform(samples)
     d, m = samples.d, sampler.m
@@ -94,14 +95,7 @@ def fourier_classes(samples: SampleSet, min_levels: int | None = None) -> list[R
     if samples.L_total < required:
         raise InsufficientDataError(
             f"need at least {required} time levels, have {samples.L_total}")
-    omega = samples.omega
-    series = np.empty((samples.L_total, J), dtype=np.complex128)
-    for ell in range(samples.L_total):
-        z = np.zeros(d, dtype=np.complex128)
-        z[omega] = samples.samples[ell]
-        z_hat = dft(z)
-        for j in range(J):
-            series[ell, j] = z_hat[j::J].mean()
+    series = np.fft.fft(samples.samples, axis=1)
     return [ResidueClassData(j, np.arange(j, d, J), series[:, j].copy()) for j in range(J)]
 
 

@@ -15,7 +15,7 @@ delta_{d-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,12 @@ class Circulant:
     """Cyclic convolution by a fixed filter: x -> taps * x."""
 
     taps: np.ndarray
+    _a_hat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "taps", as_vector(self.taps, "filter taps"))
+        taps = as_vector(self.taps, "filter taps")
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "_a_hat", dft(taps))
 
     @property
     def dim(self) -> int:
@@ -55,11 +58,11 @@ class Circulant:
 
     def transfer(self) -> np.ndarray:
         """The filter's DFT; these are the operator's eigenvalues."""
-        return dft(self.taps)
+        return self._a_hat.copy()
 
     def apply(self, x) -> np.ndarray:
         x = _check_signal(x, self.dim)
-        return dft(dft(self.taps) * dft(x), inverse=True)
+        return dft(self._a_hat * dft(x), inverse=True)
 
     def to_dense(self) -> "Dense":
         idx = (np.arange(self.dim)[:, None] - np.arange(self.dim)[None, :]) % self.dim
@@ -353,7 +356,10 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
         raise ValueError(f"decay must be positive, got {decay}")
     half = (d - 1) // 2
     head = np.exp(-decay * np.arange(half + 1, dtype=float) ** 2)
-    assert np.all(np.diff(head) < 0) or half == 0
+    if not np.all(np.diff(head) < 0):
+        raise ValueError(
+            f"diffusion filter with d={d}, decay={decay} is not strictly decreasing: "
+            "exp(-decay*k^2) underflows before the folding index; use a smaller decay")
     a_hat = np.concatenate([head, head[1:][::-1]]).astype(np.complex128)
     return Circulant(dft(a_hat, inverse=True))
 

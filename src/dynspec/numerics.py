@@ -1,16 +1,16 @@
 """Dense complex linear-algebra kernels.
 
 Everything here is a pure function of its inputs: the DFT in both
-directions, rank-revealing least squares, and monic-polynomial arithmetic
-(division, root finding, construction from roots). Vectors and matrices
-are plain complex ndarrays; the two ``as_*`` helpers validate shape and
-finiteness at the boundaries.
+directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
+least squares, and monic-polynomial arithmetic (division, root finding,
+construction from roots). Vectors and matrices are plain complex
+ndarrays; the two ``as_*`` helpers validate shape and finiteness at the
+boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -40,28 +40,16 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=32)
-def _dft_kernel(d: int, inverse: bool) -> np.ndarray:
-    k = np.arange(d)
-    sign = 2j if inverse else -2j
-    return np.exp(sign * np.pi * np.outer(k, k) / d)
-
-
-def dft(v, inverse: bool = False, fast: bool = False) -> np.ndarray:
+def dft(v, inverse: bool = False) -> np.ndarray:
     """Discrete Fourier transform with kernel exp(-2*pi*i*k*l/d).
 
     The forward transform is unnormalized; the inverse carries the 1/d
     factor, so ``dft(dft(v), inverse=True)`` returns ``v`` to machine
-    precision. Any length is supported, not only powers of two. The
-    default path multiplies by the kernel matrix (O(d^2)); ``fast=True``
-    routes through numpy's FFT, which agrees with the direct path to
-    ~1e-12 but not bit for bit.
+    precision. Computed by numpy's pocketfft: any length, O(d log d),
+    deterministic for identical inputs.
     """
     arr = as_vector(v, "dft input")
-    if fast:
-        return np.fft.ifft(arr) if inverse else np.fft.fft(arr)
-    out = _dft_kernel(arr.size, inverse) @ arr
-    return out / arr.size if inverse else out
+    return np.fft.ifft(arr) if inverse else np.fft.fft(arr)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,17 @@ def prony_support(c, d: int, s: int, snap_tol: float = config.TAU_ROOT,
     if c.size < 2 * s:
         raise DimensionError(f"need 2s = {2 * s} consecutive entries, got {c.size}")
     ann = scalar_annihilator(c[:2 * s], s, tol=tol)
+    return snap_support(poly_roots(ann.poly), d, snap_tol)
+
+
+def snap_support(roots, d: int, snap_tol: float = config.TAU_ROOT) -> tuple[int, ...]:
+    """Frequencies n whose grid points exp(2*pi*i*n/d) the roots snap to.
+
+    A root farther than ``snap_tol`` from every grid point raises
+    NotShiftSpectrum.
+    """
     support = set()
-    for root in poly_roots(ann.poly):
+    for root in roots:
         n = int(np.round(np.angle(root) * d / (2 * np.pi))) % d
         gap = abs(root - np.exp(2j * np.pi * n / d))
         if gap > snap_tol:

@@ -49,6 +49,11 @@ def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL,
     two survivors are separated by more than the tolerance (``dedup_rel``
     times the largest modulus unless an absolute ``dedup_tol`` is given).
     Returns (merged, tolerance_used).
+
+    Roots are visited in ascending (real, imag) order, so survivors come
+    out in ascending real order and only the trailing ones whose real
+    part lies within the tolerance of a root can be its duplicate: a
+    sweep line, quadratic only when every real part is that close.
     """
     chunks = [np.asarray(r, dtype=np.complex128).ravel() for r in root_lists]
     roots = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.complex128)
@@ -59,10 +64,21 @@ def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL,
         return roots, dedup_tol
     order = np.lexsort((roots.imag, roots.real))
     reps: list[complex] = []
-    for z in roots[order]:
-        if all(abs(z - rep) > dedup_tol for rep in reps):
-            reps.append(complex(z))
+    for z in roots[order].tolist():
+        if _is_new(z, reps, dedup_tol):
+            reps.append(z)
     return np.array(reps, dtype=np.complex128), dedup_tol
+
+
+def _is_new(z: complex, reps: list, tol: float) -> bool:
+    """Whether z is farther than tol from every survivor in reps, which
+    are in ascending real order with real parts at most z.real."""
+    for rep in reversed(reps):
+        if z.real - rep.real > tol:
+            return True
+        if not abs(z - rep) > tol:
+            return False
+    return True
 
 
 def recover_spectrum_at_index(c, r_max: int, tol: float = config.TAU_SOLVE) -> np.ndarray:

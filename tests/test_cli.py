@@ -79,6 +79,14 @@ def test_simulate_diagonalizable_truth_not_representable(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_diffusion_underflow_exits_2(tmp_path, capsys):
+    code = run("simulate", "--d", "1023", "--m", "3", "--levels", "6", "--filter",
+               "diffusion", "--decay", "0.1", "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------- recover
 
 def test_recover_invariant_symmetric(tmp_path):
@@ -196,6 +204,15 @@ def test_verify_pass_and_corruption(tmp_path, capsys):
     assert run("verify", "--in", str(path), "--report", str(corrupted)) == 1
     table = capsys.readouterr().out
     assert "FAIL" in table and "spectrum" in table
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_invariant_round_trip_verifies_at_d1023(tmp_path, seed):
+    p, r = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "1023", "--m", "3", "--levels", "6", "--filter",
+               "random", "--seed", str(seed), "--include-truth", "--out", str(p)) == 0
+    assert run("recover", "--in", str(p), "--mode", "invariant", "--out", str(r)) == 0
+    assert run("verify", "--in", str(p), "--report", str(r)) == 0
 
 
 def test_verify_requires_truth(tmp_path, capsys):

@@ -62,6 +62,22 @@ def test_classes_match_forward_identity():
             assert abs(cls.series[ell] - expected) < 1e-10 * max(1, abs(expected))
 
 
+@pytest.mark.parametrize("d,m", [(1023, 3), (255, 3), (255, 15)])
+def test_classes_match_zero_embed_definition(d, m):
+    # oracle: embed each level at the kept coordinates, transform at
+    # length d, and average the result over each residue class
+    samples = simulate(random_circulant(d, d + m), random_signal(d, m), Uniform(m), 2 * m)
+    J = d // m
+    expected = np.empty((2 * m, J), dtype=complex)
+    for ell in range(2 * m):
+        z = np.zeros(d, dtype=complex)
+        z[::m] = samples.samples[ell]
+        z_hat = dft(z)
+        expected[ell] = [z_hat[j::J].mean() for j in range(J)]
+    got = np.column_stack([cls.series for cls in fourier_classes(samples)])
+    assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
 def test_classes_require_uniform_sampler():
     samples = simulate(random_circulant(6, 5), random_signal(6, 6), IndexSet((0, 3)), 6)
     with pytest.raises(TypeError):

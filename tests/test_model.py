@@ -78,14 +78,20 @@ def test_simulate_zero_operator():
     assert np.max(np.abs(out.samples[1])) == 0.0
 
 
-def test_simulate_matches_dense_power_oracle():
-    op = random_circulant(6, 7)
-    x = _rand_vec(6, 8)
-    out = simulate(op, x, IndexSet((0, 1, 2, 3, 4, 5)), 4)
+@pytest.mark.parametrize("d,sampler", [
+    (6, IndexSet((0, 1, 2, 3, 4, 5))),
+    (255, Uniform(3)),
+    (255, IndexSet((0, 17, 128, 254))),
+], ids=["d6-all", "d255-uniform3", "d255-indices"])
+def test_simulate_matches_dense_power_oracle(d, sampler):
+    op = random_circulant(d, 7)
+    x = _rand_vec(d, 8)
+    out = simulate(op, x, sampler, 4)
     M = op.to_dense().matrix
+    idx = sampler.indices(d)
     for ell in range(4):
         expected = np.linalg.matrix_power(M, ell) @ x
-        assert np.max(np.abs(out.samples[ell] - expected)) < 1e-10
+        assert np.max(np.abs(out.samples[ell] - expected[idx])) < 1e-10
 
 
 @pytest.mark.parametrize("d,seed", [(8, 0), (17, 1), (32, 2)])
@@ -208,6 +214,21 @@ def test_diffusion_symmetric_and_decreasing():
 def test_diffusion_taps_are_real():
     taps = make_diffusion_filter(15, 0.1).taps
     assert np.max(np.abs(taps.imag)) < 1e-12
+
+
+def test_diffusion_underflow_rejected():
+    # exp(-0.1 * k^2) reaches 0 well before k = 511
+    with pytest.raises(ValueError, match=r"d=1023, decay=0\.1"):
+        make_diffusion_filter(1023, 0.1)
+
+
+def test_circulant_transfer_is_a_copy():
+    op = random_circulant(8, 3)
+    x = _rand_vec(8, 4)
+    before = op.apply(x)
+    op.transfer()[:] = 0
+    assert np.array_equal(op.apply(x), before)
+    assert np.array_equal(op.transfer(), dft(op.taps))
 
 
 def test_diffusion_rejects_even_dimension():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynspec.errors import SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet,
@@ -84,6 +86,36 @@ def test_merge_roots_invariants():
     merged, tol = merge_roots([[1.0, 1.0 + 1e-9], [2.0, 1.0]], dedup_rel=1e-6)
     assert merged.size == 2
     assert np.min(np.abs(merged[:, None] - merged[None, :]) + np.eye(2) * 10) > tol
+
+
+def _merge_roots_quadratic(root_lists, dedup_tol):
+    """Reference greedy: each root, in (real, imag) order, is compared
+    against every survivor."""
+    roots = np.concatenate([np.zeros(0, dtype=complex)]
+                           + [np.asarray(r, dtype=complex).ravel() for r in root_lists])
+    reps = []
+    for z in roots[np.lexsort((roots.imag, roots.real))]:
+        if all(abs(z - rep) > dedup_tol for rep in reps):
+            reps.append(complex(z))
+    return np.array(reps, dtype=complex)
+
+
+# Integer grid points scaled by a power of two: real parts tie, conjugate
+# pairs occur, and distances such as |3 + 4i| = 5 land exactly on the tolerance.
+_grid_root = st.builds(complex, st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=st.lists(st.lists(_grid_root, max_size=12), max_size=4),
+       conjugate=st.booleans(), tol=st.sampled_from([1, 2, 5]),
+       scale=st.sampled_from([1.0, 0.25]))
+def test_merge_roots_matches_quadratic_greedy(lists, conjugate, tol, scale):
+    if conjugate:
+        lists = lists + [[z.conjugate() for z in chunk] for chunk in lists]
+    lists = [[z * scale for z in chunk] for chunk in lists]
+    merged, tol_used = merge_roots(lists, dedup_tol=tol * scale)
+    assert tol_used == tol * scale
+    assert np.array_equal(merged, _merge_roots_quadratic(lists, tol * scale))
 
 
 # -------------------------------------------------------- extrapolation
