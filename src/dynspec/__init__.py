@@ -29,8 +29,7 @@ from .spectral import (ExtrapolationModel, SpectrumEstimate, extrapolate,
                        recover_observable_spectrum, recover_spectrum_at_index,
                        recover_spectrum_via_extrapolation)
 from .invariant import (FilterEstimate, ResidueClassData, fourier_classes,
-                        order_symmetric_decreasing, projection_check,
-                        recover_operator, recover_signal,
-                        recover_spectrum_invariant)
+                        order_symmetric_decreasing, recover_operator,
+                        recover_signal, recover_spectrum_invariant)
 from .prony import (SparseSpectrum, prony_reconstruct, prony_support,
                     prony_values, random_sparse_signal, snap_support)

@@ -12,6 +12,10 @@ row per restricted coordinate, so the scalar form is a plain Hankel
 system. Extending the number of row blocks beyond the degree does not
 change the solution set, which is why one solver serves both the generic
 engine (rows = r_max) and the aliased per-class systems (rows = m).
+
+A search builds the (rows * q) x (r_max + 1) block-Hankel matrix H once,
+column l stacking seq[l], ..., seq[l + rows - 1]; degree r then solves
+on the first r columns of H against minus column r.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import config
 from .errors import DimensionError, NoAnnihilator
@@ -45,6 +48,13 @@ def _zero_threshold(zero_scale: float) -> float:
     return max(config.ZERO_FLOOR, config.ZERO_REL * zero_scale)
 
 
+def _block_hankel(terms: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """H[k * q + i, l] = terms[k + l, i] for a time-major (T, q) array,
+    k < rows, l < cols; needs T >= rows + cols - 1."""
+    windows = np.lib.stride_tricks.sliding_window_view(terms[:rows + cols - 1], rows, axis=0)
+    return windows.transpose(2, 1, 0).reshape(rows * terms.shape[1], cols)
+
+
 def hankel_system(c, degree: int, rows: int):
     """The scalar-form system for one candidate degree.
 
@@ -56,8 +66,8 @@ def hankel_system(c, degree: int, rows: int):
         raise DimensionError("degree and rows must be positive")
     if c.size < rows + degree:
         raise DimensionError(f"need at least rows + degree = {rows + degree} terms, got {c.size}")
-    M = scipy.linalg.hankel(c[:rows], c[rows - 1:rows - 1 + degree])
-    return M, -c[degree:degree + rows]
+    H = _block_hankel(c[:, None], rows, degree + 1)
+    return H[:, :degree], -H[:, degree]
 
 
 def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
@@ -94,11 +104,10 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     if float(np.max(np.abs(terms))) < _zero_threshold(zero_scale):
         return AnnihilatorPolynomial(MonicPolynomial(np.zeros(0)), 0.0, rows)
 
+    H = _block_hankel(terms, rows, r_max + 1)
     best = float("inf")
     for r in range(1, r_max + 1):
-        M = np.column_stack([terms[l:l + rows].ravel() for l in range(r)])
-        rhs = -terms[r:r + rows].ravel()
-        res = least_squares(M, rhs)
+        res = least_squares(H[:, :r], -H[:, r])
         if res.relative_residual < tol:
             return AnnihilatorPolynomial(MonicPolynomial(res.solution), res.relative_residual, rows)
         best = min(best, res.relative_residual)

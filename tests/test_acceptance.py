@@ -17,8 +17,8 @@ from dynspec.annihilator import (altered_minimal_polynomial_oracle,
 from dynspec.cli import main
 from dynspec.errors import UnderDetermined
 from dynspec.invariant import (FilterEstimate, fourier_classes,
-                               projection_check, recover_operator,
-                               recover_signal, recover_spectrum_invariant)
+                               recover_operator, recover_signal,
+                               recover_spectrum_invariant)
 from dynspec.model import (Diagonalizable, IndexSet, Uniform,
                            make_diffusion_filter, observable_spectrum_oracle,
                            random_circulant, random_diagonalizable,
@@ -27,6 +27,7 @@ from dynspec.numerics import dft, poly_divide, poly_roots, set_match_error
 from dynspec.prony import prony_support, prony_values, random_sparse_signal
 from dynspec.spectral import (fit_extrapolation, recover_observable_spectrum,
                               recover_spectrum_via_extrapolation)
+from oracles import projection_check
 
 
 def _sets_equal(got, expected, tol):

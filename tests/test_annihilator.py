@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynspec import config
 from dynspec.annihilator import (altered_minimal_polynomial_oracle,
                                  annihilator_from_samples, hankel_system,
                                  minimal_polynomial_oracle, scalar_annihilator)
@@ -96,6 +100,73 @@ def test_hankel_system_layout():
     M, rhs = hankel_system(np.arange(6, dtype=float), 2, 3)
     assert np.allclose(M, [[0, 1], [1, 2], [2, 3]])
     assert np.allclose(rhs, [-2, -3, -4])
+
+
+@pytest.mark.parametrize("degree, rows, extra", [(1, 1, 0), (3, 5, 2), (7, 2, 0), (16, 16, 3)])
+def test_hankel_system_matches_scipy_hankel(degree, rows, extra):
+    rng = np.random.default_rng(degree * 100 + rows)
+    c = rng.standard_normal(rows + degree + extra) + 1j * rng.standard_normal(rows + degree + extra)
+    M, rhs = hankel_system(c, degree, rows)
+    assert np.array_equal(M, scipy.linalg.hankel(c[:rows], c[rows - 1:rows - 1 + degree]))
+    assert np.array_equal(rhs, -c[degree:degree + rows])
+
+
+# ------------------------------------------ per-degree reference search
+
+def _annihilator_per_degree(seq, r_max, rows):
+    """The ascending search with each degree's system stacked on its own and
+    its residual formed by the BLAS product. Returns (degree, low_coeffs,
+    relative residual) or raises NoAnnihilator."""
+    terms = np.asarray(seq, dtype=np.complex128)
+    if terms.ndim == 1:
+        terms = terms[:, None]
+    if float(np.max(np.abs(terms))) < max(config.ZERO_FLOOR, config.ZERO_REL):
+        return 0, np.zeros(0, dtype=np.complex128), 0.0
+    best = float("inf")
+    for r in range(1, r_max + 1):
+        M = np.column_stack([terms[l:l + rows].ravel() for l in range(r)])
+        rhs = -terms[r:r + rows].ravel()
+        sol = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")[0]
+        rel = np.linalg.norm(M @ sol - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
+        if rel < config.TAU_SOLVE:
+            return r, sol, rel
+        best = min(best, rel)
+    raise NoAnnihilator("no annihilator", best)
+
+
+_ratio = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)).map(lambda z: z / 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratios=st.lists(_ratio, max_size=10), width=st.sampled_from([0, 1, 3]),
+       r_max=st.integers(1, 8), extra_rows=st.integers(-3, 3),
+       kind=st.sampled_from(["modes", "noise", "zero"]), seed=st.integers(0, 2**16))
+def test_search_matches_per_degree_reference(ratios, width, r_max, extra_rows, kind, seed):
+    # width 0 is a scalar sequence, otherwise a (time, width) block sequence
+    rows = max(1, r_max + extra_rows)
+    levels = rows + r_max
+    rng = np.random.default_rng(seed)
+    shape = (levels,) if width == 0 else (levels, width)
+    if kind == "zero":
+        seq = np.zeros(shape, dtype=np.complex128)
+    elif kind == "noise":
+        seq = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:
+        powers = np.array(ratios, dtype=np.complex128)[None, :] ** np.arange(levels)[:, None]
+        amps = rng.standard_normal((len(ratios), max(width, 1))) + 1j
+        seq = (powers @ amps).reshape(shape)
+    try:
+        expected = _annihilator_per_degree(seq, r_max, rows)
+    except NoAnnihilator as err:
+        with pytest.raises(NoAnnihilator) as info:
+            annihilator_from_samples(seq, r_max, rows=rows)
+        assert abs(info.value.best_residual - err.best_residual) <= 1e-12
+        return
+    got = annihilator_from_samples(seq, r_max, rows=rows)
+    degree, low_coeffs, residual = expected
+    assert got.degree == degree
+    assert np.array_equal(got.poly.low_coeffs, low_coeffs)
+    assert abs(got.relative_residual - residual) <= 1e-12
 
 
 # ------------------------------------------------------------- oracles

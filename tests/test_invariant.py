@@ -6,9 +6,8 @@ from dynspec.errors import (AmbiguousOrdering, DimensionError,
                             InsufficientDataError, NotSymmetricReal,
                             UnderDetermined)
 from dynspec.invariant import (FilterEstimate, fourier_classes,
-                               order_symmetric_decreasing, projection_check,
-                               recover_operator, recover_signal,
-                               recover_spectrum_invariant)
+                               order_symmetric_decreasing, recover_operator,
+                               recover_signal, recover_spectrum_invariant)
 from dynspec.model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
                            random_circulant, random_signal, shift_operator,
                            simulate)
@@ -16,6 +15,7 @@ from dynspec.numerics import dft
 from dynspec.prony import random_sparse_signal
 from dynspec.spectral import SpectrumEstimate
 from helpers import assert_sets_close, roots_contained
+from oracles import projection_check
 
 
 def _identity_filter(d):

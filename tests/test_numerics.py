@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynspec import numerics
 from dynspec.errors import DimensionError
 from dynspec.numerics import (MonicPolynomial, dft, least_squares,
                               poly_divide, poly_roots, set_match_error)
@@ -95,6 +100,23 @@ def test_lstsq_consistent_systems_property(seed):
     assert np.max(np.abs(res.solution - w)) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(8, 4), (96, 43), (96, 96), (40, 60)])
+@pytest.mark.parametrize("repeated", [0, 2])
+def test_lstsq_residual_matches_blas_product(shape, repeated):
+    # full-rank systems, and rank-deficient ones whose last columns repeat
+    # the first; the rhs is inconsistent, and the 96-row shapes are past
+    # the size where BLAS threads the product
+    rows, cols = shape
+    rng = np.random.default_rng(rows * cols + repeated)
+    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    M[:, cols - repeated:] = M[:, :repeated]
+    rhs = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    res = least_squares(M, rhs)
+    expected = np.linalg.norm(M @ res.solution - rhs)
+    assert abs(res.residual_norm - expected) <= 1e-13 * np.linalg.norm(rhs)
+    assert res.rank == min(rows, cols - repeated)
+
+
 # ----------------------------------------------------------- poly ops
 
 def test_roots_of_quadratic():
@@ -179,3 +201,34 @@ def test_divide_product_has_tiny_remainder(seed):
 def test_set_match_error_handles_empty_sides():
     assert set_match_error([], []) == 0.0
     assert set_match_error([1.0], []) == float("inf")
+
+
+def _set_match_error_dense(got, expected):
+    """The one-shot formula over the full |got| x |expected| distance matrix."""
+    a = np.asarray(got, dtype=np.complex128).ravel()
+    b = np.asarray(expected, dtype=np.complex128).ravel()
+    if a.size == 0 and b.size == 0:
+        return 0.0
+    if a.size == 0 or b.size == 0:
+        return float("inf")
+    dist = np.abs(a[:, None] - b[None, :])
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
+_point = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(got=st.lists(_point, max_size=30), expected=st.lists(_point, max_size=30),
+       block=st.integers(1, 70))
+def test_set_match_error_blocks_match_dense_formula(got, expected, block):
+    with mock.patch.object(numerics, "_MATCH_BLOCK_ENTRIES", block):
+        assert set_match_error(got, expected) == _set_match_error_dense(got, expected)
+
+
+@pytest.mark.parametrize("sizes", [(1536, 1536), (300, 301), (3, 70001), (70001, 2)])
+def test_set_match_error_blocks_at_module_block_size(sizes):
+    # sizes that are not multiples of the block, and a side longer than it
+    rng = np.random.default_rng(sum(sizes))
+    got, expected = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in sizes)
+    assert set_match_error(got, expected) == _set_match_error_dense(got, expected)
