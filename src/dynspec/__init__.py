@@ -16,17 +16,14 @@ from .errors import (AmbiguousOrdering, ConditioningError, DimensionError,
 from .numerics import (LstSqResult, MonicPolynomial, dft, least_squares,
                        poly_divide, poly_roots, set_match_error)
 from .model import (Circulant, Dense, Diagonalizable, EvolutionOperator,
-                    IndexSet, SampleSet, Sampler, SpectralProjectorSet,
-                    Uniform, apply, as_diagonalizable, group_eigenvalues,
-                    make_diffusion_filter, observable_spectrum_oracle,
-                    random_circulant, random_diagonalizable, random_signal,
-                    shift_operator, simulate, spectral_projectors)
-from .annihilator import (AnnihilatorPolynomial, altered_minimal_polynomial_oracle,
-                          annihilator_from_samples, hankel_system,
-                          minimal_polynomial_oracle, scalar_annihilator)
-from .spectral import (ExtrapolationModel, SpectrumEstimate, extrapolate,
-                       fit_extrapolation, merge_roots,
-                       recover_observable_spectrum, recover_spectrum_at_index,
+                    IndexSet, SampleSet, Sampler, Uniform,
+                    make_diffusion_filter, random_circulant,
+                    random_diagonalizable, random_signal, shift_operator,
+                    simulate)
+from .annihilator import (AnnihilatorPolynomial, annihilator_from_samples,
+                          hankel_system, scalar_annihilator)
+from .spectral import (ExtrapolationModel, SpectrumEstimate, fit_extrapolation,
+                       merge_roots, recover_observable_spectrum,
                        recover_spectrum_via_extrapolation)
 from .invariant import (FilterEstimate, ResidueClassData, fourier_classes,
                         order_symmetric_decreasing, recover_operator,

@@ -26,9 +26,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionError, NoAnnihilator
-from .model import (EvolutionOperator, as_diagonalizable, group_eigenvalues,
-                    observable_spectrum_oracle, require_well_conditioned)
-from .numerics import MonicPolynomial, as_vector, least_squares
+from .numerics import MonicPolynomial, as_vector, least_squares, zero_threshold
 
 
 @dataclass(frozen=True)
@@ -42,10 +40,6 @@ class AnnihilatorPolynomial:
     @property
     def degree(self) -> int:
         return self.poly.degree
-
-
-def _zero_threshold(zero_scale: float) -> float:
-    return max(config.ZERO_FLOOR, config.ZERO_REL * zero_scale)
 
 
 def _block_hankel(terms: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -101,7 +95,7 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
         raise DimensionError(
             f"need at least rows + r_max = {rows + r_max} time levels, got {terms.shape[0]}")
 
-    if float(np.max(np.abs(terms))) < _zero_threshold(zero_scale):
+    if float(np.max(np.abs(terms))) < zero_threshold(zero_scale):
         return AnnihilatorPolynomial(MonicPolynomial(np.zeros(0)), 0.0, rows)
 
     H = _block_hankel(terms, rows, r_max + 1)
@@ -123,24 +117,3 @@ def scalar_annihilator(c, r_max: int, rows: int | None = None,
     if c.ndim != 1:
         raise DimensionError(f"expected a scalar sequence, got shape {c.shape}")
     return annihilator_from_samples(c[:, None], r_max, rows=rows, tol=tol, zero_scale=zero_scale)
-
-
-def minimal_polynomial_oracle(op: EvolutionOperator,
-                              tau_eig: float = config.TAU_EIG) -> AnnihilatorPolynomial:
-    """The operator's minimal polynomial, prod (lambda - lambda_j) over its
-    distinct eigenvalues. Oracle for tests and verification: it reads the
-    operator's factorization, not samples."""
-    diag = as_diagonalizable(op)
-    require_well_conditioned(diag.U)
-    values, _ = group_eigenvalues(diag.eigs, tau_eig)
-    return AnnihilatorPolynomial(MonicPolynomial.from_roots(values), 0.0, 0)
-
-
-def altered_minimal_polynomial_oracle(op: EvolutionOperator, omega,
-                                      tau_eig: float = config.TAU_EIG,
-                                      tau_obs: float = config.TAU_OBS) -> AnnihilatorPolynomial:
-    """The smallest monic polynomial whose action is invisible through the
-    sampled coordinates: prod (lambda - lambda_j) over the omega-observable
-    eigenvalues. Oracle counterpart of the sample-side engine."""
-    roots = observable_spectrum_oracle(op, omega, tau_eig=tau_eig, tau_obs=tau_obs)
-    return AnnihilatorPolynomial(MonicPolynomial.from_roots(roots), 0.0, 0)

@@ -1,18 +1,13 @@
 """Default numerical tolerances.
 
 Every consistency decision in the library funnels through these values.
-All of them can be overridden per call, and the CLI records the values it
-actually used in each report.
+``TAU_SOLVE`` and ``DEDUP_REL`` can be overridden per call (the CLI's
+``--tol`` and ``--dedup``); the others are fixed. The CLI records
+``TAU_SOLVE``, ``DEDUP_REL`` and ``TAU_ROOT`` as used in each report.
 """
 
 # A linear system counts as consistent below this relative residual.
 TAU_SOLVE = 1e-8
-
-# Relative gap under which two eigenvalues are grouped as one.
-TAU_EIG = 1e-9
-
-# Observability cutoff, relative to the Frobenius norm of the eigenbasis.
-TAU_OBS = 1e-10
 
 # Absolute snapping distance from a root to the unit-circle grid.
 TAU_ROOT = 1e-6
@@ -23,7 +18,7 @@ TAU_NODE = 1e-8
 # Dedup tolerance for merging roots, relative to the spectral scale.
 DEDUP_REL = 1e-6
 
-# All-zero detection: absolute floor plus a relative factor on the
-# caller-supplied scale.
+# All-zero detection (numerics.zero_threshold): absolute floor plus a
+# relative factor on the caller-supplied scale.
 ZERO_FLOOR = 1e-300
 ZERO_REL = 1e-12

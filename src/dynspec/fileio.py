@@ -35,17 +35,7 @@ def pairs_to_complex(pairs, name: str = "value list") -> np.ndarray:
 
 
 def atomic_write_json(path: str, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -80,10 +70,13 @@ def _sampler_to_json(sampler):
 def _sampler_from_json(obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise FileFormatError("sampler must be an object with a 'type' field")
-    if obj["type"] == "uniform":
-        return Uniform(int(obj["m"]))
-    if obj["type"] == "indices":
-        return IndexSet(tuple(int(i) for i in obj["omega"]))
+    try:
+        if obj["type"] == "uniform":
+            return Uniform(int(obj["m"]))
+        if obj["type"] == "indices":
+            return IndexSet(tuple(int(i) for i in obj["omega"]))
+    except KeyError as exc:
+        raise FileFormatError(f"{obj['type']} sampler is missing field {exc}") from exc
     raise FileFormatError(f"unknown sampler type {obj['type']!r}")
 
 
@@ -168,4 +161,7 @@ def load_report(path: str) -> dict:
             f"{path}: schema_version {obj.get('schema_version')!r}, expected {SCHEMA_VERSION!r}")
     if "mode" not in obj:
         raise FileFormatError(f"{path}: missing field 'mode'")
+    diagnostics = obj.get("diagnostics", {})
+    if not isinstance(diagnostics, dict) or not isinstance(diagnostics.get("tolerances", {}), dict):
+        raise FileFormatError(f"{path}: diagnostics and its tolerances must be objects")
     return obj

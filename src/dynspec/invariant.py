@@ -28,8 +28,13 @@ from .errors import (AmbiguousOrdering, DimensionError, InsufficientDataError,
                      NoAnnihilator, NotSymmetricReal, RecoveryError,
                      UnderDetermined)
 from .model import Circulant, SampleSet, Uniform
-from .numerics import as_vector, dft, least_squares, poly_roots
+from .numerics import (as_vector, dft, least_squares, min_pairwise_gap,
+                       poly_roots, zero_threshold)
 from .spectral import SpectrumEstimate, merge_roots
+
+# Largest imaginary part, relative to the spectral scale, that the
+# symmetric decreasing ordering drops as rounding.
+_REAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +131,7 @@ def recover_spectrum_invariant(samples: SampleSet,
         except NoAnnihilator as exc:
             failures[cls.j] = str(exc)
             worst = max(worst, exc.best_residual)
-            if float(np.max(np.abs(cls.series))) >= max(config.ZERO_FLOOR, config.ZERO_REL * scale):
+            if float(np.max(np.abs(cls.series))) >= zero_threshold(scale):
                 hard.append(cls.j)
             else:
                 per_source[cls.j] = np.zeros(0, dtype=np.complex128)
@@ -143,14 +148,13 @@ def recover_spectrum_invariant(samples: SampleSet,
     return estimate
 
 
-def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int,
-                               real_tol: float = 1e-8) -> FilterEstimate:
+def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int) -> FilterEstimate:
     """Assign recovered spectral values to frequencies assuming the
     transfer function is real, symmetric, and decreasing.
 
     The (d+1)/2 deduplicated values are sorted in decreasing order onto
     frequencies 0..(d-1)/2 and mirrored onto the conjugate half. Imaginary
-    parts below ``real_tol`` (relative to the spectral scale) are dropped;
+    parts below ``_REAL_TOL`` (relative to the spectral scale) are dropped;
     larger ones are an error, never silently truncated.
     """
     if d < 1 or d % 2 == 0:
@@ -159,7 +163,7 @@ def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int,
     if roots.size == 0:
         raise AmbiguousOrdering("no spectral values to order")
     scale = float(np.max(np.abs(roots)))
-    if float(np.max(np.abs(roots.imag))) > real_tol * (scale if scale > 0 else 1.0):
+    if float(np.max(np.abs(roots.imag))) > _REAL_TOL * (scale if scale > 0 else 1.0):
         raise NotSymmetricReal(
             f"spectral values have imaginary parts up to {np.max(np.abs(roots.imag)):.3e}; "
             "the symmetric decreasing assumption does not apply")
@@ -177,12 +181,12 @@ def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int,
 
 
 def recover_signal(samples: SampleSet, filt: FilterEstimate,
-                   node_tol: float = config.TAU_NODE,
                    tol: float = config.TAU_SOLVE) -> np.ndarray:
     """Recover the driving signal given the transfer function.
 
     Per class j the m node values transfer(j + i*J) must be pairwise
-    distinct; the m x m node-power system then yields the signal's
+    distinct, more than ``config.TAU_NODE`` apart relative to the largest
+    transfer modulus; the m x m node-power system then yields the signal's
     transform on that class, and the inverse DFT assembles the signal.
     A class with repeated nodes (always the one containing frequency 0
     when the transfer function is symmetric) raises UnderDetermined.
@@ -193,16 +197,14 @@ def recover_signal(samples: SampleSet, filt: FilterEstimate,
         raise DimensionError(f"filter length {filt.a_hat.size} does not match d={d}")
     classes = fourier_classes(samples, min_levels=m)
     scale = float(np.max(np.abs(filt.a_hat)))
+    min_gap = config.TAU_NODE * (scale if scale > 0 else 1.0)
     x_hat = np.zeros(d, dtype=np.complex128)
     for cls in classes:
         nodes = filt.a_hat[cls.indices]
-        if m > 1:
-            gap = np.abs(nodes[:, None] - nodes[None, :])
-            gap[np.diag_indices_from(gap)] = np.inf
-            if float(gap.min()) <= node_tol * (scale if scale > 0 else 1.0):
-                raise UnderDetermined(
-                    f"class {cls.j} has repeated transfer values; its aliased signal "
-                    "components cannot be separated", class_id=cls.j)
+        if m > 1 and min_pairwise_gap(nodes) <= min_gap:
+            raise UnderDetermined(
+                f"class {cls.j} has repeated transfer values; its aliased signal "
+                "components cannot be separated", class_id=cls.j)
         powers = nodes[None, :] ** np.arange(m)[:, None] / m
         res = least_squares(powers, cls.series[:m])
         if res.relative_residual >= tol:

@@ -2,10 +2,9 @@
 
 A signal is a 1-D complex ndarray of length d. Evolution operators come in
 three interchangeable representations (circulant filter, diagonalizable
-factorization, dense matrix); ``apply`` agrees across representations of
-the same operator to ~1e-10. This module also hosts the test-side oracles
-that look at the operator itself (eigenvalue grouping, spectral
-projectors, observable spectrum); the recovery pipelines never call them.
+factorization, dense matrix) whose ``apply`` methods agree on the same
+operator to ~1e-10. Only the forward direction lives here: the
+recovery pipelines read samples, never the operator.
 
 Conventions, fixed once for the whole library: the cyclic convolution is
 (a * x)(n) = sum_k a(k) x(n - k), and the "shift" operator advances the
@@ -19,11 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
 from .errors import ConditioningError, DimensionError
-from .numerics import as_matrix, as_vector, dft
+from .numerics import as_matrix, as_vector, dft, min_pairwise_gap
 
-_COND_LIMIT = 1e12
+# Random operators: smallest accepted gap between two eigenvalues, draws
+# tried before giving up, and the eigenbasis condition number.
+_MIN_GAP = 1e-3
+_MAX_TRIES = 200
+_COND = 2.0
 
 
 def _check_signal(x, d: int) -> np.ndarray:
@@ -31,13 +33,6 @@ def _check_signal(x, d: int) -> np.ndarray:
     if arr.size != d:
         raise DimensionError(f"signal length {arr.size} does not match operator dimension {d}")
     return arr
-
-
-def require_well_conditioned(U: np.ndarray, limit: float = _COND_LIMIT) -> None:
-    """Raise ConditioningError when U is numerically singular."""
-    cond = np.linalg.cond(U)
-    if not np.isfinite(cond) or cond > limit:
-        raise ConditioningError(f"matrix condition number {cond:.3e} exceeds {limit:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,29 +131,11 @@ class Dense:
 EvolutionOperator = Circulant | Diagonalizable | Dense
 
 
-def apply(op: EvolutionOperator, x) -> np.ndarray:
-    """Advance a signal one time step."""
-    return op.apply(x)
-
-
 def shift_operator(d: int) -> Circulant:
     """The advancing cyclic shift (Bx)(n) = x(n + 1 mod d)."""
     taps = np.zeros(d, dtype=np.complex128)
     taps[d - 1] = 1.0
     return Circulant(taps)
-
-
-def as_diagonalizable(op: EvolutionOperator) -> Diagonalizable:
-    """View an operator in factored form.
-
-    Dense operators are rejected: the library never eigendecomposes an
-    unknown matrix, it only reads factorizations the caller constructed.
-    """
-    if isinstance(op, Diagonalizable):
-        return op
-    if isinstance(op, Circulant):
-        return op.to_diagonalizable()
-    raise TypeError(f"need a circulant or diagonalizable operator, got {type(op).__name__}")
 
 
 @dataclass(frozen=True)
@@ -201,12 +178,6 @@ class Uniform:
 
 
 Sampler = IndexSet | Uniform
-
-
-def _omega_indices(omega, d: int) -> np.ndarray:
-    if isinstance(omega, (IndexSet, Uniform)):
-        return omega.indices(d)
-    return IndexSet(tuple(int(i) for i in omega)).indices(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,73 +235,6 @@ def simulate(op: EvolutionOperator, x, sampler: Sampler, L_total: int) -> Sample
     return SampleSet(op.dim, sampler, out)
 
 
-def group_eigenvalues(eigs, tau_eig: float = config.TAU_EIG):
-    """Cluster numerically equal eigenvalues.
-
-    Returns (values, groups): cluster means and member index lists, in
-    first-appearance order. The matching radius is ``tau_eig`` relative to
-    the largest modulus.
-    """
-    eigs = as_vector(eigs, "eigenvalues")
-    scale = float(np.max(np.abs(eigs)))
-    tol = tau_eig * (scale if scale > 0 else 1.0)
-    reps: list[complex] = []
-    groups: list[list[int]] = []
-    for i, lam in enumerate(eigs):
-        for g, rep in enumerate(reps):
-            if abs(lam - rep) <= tol:
-                groups[g].append(i)
-                break
-        else:
-            reps.append(complex(lam))
-            groups.append([i])
-    values = np.array([np.mean(eigs[g]) for g in groups], dtype=np.complex128)
-    return values, groups
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralProjectorSet:
-    """Orthogonal projectors of the diagonal factor, one per distinct
-    eigenvalue: mutually annihilating idempotents summing to the identity."""
-
-    eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-
-
-def spectral_projectors(op: EvolutionOperator, tau_eig: float = config.TAU_EIG) -> SpectralProjectorSet:
-    """Group the eigenvalues at ``tau_eig`` and build the corresponding
-    coordinate projectors of the diagonal factor."""
-    diag = as_diagonalizable(op)
-    values, groups = group_eigenvalues(diag.eigs, tau_eig)
-    projs = []
-    for g in groups:
-        P = np.zeros((diag.dim, diag.dim), dtype=np.complex128)
-        P[g, g] = 1.0
-        projs.append(P)
-    return SpectralProjectorSet(values, tuple(projs))
-
-
-def observable_spectrum_oracle(op: EvolutionOperator, omega,
-                               tau_eig: float = config.TAU_EIG,
-                               tau_obs: float = config.TAU_OBS) -> np.ndarray:
-    """Ground-truth observable spectrum as seen from the coordinates omega.
-
-    An eigenvalue is observable when the block of the eigenbasis with rows
-    in omega and columns in its eigen-group has Frobenius norm above
-    ``tau_obs`` times the Frobenius norm of the whole eigenbasis. This is
-    the oracle the recovery pipelines are tested against; they never call
-    it themselves.
-    """
-    diag = as_diagonalizable(op)
-    require_well_conditioned(diag.U)
-    idx = _omega_indices(omega, diag.dim)
-    values, groups = group_eigenvalues(diag.eigs, tau_eig)
-    u_norm = float(np.linalg.norm(diag.U))
-    out = [v for v, g in zip(values, groups)
-           if np.linalg.norm(diag.U[np.ix_(idx, g)]) > tau_obs * u_norm]
-    return np.array(out, dtype=np.complex128)
-
-
 def random_signal(d: int, seed) -> np.ndarray:
     """Seeded i.i.d. complex standard normal signal.
 
@@ -364,22 +268,16 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
     return Circulant(dft(a_hat, inverse=True))
 
 
-def _min_pairwise_gap(values: np.ndarray) -> float:
-    dist = np.abs(values[:, None] - values[None, :])
-    dist[np.diag_indices_from(dist)] = np.inf
-    return float(dist.min())
-
-
-def random_circulant(d: int, seed, min_gap: float = 1e-3, max_tries: int = 200) -> Circulant:
+def random_circulant(d: int, seed) -> Circulant:
     """Random complex filter with pairwise-distinct transfer values,
     normalized so the largest transfer modulus is 1."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         a_hat = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2)
         a_hat /= np.max(np.abs(a_hat))
-        if d == 1 or _min_pairwise_gap(a_hat) > min_gap:
+        if d == 1 or min_pairwise_gap(a_hat) > _MIN_GAP:
             return Circulant(dft(a_hat, inverse=True))
-    raise ConditioningError(f"could not draw a filter with transfer gaps above {min_gap}")
+    raise ConditioningError(f"could not draw a filter with transfer gaps above {_MIN_GAP}")
 
 
 def _random_unitary(rng, d: int) -> np.ndarray:
@@ -387,25 +285,24 @@ def _random_unitary(rng, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_diagonalizable(d: int, seed, eig_gap: float = 1e-3,
-                          modulus: tuple[float, float] = (0.9, 1.1),
-                          cond: float = 2.0, max_tries: int = 200) -> Diagonalizable:
+def random_diagonalizable(d: int, seed,
+                          modulus: tuple[float, float] = (0.9, 1.1)) -> Diagonalizable:
     """Random diagonalizable operator with controlled conditioning.
 
-    The eigenbasis has condition number exactly ``cond``. Eigenvalue
+    The eigenbasis has condition number exactly ``_COND`` = 2. Eigenvalue
     moduli are uniform in ``modulus``; phases are jittered around the
     equispaced grid and rotated by a random angle, which keeps pairwise
     gaps near 1/d. Eigenvalues packed much tighter than that are not
     resolvable from the 2d-sample horizon the recovery pipelines use, so
     a uniform-phase draw would routinely produce instances no method
-    could handle at the default consistency threshold. ``eig_gap`` is
+    could handle at the default consistency threshold. ``_MIN_GAP`` is
     still enforced by rejection as an absolute floor.
     """
     rng = np.random.default_rng(seed)
-    U = _random_unitary(rng, d) @ np.diag(np.geomspace(1.0, cond, d)) @ _random_unitary(rng, d)
-    for _ in range(max_tries):
+    U = _random_unitary(rng, d) @ np.diag(np.geomspace(1.0, _COND, d)) @ _random_unitary(rng, d)
+    for _ in range(_MAX_TRIES):
         phases = (np.arange(d) + rng.uniform(-0.25, 0.25, d)) * 2 * np.pi / d
         eigs = rng.uniform(*modulus, d) * np.exp(1j * (phases + rng.uniform(0, 2 * np.pi)))
-        if d == 1 or _min_pairwise_gap(eigs) > eig_gap:
+        if d == 1 or min_pairwise_gap(eigs) > _MIN_GAP:
             return Diagonalizable(U, eigs)
-    raise ConditioningError(f"could not draw eigenvalues with gaps above {eig_gap}")
+    raise ConditioningError(f"could not draw eigenvalues with gaps above {_MIN_GAP}")

@@ -2,10 +2,10 @@
 
 Everything here is a pure function of its inputs: the DFT in both
 directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
-least squares, and monic-polynomial arithmetic (division, root finding,
-construction from roots). Vectors and matrices are plain complex
-ndarrays; the two ``as_*`` helpers validate shape and finiteness at the
-boundaries.
+least squares, monic-polynomial arithmetic (division, root finding,
+construction from roots), and the zero and separation tests the
+pipelines share. Vectors and matrices are plain complex ndarrays; the
+two ``as_*`` helpers validate shape and finiteness at the boundaries.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import config
 from .errors import DimensionError
 
 _RESIDUAL_FLOOR = float(np.finfo(np.float64).tiny)
@@ -39,6 +40,19 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name}: entries must be finite")
     return arr
+
+
+def zero_threshold(scale: float) -> float:
+    """Magnitude below which a value counts as zero, for data of the
+    given scale: an absolute floor plus a relative factor."""
+    return max(config.ZERO_FLOOR, config.ZERO_REL * scale)
+
+
+def min_pairwise_gap(values: np.ndarray) -> float:
+    """Smallest |values[i] - values[j]| over i != j (needs two entries)."""
+    dist = np.abs(values[:, None] - values[None, :])
+    dist[np.diag_indices_from(dist)] = np.inf
+    return float(dist.min())
 
 
 def dft(v, inverse: bool = False) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from . import config
 from .annihilator import scalar_annihilator
 from .errors import DimensionError, NotShiftSpectrum, RecoveryError
-from .numerics import as_vector, dft, least_squares, poly_roots
+from .numerics import as_vector, dft, least_squares, poly_roots, zero_threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,14 +39,13 @@ class SparseSpectrum:
             raise DimensionError("values must cover exactly the support frequencies")
 
 
-def prony_support(c, d: int, s: int, snap_tol: float = config.TAU_ROOT,
-                  tol: float = config.TAU_SOLVE) -> tuple[int, ...]:
+def prony_support(c, d: int, s: int, tol: float = config.TAU_SOLVE) -> tuple[int, ...]:
     """Spectral support from 2s consecutive signal entries.
 
     Requires s < d/2. The annihilator degree can come out below s when the
     signal is sparser than declared; the (smaller) support is returned.
-    A root farther than ``snap_tol`` from every grid point means the data
-    was not produced by a cyclic shift of a sparse-spectrum signal.
+    A root farther than ``config.TAU_ROOT`` from every grid point means the
+    data was not produced by a cyclic shift of a sparse-spectrum signal.
     """
     if s < 1:
         raise ValueError(f"sparsity must be positive, got {s}")
@@ -56,20 +55,20 @@ def prony_support(c, d: int, s: int, snap_tol: float = config.TAU_ROOT,
     if c.size < 2 * s:
         raise DimensionError(f"need 2s = {2 * s} consecutive entries, got {c.size}")
     ann = scalar_annihilator(c[:2 * s], s, tol=tol)
-    return snap_support(poly_roots(ann.poly), d, snap_tol)
+    return snap_support(poly_roots(ann.poly), d)
 
 
-def snap_support(roots, d: int, snap_tol: float = config.TAU_ROOT) -> tuple[int, ...]:
+def snap_support(roots, d: int) -> tuple[int, ...]:
     """Frequencies n whose grid points exp(2*pi*i*n/d) the roots snap to.
 
-    A root farther than ``snap_tol`` from every grid point raises
+    A root farther than ``config.TAU_ROOT`` from every grid point raises
     NotShiftSpectrum.
     """
     support = set()
     for root in roots:
         n = int(np.round(np.angle(root) * d / (2 * np.pi))) % d
         gap = abs(root - np.exp(2j * np.pi * n / d))
-        if gap > snap_tol:
+        if gap > config.TAU_ROOT:
             raise NotShiftSpectrum(
                 f"root {root:.6f} is {gap:.3e} from the nearest grid point "
                 f"exp(2*pi*i*{n}/{d}); data does not fit the shift model")
@@ -100,7 +99,7 @@ def prony_values(c, start: int, support, d: int,
             f"(residual {res.relative_residual:.3e}); support/sample mismatch")
     vmax = float(np.max(np.abs(res.solution)))
     keep = {n: complex(v) for n, v in zip(supp, res.solution)
-            if abs(v) > max(config.ZERO_FLOOR, config.ZERO_REL * vmax)}
+            if abs(v) > zero_threshold(vmax)}
     return SparseSpectrum(d, tuple(sorted(keep)), keep)
 
 

@@ -81,13 +81,6 @@ def _is_new(z: complex, reps: list, tol: float) -> bool:
     return True
 
 
-def recover_spectrum_at_index(c, r_max: int, tol: float = config.TAU_SOLVE) -> np.ndarray:
-    """Eigenvalues observable at one coordinate, from its scalar series
-    (2 * r_max terms)."""
-    ann = scalar_annihilator(c, r_max, tol=tol)
-    return poly_roots(ann.poly)
-
-
 def _r_max_map(r_max, omega, d: int) -> dict:
     if r_max is None:
         return {int(i): d for i in omega}
@@ -196,11 +189,6 @@ def fit_extrapolation(samples: SampleSet, L: int,
                 f"(residual {res.relative_residual:.3e}); retry with a larger window")
         weights[pos] = res.solution.reshape(L, n)
     return ExtrapolationModel(tuple(int(i) for i in omega), L, weights, S[:L].copy())
-
-
-def extrapolate(model: ExtrapolationModel, k: int) -> np.ndarray:
-    """Restricted sample at time k from a fitted recurrence."""
-    return model.extrapolate(k)
 
 
 def recover_spectrum_via_extrapolation(samples: SampleSet, L: int, r_max=None,

@@ -11,23 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from dynspec.annihilator import (altered_minimal_polynomial_oracle,
-                                 annihilator_from_samples, hankel_system,
-                                 minimal_polynomial_oracle)
+from dynspec.annihilator import annihilator_from_samples, hankel_system
 from dynspec.cli import main
 from dynspec.errors import UnderDetermined
 from dynspec.invariant import (FilterEstimate, fourier_classes,
                                recover_operator, recover_signal,
                                recover_spectrum_invariant)
 from dynspec.model import (Diagonalizable, IndexSet, Uniform,
-                           make_diffusion_filter, observable_spectrum_oracle,
-                           random_circulant, random_diagonalizable,
-                           random_signal, shift_operator, simulate)
+                           make_diffusion_filter, random_circulant,
+                           random_diagonalizable, random_signal,
+                           shift_operator, simulate)
 from dynspec.numerics import dft, poly_divide, poly_roots, set_match_error
 from dynspec.prony import prony_support, prony_values, random_sparse_signal
 from dynspec.spectral import (fit_extrapolation, recover_observable_spectrum,
                               recover_spectrum_via_extrapolation)
-from oracles import projection_check
+from oracles import (altered_minimal_polynomial_oracle,
+                     minimal_polynomial_oracle, observable_spectrum_oracle,
+                     projection_check)
 
 
 def _sets_equal(got, expected, tol):
@@ -46,7 +46,8 @@ def _resolvable_filter(d, m, seed, min_gap=1e-3, lo=0.35, prod_floor=3e-2):
     floor are not recoverable to 1e-8 from 2m samples in double precision
     by any coefficient-based method.
     """
-    from dynspec.model import Circulant, _min_pairwise_gap
+    from dynspec.model import Circulant
+    from dynspec.numerics import min_pairwise_gap as _min_pairwise_gap
 
     rng = np.random.default_rng(seed)
     J = d // m

@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynspec import config
-from dynspec.annihilator import (altered_minimal_polynomial_oracle,
-                                 annihilator_from_samples, hankel_system,
-                                 minimal_polynomial_oracle, scalar_annihilator)
+from dynspec.annihilator import (annihilator_from_samples, hankel_system,
+                                 scalar_annihilator)
 from dynspec.errors import DimensionError, NoAnnihilator
 from dynspec.model import (Circulant, Dense, Diagonalizable, IndexSet,
-                           observable_spectrum_oracle, random_circulant,
-                           random_diagonalizable, random_signal, simulate)
+                           random_circulant, random_diagonalizable,
+                           random_signal, simulate)
 from dynspec.numerics import poly_divide, poly_roots
 from helpers import assert_sets_close, roots_contained
+from oracles import (altered_minimal_polynomial_oracle,
+                     minimal_polynomial_oracle, observable_spectrum_oracle)
 
 
 def _partially_observable(d, seed, hidden):

@@ -168,6 +168,20 @@ def test_recover_malformed_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sampler", [{"type": "uniform"}, {"type": "indices"}],
+                         ids=["uniform-without-m", "indices-without-omega"])
+def test_recover_sampler_missing_parameter_exits_2(tmp_path, capsys, sampler):
+    path = _simulate_diffusion(tmp_path)
+    obj = json.loads(path.read_text())
+    obj["sampler"] = sampler
+    path.write_text(json.dumps(obj))
+    code = run("recover", "--in", str(path), "--mode", "general",
+               "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_recover_plot_writes_svg(tmp_path):
     path = _simulate_diffusion(tmp_path)
     out = tmp_path / "r.json"
@@ -223,10 +237,17 @@ def test_verify_requires_truth(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_rejects_malformed_report(tmp_path):
+@pytest.mark.parametrize("report", [
+    {"schema_version": "other"},
+    {"schema_version": "dynspec-1", "mode": "invariant", "recovered_spectrum": [],
+     "diagnostics": []},
+    {"schema_version": "dynspec-1", "mode": "invariant", "recovered_spectrum": [],
+     "diagnostics": {"tolerances": []}},
+], ids=["wrong-schema", "diagnostics-not-object", "tolerances-not-object"])
+def test_verify_rejects_malformed_report(tmp_path, report):
     path = _simulate_diffusion(tmp_path)
     bad = tmp_path / "r.json"
-    bad.write_text(json.dumps({"schema_version": "other"}))
+    bad.write_text(json.dumps(report))
     assert run("verify", "--in", str(path), "--report", str(bad)) == 2
 
 

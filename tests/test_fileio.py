@@ -1,11 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from dynspec.errors import FileFormatError
-from dynspec.fileio import (complex_to_pairs, load_problem, pairs_to_complex,
-                            save_problem)
+from dynspec.fileio import (atomic_write_json, complex_to_pairs, load_problem,
+                            pairs_to_complex, save_problem)
 from dynspec.model import IndexSet, random_circulant, random_signal, simulate
 
 
@@ -56,6 +57,32 @@ def test_problem_inconsistent_level_count_rejected(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(FileFormatError):
         load_problem(str(path))
+
+
+@pytest.mark.parametrize("sampler", [{"type": "uniform"}, {"type": "indices"}],
+                         ids=["uniform-without-m", "indices-without-omega"])
+def test_problem_sampler_missing_parameter_rejected(tmp_path, sampler):
+    op = random_circulant(6, 3)
+    samples = simulate(op, random_signal(6, 4), IndexSet((1,)), 4)
+    path = tmp_path / "p.json"
+    save_problem(str(path), samples)
+    obj = json.loads(path.read_text())
+    obj["sampler"] = sampler
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError):
+        load_problem(str(path))
+
+
+def test_atomic_write_failure_removes_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    target = tmp_path / "r.json"
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write_json(str(target), {"mode": "general"})
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
