@@ -21,12 +21,12 @@ import numpy as np
 
 from . import config
 from .annihilator import scalar_annihilator
-from .errors import (ConditioningError, DimensionError, FileFormatError,
-                     InsufficientDataError, RecoveryError, UnderDetermined)
+from .errors import (DynspecError, InsufficientDataError, RecoveryError,
+                     UnderDetermined)
 from .fileio import (SCHEMA_VERSION, atomic_write_text, complex_to_pairs,
                      load_problem, load_report, pairs_to_complex,
                      save_problem, save_report)
-from .invariant import FilterEstimate, recover_operator, recover_signal
+from .invariant import recover_operator, recover_signal
 from .model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
                     random_circulant, random_diagonalizable, random_signal,
                     shift_operator, simulate)
@@ -215,7 +215,7 @@ def cmd_recover(args) -> int:
             if operator is not None:
                 report["recovered_filter"] = complex_to_pairs(operator.taps)
                 try:
-                    x = recover_signal(samples, FilterEstimate.from_taps(operator.taps), tol=tol)
+                    x = recover_signal(samples, operator.transfer(), tol=tol)
                     report["recovered_signal"] = complex_to_pairs(x)
                 except (UnderDetermined, InsufficientDataError, RecoveryError) as exc:
                     failures["signal"] = str(exc)
@@ -246,7 +246,8 @@ def cmd_recover(args) -> int:
                 return _fail(f"need 2s = {2 * s} time levels, have {samples.L_total}", 2)
             start = int(om[0])
             entries = samples.samples[:2 * s, 0]
-            ann = scalar_annihilator(entries, s, tol=tol)
+            ann = scalar_annihilator(entries, s, tol=tol,
+                                     zero_scale=float(np.max(np.abs(entries))))
             roots = poly_roots(ann.poly)
             support = snap_support(roots, samples.d)
             spectrum = prony_values(entries, start, support, samples.d, tol=tol)
@@ -383,13 +384,9 @@ def main(argv=None) -> int:
         return 2 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        return _fail(str(exc), 2)
-    except (DimensionError, InsufficientDataError, ConditioningError) as exc:
-        return _fail(str(exc), 2)
     except RecoveryError as exc:
         return _fail(str(exc), 3)
-    except (ValueError, TypeError, OSError) as exc:
+    except (DynspecError, ValueError, TypeError, OSError) as exc:
         return _fail(str(exc), 2)
 
 

@@ -18,64 +18,19 @@ alias systems be inverted for the driving signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import config
-from .annihilator import scalar_annihilator
 from .errors import (AmbiguousOrdering, DimensionError, InsufficientDataError,
                      NoAnnihilator, NotSymmetricReal, RecoveryError,
                      UnderDetermined)
 from .model import Circulant, SampleSet, Uniform
-from .numerics import (as_vector, dft, least_squares, min_pairwise_gap,
-                       poly_roots, zero_threshold)
-from .spectral import SpectrumEstimate, merge_roots
+from .numerics import as_vector, dft, least_squares, min_pairwise_gap
+from .spectral import SpectrumEstimate, search_sources
 
 # Largest imaginary part, relative to the spectral scale, that the
 # symmetric decreasing ordering drops as rounding.
 _REAL_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class ResidueClassData:
-    """One aliased frequency class: its id j, the frequencies k with
-    k = j (mod J), and the scalar series it contributes per time level."""
-
-    j: int
-    indices: np.ndarray
-    series: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class FilterEstimate:
-    """A recovered (or supplied) circulant filter.
-
-    ``a_hat`` is the transfer function over frequencies 0..d-1, ``taps``
-    its inverse DFT. ``ordering_mode`` records how the values were
-    assigned to frequencies: "symmetric_decreasing" or "none" (positions
-    known directly).
-    """
-
-    a_hat: np.ndarray
-    taps: np.ndarray
-    ordering_mode: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_hat", as_vector(self.a_hat, "transfer function"))
-        object.__setattr__(self, "taps", as_vector(self.taps, "filter taps"))
-        if self.a_hat.size != self.taps.size:
-            raise DimensionError("transfer function and taps must have the same length")
-
-    @classmethod
-    def from_taps(cls, taps) -> "FilterEstimate":
-        taps = as_vector(taps, "filter taps")
-        return cls(dft(taps), taps, "none")
-
-    @classmethod
-    def from_transfer(cls, a_hat) -> "FilterEstimate":
-        a_hat = as_vector(a_hat, "transfer function")
-        return cls(a_hat, dft(a_hat, inverse=True), "none")
 
 
 def _require_uniform(samples: SampleSet) -> Uniform:
@@ -84,24 +39,23 @@ def _require_uniform(samples: SampleSet) -> Uniform:
     return samples.sampler
 
 
-def fourier_classes(samples: SampleSet, min_levels: int | None = None) -> list[ResidueClassData]:
+def fourier_classes(samples: SampleSet, min_levels: int | None = None) -> np.ndarray:
     """Split the subsampled data into its residue-class scalar series.
 
-    Embedding a restricted sample s_l back to length d (zeros off the
-    kept coordinates n*m) and transforming it gives a J-periodic vector,
-    since exp(-2*pi*i*k*n*m/d) = exp(-2*pi*i*k*n/J); its common value on
-    class j is series_l(j). That value is entry j of the length-J DFT of
-    s_l, so each time level costs one length-J FFT.
+    Returns the (L_total, J) array whose column j is the series of class
+    j, the frequencies k = j (mod J). Embedding a restricted sample s_l
+    back to length d (zeros off the kept coordinates n*m) and
+    transforming it gives a J-periodic vector, since
+    exp(-2*pi*i*k*n*m/d) = exp(-2*pi*i*k*n/J); its common value on class
+    j is series_l(j). That value is entry j of the length-J DFT of s_l,
+    so each time level costs one length-J FFT.
     """
-    sampler = _require_uniform(samples)
-    d, m = samples.d, sampler.m
-    J = d // m
+    m = _require_uniform(samples).m
     required = 2 * m if min_levels is None else min_levels
     if samples.L_total < required:
         raise InsufficientDataError(
             f"need at least {required} time levels, have {samples.L_total}")
-    series = np.fft.fft(samples.samples, axis=1)
-    return [ResidueClassData(j, np.arange(j, d, J), series[:, j].copy()) for j in range(J)]
+    return np.fft.fft(samples.samples, axis=1)
 
 
 def recover_spectrum_invariant(samples: SampleSet,
@@ -111,46 +65,29 @@ def recover_spectrum_invariant(samples: SampleSet,
 
     Runs the scalar annihilator per residue class (degree bound m, m row
     blocks) and merges the per-class roots. A class whose series is
-    numerically zero legitimately contributes nothing (the signal's
-    spectrum misses that class); a nonzero class with no annihilator is a
-    hard failure, raised after all classes are processed with the partial
-    estimate attached.
+    numerically zero, relative to the largest sample, legitimately
+    contributes no roots (the signal's spectrum misses that class); any
+    class with no annihilator is therefore nonzero, and is a hard failure
+    raised after all classes are processed with the partial estimate
+    attached.
     """
-    sampler = _require_uniform(samples)
-    m = sampler.m
-    classes = fourier_classes(samples)
-    scale = float(np.max(np.abs(samples.samples)))
-    per_source: dict = {}
-    residuals: dict = {}
-    failures: dict = {}
-    hard: list[int] = []
-    worst = 0.0
-    for cls in classes:
-        try:
-            ann = scalar_annihilator(cls.series[:2 * m], m, rows=m, tol=tol, zero_scale=scale)
-        except NoAnnihilator as exc:
-            failures[cls.j] = str(exc)
-            worst = max(worst, exc.best_residual)
-            if float(np.max(np.abs(cls.series))) >= zero_threshold(scale):
-                hard.append(cls.j)
-            else:
-                per_source[cls.j] = np.zeros(0, dtype=np.complex128)
-            continue
-        per_source[cls.j] = poly_roots(ann.poly)
-        residuals[cls.j] = ann.relative_residual
-    merged, tol_used = merge_roots(per_source.values(), dedup_rel)
-    estimate = SpectrumEstimate(per_source, merged, tol_used, residuals, failures)
-    if hard:
+    m = _require_uniform(samples).m
+    series = fourier_classes(samples)
+    sources = ((j, series[:2 * m, j]) for j in range(series.shape[1]))
+    estimate, worst = search_sources(sources, m, samples.d, dedup_rel, tol,
+                                     float(np.max(np.abs(samples.samples))), rows=m)
+    if estimate.failures:
         err = NoAnnihilator(
-            f"classes {hard} produced no annihilator of degree <= {m}", worst)
+            f"classes {list(estimate.failures)} produced no annihilator of degree <= {m}", worst)
         err.partial = estimate
         raise err
     return estimate
 
 
-def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int) -> FilterEstimate:
+def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int) -> np.ndarray:
     """Assign recovered spectral values to frequencies assuming the
-    transfer function is real, symmetric, and decreasing.
+    transfer function is real, symmetric, and decreasing; returns the
+    transfer function over frequencies 0..d-1.
 
     The (d+1)/2 deduplicated values are sorted in decreasing order onto
     frequencies 0..(d-1)/2 and mirrored onto the conjugate half. Imaginary
@@ -176,13 +113,13 @@ def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int) -> FilterEsti
     if np.any(np.diff(vals) >= 0):
         raise AmbiguousOrdering("spectral values are not strictly decreasing after "
                                 "projection to the real axis")
-    a_hat = np.concatenate([vals, vals[1:][::-1]]).astype(np.complex128)
-    return FilterEstimate(a_hat, dft(a_hat, inverse=True), "symmetric_decreasing")
+    return np.concatenate([vals, vals[1:][::-1]]).astype(np.complex128)
 
 
-def recover_signal(samples: SampleSet, filt: FilterEstimate,
+def recover_signal(samples: SampleSet, a_hat,
                    tol: float = config.TAU_SOLVE) -> np.ndarray:
-    """Recover the driving signal given the transfer function.
+    """Recover the driving signal given the transfer function ``a_hat``
+    over frequencies 0..d-1.
 
     Per class j the m node values transfer(j + i*J) must be pairwise
     distinct, more than ``config.TAU_NODE`` apart relative to the largest
@@ -191,27 +128,29 @@ def recover_signal(samples: SampleSet, filt: FilterEstimate,
     A class with repeated nodes (always the one containing frequency 0
     when the transfer function is symmetric) raises UnderDetermined.
     """
-    sampler = _require_uniform(samples)
-    d, m = samples.d, sampler.m
-    if filt.a_hat.size != d:
-        raise DimensionError(f"filter length {filt.a_hat.size} does not match d={d}")
-    classes = fourier_classes(samples, min_levels=m)
-    scale = float(np.max(np.abs(filt.a_hat)))
+    d, m = samples.d, _require_uniform(samples).m
+    a_hat = as_vector(a_hat, "transfer function")
+    if a_hat.size != d:
+        raise DimensionError(f"filter length {a_hat.size} does not match d={d}")
+    series = fourier_classes(samples, min_levels=m)
+    J = series.shape[1]
+    scale = float(np.max(np.abs(a_hat)))
     min_gap = config.TAU_NODE * (scale if scale > 0 else 1.0)
     x_hat = np.zeros(d, dtype=np.complex128)
-    for cls in classes:
-        nodes = filt.a_hat[cls.indices]
+    for j in range(J):
+        freqs = np.arange(j, d, J)
+        nodes = a_hat[freqs]
         if m > 1 and min_pairwise_gap(nodes) <= min_gap:
             raise UnderDetermined(
-                f"class {cls.j} has repeated transfer values; its aliased signal "
-                "components cannot be separated", class_id=cls.j)
+                f"class {j} has repeated transfer values; its aliased signal "
+                "components cannot be separated", class_id=j)
         powers = nodes[None, :] ** np.arange(m)[:, None] / m
-        res = least_squares(powers, cls.series[:m])
+        res = least_squares(powers, series[:m, j])
         if res.relative_residual >= tol:
             raise RecoveryError(
-                f"class {cls.j} alias system is inconsistent with the supplied filter "
+                f"class {j} alias system is inconsistent with the supplied filter "
                 f"(residual {res.relative_residual:.3e})")
-        x_hat[cls.indices] = res.solution
+        x_hat[freqs] = res.solution
     return dft(x_hat, inverse=True)
 
 
@@ -241,6 +180,6 @@ def recover_operator(samples: SampleSet, assume_symmetric_decreasing: bool = Fal
             a_hat[j] = roots[0]
         return Circulant(dft(a_hat, inverse=True)), estimate
     if assume_symmetric_decreasing:
-        filt = order_symmetric_decreasing(estimate, d)
-        return Circulant(filt.taps), estimate
+        a_hat = order_symmetric_decreasing(estimate, d)
+        return Circulant(dft(a_hat, inverse=True)), estimate
     return None, estimate

@@ -54,7 +54,8 @@ def prony_support(c, d: int, s: int, tol: float = config.TAU_SOLVE) -> tuple[int
     c = as_vector(c, "signal entries")
     if c.size < 2 * s:
         raise DimensionError(f"need 2s = {2 * s} consecutive entries, got {c.size}")
-    ann = scalar_annihilator(c[:2 * s], s, tol=tol)
+    c = c[:2 * s]
+    ann = scalar_annihilator(c, s, tol=tol, zero_scale=float(np.max(np.abs(c))))
     return snap_support(poly_roots(ann.poly), d)
 
 

@@ -2,22 +2,23 @@
 
 Each sampled coordinate i yields a scalar time series whose annihilator
 roots are exactly the eigenvalues observable at i; the observable spectrum
-of a sampling set is the deduplicated union over its coordinates. When
-samples are scarce, a window recurrence fitted to the first (|omega|+1)*L
-levels extrapolates the series to any horizon first.
+of a sampling set is the deduplicated union over its coordinates. The
+same per-source loop, ``search_sources``, serves the residue classes of
+the invariant pipeline. When samples are scarce, a window recurrence
+fitted to the first (|omega|+1)*L levels extrapolates the series to any
+horizon first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from . import config
-from .annihilator import scalar_annihilator
+from .annihilator import _block_hankel, scalar_annihilator
 from .errors import (DimensionError, InsufficientDataError, NoAnnihilator,
-                     SpanConditionViolated)
+                     RecoveryError, SpanConditionViolated)
 from .model import SampleSet
 from .numerics import least_squares, poly_roots
 
@@ -81,49 +82,63 @@ def _is_new(z: complex, reps: list, tol: float) -> bool:
     return True
 
 
-def _r_max_map(r_max, omega, d: int) -> dict:
-    if r_max is None:
-        return {int(i): d for i in omega}
-    if isinstance(r_max, Mapping):
-        return {int(i): int(r_max[i]) for i in omega}
-    return {int(i): int(r_max) for i in omega}
+def search_sources(sources, r_max: int, d: int, dedup_rel: float, tol: float,
+                   zero_scale: float, rows: int | None = None) -> tuple[SpectrumEstimate, float]:
+    """Run the degree search on each (source id, sequence) pair and merge
+    the roots.
+
+    A source whose search finds no annihilator is recorded in
+    ``failures``; the others contribute their roots and residuals. Returns
+    the estimate and the best residual of the worst failing source (0.0
+    when none failed); each caller decides which failures are fatal. A
+    merged spectrum with more than d values cannot belong to a d x d
+    operator, so it raises RecoveryError with the estimate attached.
+    """
+    per_source: dict = {}
+    residuals: dict = {}
+    failures: dict = {}
+    worst = 0.0
+    for src, seq in sources:
+        try:
+            ann = scalar_annihilator(seq, r_max, rows=rows, tol=tol, zero_scale=zero_scale)
+        except NoAnnihilator as exc:
+            failures[src] = str(exc)
+            worst = max(worst, exc.best_residual)
+            continue
+        per_source[src] = poly_roots(ann.poly)
+        residuals[src] = ann.relative_residual
+    merged, tol_used = merge_roots(per_source.values(), dedup_rel)
+    estimate = SpectrumEstimate(per_source, merged, tol_used, residuals, failures)
+    if merged.size > d:
+        err = RecoveryError(f"merged spectrum has {merged.size} values, more than d = {d}")
+        err.partial = estimate
+        raise err
+    return estimate, worst
 
 
-def recover_observable_spectrum(samples: SampleSet, r_max=None,
+def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
                                 dedup_rel: float = config.DEDUP_REL,
                                 tol: float = config.TAU_SOLVE) -> SpectrumEstimate:
     """Observable spectrum of the sampling set: per-coordinate roots,
     merged with dedup.
 
-    ``r_max`` bounds the per-coordinate degree search: an int, a mapping
-    coordinate -> bound, or None for the safe upper bound d (which needs
-    2d time levels). Per-coordinate failures are recorded; the call fails
-    only when every coordinate fails.
+    ``r_max`` bounds the per-coordinate degree search; None means the
+    safe upper bound d, which needs 2d time levels. Zero tests are taken
+    relative to the largest sample. Per-coordinate failures are recorded;
+    the call fails only when every coordinate fails.
     """
-    omega = samples.omega
-    bounds = _r_max_map(r_max, omega, samples.d)
-    per_source: dict = {}
-    residuals: dict = {}
-    failures: dict = {}
-    worst = 0.0
-    for pos, i in enumerate(int(v) for v in omega):
-        need = 2 * bounds[i]
-        if samples.L_total < need:
-            raise InsufficientDataError(
-                f"coordinate {i} needs {need} time levels for r_max={bounds[i]}, have {samples.L_total}")
-        try:
-            ann = scalar_annihilator(samples.samples[:need, pos], bounds[i], tol=tol)
-        except NoAnnihilator as exc:
-            failures[i] = str(exc)
-            worst = max(worst, exc.best_residual)
-            continue
-        per_source[i] = poly_roots(ann.poly)
-        residuals[i] = ann.relative_residual
-    if not per_source:
+    r_max = samples.d if r_max is None else r_max
+    need = 2 * r_max
+    if samples.L_total < need:
+        raise InsufficientDataError(
+            f"r_max={r_max} needs {need} time levels, have {samples.L_total}")
+    sources = ((int(i), samples.samples[:need, pos]) for pos, i in enumerate(samples.omega))
+    estimate, worst = search_sources(sources, r_max, samples.d, dedup_rel, tol,
+                                     float(np.max(np.abs(samples.samples))))
+    if not estimate.per_source:
         raise NoAnnihilator(
-            f"all {omega.size} sampled coordinates failed the degree search", worst)
-    merged, tol_used = merge_roots(per_source.values(), dedup_rel)
-    return SpectrumEstimate(per_source, merged, tol_used, residuals, failures)
+            f"all {samples.omega.size} sampled coordinates failed the degree search", worst)
+    return estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +192,7 @@ def fit_extrapolation(samples: SampleSet, L: int,
             f"window L={L} with {n} coordinates needs {need} time levels, have {samples.L_total}")
     S = samples.samples
     nL = n * L
-    M = np.empty((nL, L * n), dtype=np.complex128)
-    for l in range(L):
-        M[:, l * n:(l + 1) * n] = S[l:l + nL, :]
+    M = _block_hankel(S, L, nL).T
     weights = np.empty((n, L, n), dtype=np.complex128)
     for pos in range(n):
         res = least_squares(M, S[L:L + nL, pos])
@@ -191,13 +204,11 @@ def fit_extrapolation(samples: SampleSet, L: int,
     return ExtrapolationModel(tuple(int(i) for i in omega), L, weights, S[:L].copy())
 
 
-def recover_spectrum_via_extrapolation(samples: SampleSet, L: int, r_max=None,
+def recover_spectrum_via_extrapolation(samples: SampleSet, L: int,
                                        dedup_rel: float = config.DEDUP_REL,
                                        tol: float = config.TAU_SOLVE) -> SpectrumEstimate:
-    """Fit the window recurrence, extrapolate each coordinate out to its
-    2 * r_max budget, then recover the observable spectrum as usual."""
+    """Fit the window recurrence, extrapolate each coordinate out to 2d
+    levels, then recover the observable spectrum with degree bound d."""
     model = fit_extrapolation(samples, L, tol=tol)
-    bounds = _r_max_map(r_max, samples.omega, samples.d)
-    horizon = max(2 * r for r in bounds.values())
-    extended = SampleSet(samples.d, samples.sampler, model.extend(horizon))
-    return recover_observable_spectrum(extended, r_max=bounds, dedup_rel=dedup_rel, tol=tol)
+    extended = SampleSet(samples.d, samples.sampler, model.extend(2 * samples.d))
+    return recover_observable_spectrum(extended, dedup_rel=dedup_rel, tol=tol)

@@ -14,9 +14,8 @@ import pytest
 from dynspec.annihilator import annihilator_from_samples, hankel_system
 from dynspec.cli import main
 from dynspec.errors import UnderDetermined
-from dynspec.invariant import (FilterEstimate, fourier_classes,
-                               recover_operator, recover_signal,
-                               recover_spectrum_invariant)
+from dynspec.invariant import (fourier_classes, recover_operator,
+                               recover_signal, recover_spectrum_invariant)
 from dynspec.model import (Diagonalizable, IndexSet, Uniform,
                            make_diffusion_filter, random_circulant,
                            random_diagonalizable, random_signal,
@@ -89,7 +88,7 @@ def test_criterion_2_operator_and_signal_round_trip():
     samples = simulate(op, x, Uniform(m), 2 * m)
     est = recover_spectrum_invariant(samples)
     assert _sets_equal(est.merged, op.transfer(), 1e-8)
-    x_rec = recover_signal(samples, FilterEstimate.from_taps(op.taps))
+    x_rec = recover_signal(samples, op.transfer())
     assert np.max(np.abs(x_rec - x)) < 1e-8
 
     # symmetric diffusion filter: transfer recovered entrywise; the signal
@@ -101,7 +100,7 @@ def test_criterion_2_operator_and_signal_round_trip():
     recovered, _ = recover_operator(samples2, assume_symmetric_decreasing=True)
     assert np.max(np.abs(dft(recovered.taps) - op2.transfer())) < 1e-8
     with pytest.raises(UnderDetermined) as info:
-        recover_signal(samples2, FilterEstimate.from_taps(recovered.taps))
+        recover_signal(samples2, recovered.transfer())
     assert info.value.class_id == 0
     print("criterion 2 (operator + signal round trip): PASS")
 
@@ -184,7 +183,7 @@ def test_criterion_6_prony():
     d2, s2 = 16, 3
     x2, _ = random_sparse_signal(d2, s2, seed=4242)
     samples = simulate(shift_operator(d2), x2, Uniform(d2), 2 * d2)
-    series = fourier_classes(samples)[0].series
+    series = fourier_classes(samples)[:, 0]
     entries = np.array([x2[l % d2] for l in range(2 * d2)])
     M_class, rhs_class = hankel_system(series[:2 * s2], s2, s2)
     M_prony, rhs_prony = hankel_system(entries[:2 * s2], s2, s2)

@@ -278,11 +278,11 @@ def test_no_command_exits_2():
 
 
 def test_recover_invariant_partial_results_on_class_failure(tmp_path, monkeypatch, capsys):
-    import dynspec.invariant as invariant_mod
+    import dynspec.spectral as spectral_mod
     from dynspec.errors import NoAnnihilator
 
     path = _simulate_diffusion(tmp_path)
-    real = invariant_mod.scalar_annihilator
+    real = spectral_mod.scalar_annihilator
     calls = []
 
     def flaky(c, r_max, **kwargs):
@@ -291,7 +291,7 @@ def test_recover_invariant_partial_results_on_class_failure(tmp_path, monkeypatc
             raise NoAnnihilator("synthetic class failure", 0.4)
         return real(c, r_max, **kwargs)
 
-    monkeypatch.setattr(invariant_mod, "scalar_annihilator", flaky)
+    monkeypatch.setattr(spectral_mod, "scalar_annihilator", flaky)
     out = tmp_path / "partial.json"
     code = run("recover", "--in", str(path), "--mode", "invariant", "--out", str(out))
     assert code == 3
@@ -299,6 +299,43 @@ def test_recover_invariant_partial_results_on_class_failure(tmp_path, monkeypatc
     report = json.loads(out.read_text())
     assert "fatal" in report["diagnostics"]["failures"]
     assert len(report["per_source"]) == 4  # the four classes that still solved
+
+
+def test_recover_general_merging_more_values_than_d_exits_3(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    out = tmp_path / "r.json"
+    assert run("simulate", "--mode", "circulant", "--d", "16", "--omega", "0,5",
+               "--levels", "32", "--include-truth", "--seed", "1", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "general", "--out", str(out)) == 3
+    assert "error:" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    count = len(report["recovered_spectrum"])
+    assert count > 16
+    assert f"{count} values, more than d = 16" in report["diagnostics"]["failures"]["fatal"]
+    assert set(report["per_source"]) == {"0", "5"}
+
+
+@pytest.mark.parametrize("simulate_args,recover_args", [
+    (["--d", "15", "--mode", "circulant", "--filter", "diffusion", "--m", "3",
+      "--levels", "6", "--include-truth"], ["--mode", "invariant", "--assume-symmetric"]),
+    (["--d", "8", "--mode", "diagonalizable", "--omega", "0,3", "--levels", "16"],
+     ["--mode", "general"]),
+    (["--d", "8", "--mode", "diagonalizable", "--omega", "1,4", "--levels", "24"],
+     ["--mode", "extrapolate"]),
+    (["--d", "64", "--mode", "shift", "--sparsity", "5", "--omega", "17", "--levels", "10",
+      "--include-truth"], ["--mode", "prony"]),
+], ids=["invariant", "general", "extrapolate", "prony"])
+def test_recover_report_is_deterministic(tmp_path, simulate_args, recover_args):
+    problem = tmp_path / "p.json"
+    assert run("simulate", *simulate_args, "--seed", "4", "--out", str(problem)) == 0
+    reports = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "dynspec", "recover", "--in", str(problem),
+                               *recover_args, "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_simulate_filter_from_file(tmp_path):

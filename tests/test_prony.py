@@ -43,6 +43,14 @@ def test_support_sparser_than_declared():
     assert prony_support(_entries(x, 2, 4), 9, 2) == (4,)
 
 
+@pytest.mark.parametrize("k", [-13, -6, 6, 13])
+def test_support_is_scale_invariant(k):
+    x, spectrum = random_sparse_signal(32, 4, 62)
+    entries = _entries(x, 5, 8)
+    assert prony_support(entries, 32, 4) == spectrum.support
+    assert prony_support(entries * 10.0 ** k, 32, 4) == spectrum.support
+
+
 def test_support_rejects_non_shift_data():
     c = np.array([1.0, 3.0, 9.0, 27.0])  # geometric ratio 3, off the unit circle
     with pytest.raises(NotShiftSpectrum):

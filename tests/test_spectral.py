@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dynspec.annihilator import scalar_annihilator
 from dynspec.errors import SpanConditionViolated
-from dynspec.model import (Circulant, Diagonalizable, IndexSet,
+from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
                            random_circulant, random_diagonalizable,
                            random_signal, simulate)
 from dynspec.numerics import poly_roots
@@ -82,6 +82,19 @@ def test_monotone_in_sampling_set():
     small = recover_observable_spectrum(simulate(B, x, IndexSet((1,)), 16))
     large = recover_observable_spectrum(simulate(B, x, IndexSet((1, 5)), 16))
     assert roots_contained(small.merged, large.merged, 1e-8)
+
+
+@pytest.mark.parametrize("k", [-13, -6, 6, 13])
+def test_observable_recovery_is_scale_invariant(k):
+    B = random_diagonalizable(8, 60)
+    x = random_signal(8, 61)
+    samples = simulate(B, x, IndexSet((0, 3)), 16)
+    scaled = SampleSet(samples.d, samples.sampler, samples.samples * 10.0 ** k)
+    ref = recover_observable_spectrum(samples)
+    got = recover_observable_spectrum(scaled)
+    assert ({i: r.size for i, r in got.per_source.items()}
+            == {i: r.size for i, r in ref.per_source.items()})
+    assert_sets_close(got.merged, ref.merged, 1e-8)
 
 
 def test_merge_roots_invariants():
