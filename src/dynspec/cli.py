@@ -246,8 +246,8 @@ def cmd_recover(args) -> int:
                 return _fail(f"need 2s = {2 * s} time levels, have {samples.L_total}", 2)
             start = int(om[0])
             entries = samples.samples[:2 * s, 0]
-            ann = scalar_annihilator(entries, s, tol=tol,
-                                     zero_scale=float(np.max(np.abs(entries))))
+            # As in prony_support, only the absolute floor counts as zero.
+            ann = scalar_annihilator(entries, s, tol=tol, zero_scale=0.0)
             roots = poly_roots(ann.poly)
             support = snap_support(roots, samples.d)
             spectrum = prony_values(entries, start, support, samples.d, tol=tol)

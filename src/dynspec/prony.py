@@ -54,8 +54,8 @@ def prony_support(c, d: int, s: int, tol: float = config.TAU_SOLVE) -> tuple[int
     c = as_vector(c, "signal entries")
     if c.size < 2 * s:
         raise DimensionError(f"need 2s = {2 * s} consecutive entries, got {c.size}")
-    c = c[:2 * s]
-    ann = scalar_annihilator(c, s, tol=tol, zero_scale=float(np.max(np.abs(c))))
+    # Relative to its own largest entry, c is zero only below the absolute floor.
+    ann = scalar_annihilator(c[:2 * s], s, tol=tol, zero_scale=0.0)
     return snap_support(poly_roots(ann.poly), d)
 
 

@@ -82,10 +82,11 @@ def _is_new(z: complex, reps: list, tol: float) -> bool:
     return True
 
 
-def search_sources(sources, r_max: int, d: int, dedup_rel: float, tol: float,
-                   zero_scale: float, rows: int | None = None) -> tuple[SpectrumEstimate, float]:
-    """Run the degree search on each (source id, sequence) pair and merge
-    the roots.
+def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,
+                   tol: float) -> tuple[SpectrumEstimate, float]:
+    """Run the degree search on each (source id, sequence) pair drawn from
+    ``samples`` and merge the roots; zero tests are relative to the
+    largest sample, so rescaling the data leaves every degree unchanged.
 
     A source whose search finds no annihilator is recorded in
     ``failures``; the others contribute their roots and residuals. Returns
@@ -94,13 +95,14 @@ def search_sources(sources, r_max: int, d: int, dedup_rel: float, tol: float,
     merged spectrum with more than d values cannot belong to a d x d
     operator, so it raises RecoveryError with the estimate attached.
     """
+    zero_scale = float(np.max(np.abs(samples.samples)))
     per_source: dict = {}
     residuals: dict = {}
     failures: dict = {}
     worst = 0.0
     for src, seq in sources:
         try:
-            ann = scalar_annihilator(seq, r_max, rows=rows, tol=tol, zero_scale=zero_scale)
+            ann = scalar_annihilator(seq, r_max, tol=tol, zero_scale=zero_scale)
         except NoAnnihilator as exc:
             failures[src] = str(exc)
             worst = max(worst, exc.best_residual)
@@ -109,8 +111,9 @@ def search_sources(sources, r_max: int, d: int, dedup_rel: float, tol: float,
         residuals[src] = ann.relative_residual
     merged, tol_used = merge_roots(per_source.values(), dedup_rel)
     estimate = SpectrumEstimate(per_source, merged, tol_used, residuals, failures)
-    if merged.size > d:
-        err = RecoveryError(f"merged spectrum has {merged.size} values, more than d = {d}")
+    if merged.size > samples.d:
+        err = RecoveryError(
+            f"merged spectrum has {merged.size} values, more than d = {samples.d}")
         err.partial = estimate
         raise err
     return estimate, worst
@@ -123,9 +126,8 @@ def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
     merged with dedup.
 
     ``r_max`` bounds the per-coordinate degree search; None means the
-    safe upper bound d, which needs 2d time levels. Zero tests are taken
-    relative to the largest sample. Per-coordinate failures are recorded;
-    the call fails only when every coordinate fails.
+    safe upper bound d, which needs 2d time levels. Per-coordinate failures
+    are recorded; the call fails only when every coordinate fails.
     """
     r_max = samples.d if r_max is None else r_max
     need = 2 * r_max
@@ -133,8 +135,7 @@ def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
         raise InsufficientDataError(
             f"r_max={r_max} needs {need} time levels, have {samples.L_total}")
     sources = ((int(i), samples.samples[:need, pos]) for pos, i in enumerate(samples.omega))
-    estimate, worst = search_sources(sources, r_max, samples.d, dedup_rel, tol,
-                                     float(np.max(np.abs(samples.samples))))
+    estimate, worst = search_sources(samples, sources, r_max, dedup_rel, tol)
     if not estimate.per_source:
         raise NoAnnihilator(
             f"all {samples.omega.size} sampled coordinates failed the degree search", worst)

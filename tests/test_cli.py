@@ -1,10 +1,15 @@
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynspec
 from dynspec.cli import main
 from dynspec.fileio import load_problem, pairs_to_complex
 from dynspec.model import Uniform, make_diffusion_filter, random_signal, simulate
@@ -268,6 +273,30 @@ def test_module_entry_point_subprocess(tmp_path):
         proc = subprocess.run(step, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+
+def _readme_walkthroughs():
+    """README's bash blocks that start with a dynspec command, each as a
+    list of argument lists (backslash continuations joined)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = []
+    for block in re.findall(r"^```bash\n(.*?)^```$", text, flags=re.M | re.S):
+        if block.startswith("dynspec "):
+            lines = block.replace("\\\n", " ").splitlines()
+            blocks.append([shlex.split(line)[1:] for line in lines if line.strip()])
+    return blocks
+
+
+def test_readme_walkthrough_runs(tmp_path):
+    blocks = _readme_walkthroughs()
+    assert len(blocks) == 2
+    env = dict(os.environ, PYTHONPATH=str(Path(dynspec.__file__).resolve().parents[1]))
+    for block in blocks:
+        assert block[-1][0] == "verify"
+        for argv in block:
+            proc = subprocess.run([sys.executable, "-m", "dynspec", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, (argv, proc.stderr)
+    assert (tmp_path / "spectrum.svg").is_file()
 
 def test_usage_error_exits_2():
     assert run("recover", "--mode", "invariant") == 2  # missing --in/--out
