@@ -14,14 +14,13 @@ from .errors import (AmbiguousOrdering, ConditioningError, DimensionError,
                      NoAnnihilator, NotShiftSpectrum, NotSymmetricReal,
                      RecoveryError, SpanConditionViolated, UnderDetermined)
 from .numerics import (LstSqResult, MonicPolynomial, dft, least_squares,
-                       poly_divide, poly_roots, set_match_error)
-from .model import (Circulant, Dense, Diagonalizable, EvolutionOperator,
-                    IndexSet, SampleSet, Sampler, Uniform,
-                    make_diffusion_filter, random_circulant,
-                    random_diagonalizable, random_signal, shift_operator,
-                    simulate)
+                       poly_roots, set_match_error)
+from .model import (Circulant, Diagonalizable, EvolutionOperator, IndexSet,
+                    SampleSet, Sampler, Uniform, make_diffusion_filter,
+                    random_circulant, random_diagonalizable, random_signal,
+                    shift_operator, simulate)
 from .annihilator import (AnnihilatorPolynomial, annihilator_from_samples,
-                          hankel_system, scalar_annihilator)
+                          scalar_annihilator)
 from .spectral import (ExtrapolationModel, SpectrumEstimate, fit_extrapolation,
                        merge_roots, recover_observable_spectrum,
                        recover_spectrum_via_extrapolation)

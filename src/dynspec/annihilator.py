@@ -26,16 +26,15 @@ import numpy as np
 
 from . import config
 from .errors import DimensionError, NoAnnihilator
-from .numerics import MonicPolynomial, as_vector, least_squares, zero_threshold
+from .numerics import MonicPolynomial, least_squares, zero_threshold
 
 
 @dataclass(frozen=True)
 class AnnihilatorPolynomial:
-    """A computed annihilator with its consistency diagnostics."""
+    """A computed annihilator with the relative residual of its system."""
 
     poly: MonicPolynomial
     relative_residual: float
-    rows_used: int
 
     @property
     def degree(self) -> int:
@@ -47,21 +46,6 @@ def _block_hankel(terms: np.ndarray, rows: int, cols: int) -> np.ndarray:
     k < rows, l < cols; needs T >= rows + cols - 1."""
     windows = np.lib.stride_tricks.sliding_window_view(terms[:rows + cols - 1], rows, axis=0)
     return windows.transpose(2, 1, 0).reshape(rows * terms.shape[1], cols)
-
-
-def hankel_system(c, degree: int, rows: int):
-    """The scalar-form system for one candidate degree.
-
-    Returns (M, rhs) with M[k, l] = c[k + l] (a rows x degree Hankel
-    block) and rhs[k] = -c[k + degree].
-    """
-    c = as_vector(c, "sample sequence")
-    if degree < 1 or rows < 1:
-        raise DimensionError("degree and rows must be positive")
-    if c.size < rows + degree:
-        raise DimensionError(f"need at least rows + degree = {rows + degree} terms, got {c.size}")
-    H = _block_hankel(c[:, None], rows, degree + 1)
-    return H[:, :degree], -H[:, degree]
 
 
 def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
@@ -96,14 +80,14 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
             f"need at least rows + r_max = {rows + r_max} time levels, got {terms.shape[0]}")
 
     if float(np.max(np.abs(terms))) < zero_threshold(zero_scale):
-        return AnnihilatorPolynomial(MonicPolynomial(np.zeros(0)), 0.0, rows)
+        return AnnihilatorPolynomial(MonicPolynomial(np.zeros(0)), 0.0)
 
     H = _block_hankel(terms, rows, r_max + 1)
     best = float("inf")
     for r in range(1, r_max + 1):
         res = least_squares(H[:, :r], -H[:, r])
         if res.relative_residual < tol:
-            return AnnihilatorPolynomial(MonicPolynomial(res.solution), res.relative_residual, rows)
+            return AnnihilatorPolynomial(MonicPolynomial(res.solution), res.relative_residual)
         best = min(best, res.relative_residual)
     raise NoAnnihilator(
         f"no annihilator of degree <= {r_max} fits the sequence (best residual {best:.3e})", best)

@@ -54,6 +54,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return items
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _resolve_seed(value):
     if value is not None:
         return value
@@ -99,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--assume-symmetric", action="store_true",
                      help="invariant mode: order the spectrum assuming a real, symmetric, "
                           "decreasing transfer function and recover the operator")
-    rec.add_argument("--tol", type=float, default=None,
+    rec.add_argument("--tol", type=_positive_float, default=None,
                      help=f"consistency threshold (default {config.TAU_SOLVE:g})")
-    rec.add_argument("--dedup", type=float, default=None,
+    rec.add_argument("--dedup", type=_positive_float, default=None,
                      help=f"relative dedup tolerance (default {config.DEDUP_REL:g})")
     rec.add_argument("--window", type=int, default=None,
                      help="extrapolate mode: recurrence window length "
@@ -115,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check a report against embedded ground truth")
     ver.add_argument("--in", dest="infile", required=True, help="problem file with ground truth")
     ver.add_argument("--report", required=True, help="report file to check")
-    ver.add_argument("--tol", type=float, default=VERIFY_TOL,
+    ver.add_argument("--tol", type=_positive_float, default=VERIFY_TOL,
                      help=f"pass/fail tolerance (default {VERIFY_TOL:g})")
     ver.set_defaults(func=cmd_verify)
     return parser
@@ -291,7 +298,8 @@ def _truth_checks(problem, report: dict, tol: float) -> list:
     """Compare a report against the problem's ground truth.
 
     Returns (name, error, tol, passed, note) rows; which rows appear
-    depends on the report's mode and fields.
+    depends on the report's mode and fields. The true spectrum is merged
+    on its own scale, so a report cannot pass by collapsing its spectrum.
     """
     checks = []
     d = problem.sample_set.d
@@ -322,8 +330,7 @@ def _truth_checks(problem, report: dict, tol: float) -> list:
 
     if problem.truth_taps is not None:
         if merged is not None:
-            dedup_tol = report.get("diagnostics", {}).get("tolerances", {}).get("dedup_tol")
-            expected, _ = merge_roots([dft(problem.truth_taps)], dedup_tol=dedup_tol)
+            expected, _ = merge_roots([dft(problem.truth_taps)])
             err = set_match_error(merged, expected)
             ok = merged.size == expected.size and err < tol
             checks.append(("spectrum", err, tol, ok,

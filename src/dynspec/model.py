@@ -1,10 +1,10 @@
 """Signals, evolution operators, samplers, and forward simulation.
 
 A signal is a 1-D complex ndarray of length d. Evolution operators come in
-three interchangeable representations (circulant filter, diagonalizable
-factorization, dense matrix) whose ``apply`` methods agree on the same
-operator to ~1e-10. Only the forward direction lives here: the
-recovery pipelines read samples, never the operator.
+two representations: a circulant filter, applied by FFT, and a
+diagonalizable factorization U diag(eigs) U^{-1}. Only the forward
+direction lives here: the recovery pipelines read samples, never the
+operator.
 
 Conventions, fixed once for the whole library: the cyclic convolution is
 (a * x)(n) = sum_k a(k) x(n - k), and the "shift" operator advances the
@@ -59,16 +59,6 @@ class Circulant:
         x = _check_signal(x, self.dim)
         return dft(self._a_hat * dft(x), inverse=True)
 
-    def to_dense(self) -> "Dense":
-        idx = (np.arange(self.dim)[:, None] - np.arange(self.dim)[None, :]) % self.dim
-        return Dense(self.taps[idx])
-
-    def to_diagonalizable(self) -> "Diagonalizable":
-        d = self.dim
-        fwd = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-        # the eigenbasis is the inverse DFT matrix
-        return Diagonalizable(np.conj(fwd) / d, self.transfer())
-
 
 @dataclass(frozen=True, eq=False)
 class Diagonalizable:
@@ -97,38 +87,8 @@ class Diagonalizable:
             raise ConditioningError(f"eigenbasis is singular: {exc}") from exc
         return self.U @ (self.eigs * coords)
 
-    def to_dense(self) -> "Dense":
-        try:
-            u_inv = np.linalg.inv(self.U)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(f"eigenbasis is singular: {exc}") from exc
-        return Dense((self.U * self.eigs) @ u_inv)
 
-
-@dataclass(frozen=True, eq=False)
-class Dense:
-    """Operator as a plain d x d matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = as_matrix(self.matrix, "operator matrix")
-        if M.shape[0] != M.shape[1]:
-            raise DimensionError(f"operator matrix must be square, got {M.shape}")
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ _check_signal(x, self.dim)
-
-    def to_dense(self) -> "Dense":
-        return self
-
-
-EvolutionOperator = Circulant | Diagonalizable | Dense
+EvolutionOperator = Circulant | Diagonalizable
 
 
 def shift_operator(d: int) -> Circulant:
@@ -210,14 +170,6 @@ class SampleSet:
     @property
     def omega(self) -> np.ndarray:
         return self.sampler.indices(self.d)
-
-    def series(self, i: int) -> np.ndarray:
-        """Scalar time series observed at one sampled coordinate."""
-        om = self.omega
-        pos = int(np.searchsorted(om, i))
-        if pos >= om.size or om[pos] != i:
-            raise DimensionError(f"coordinate {i} is not sampled")
-        return self.samples[:, pos]
 
 
 def simulate(op: EvolutionOperator, x, sampler: Sampler, L_total: int) -> SampleSet:

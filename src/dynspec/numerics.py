@@ -2,10 +2,9 @@
 
 Everything here is a pure function of its inputs: the DFT in both
 directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
-least squares, monic-polynomial arithmetic (division, root finding,
-construction from roots), and the zero and separation tests the
-pipelines share. Vectors and matrices are plain complex ndarrays; the
-two ``as_*`` helpers validate shape and finiteness at the boundaries.
+least squares, monic polynomials and their roots, and the shared zero
+and separation tests. Vectors and matrices are plain complex ndarrays;
+``as_vector`` and ``as_matrix`` check their shape and finiteness.
 """
 
 from __future__ import annotations
@@ -69,16 +68,14 @@ def dft(v, inverse: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LstSqResult:
-    """Minimum-norm least-squares solution with residual diagnostics.
+    """Minimum-norm least-squares solution and its residual.
 
     ``relative_residual`` is measured against the right-hand-side norm with
     a tiny floor, so an exactly reproduced (or all-zero) rhs gives 0.
     """
 
     solution: np.ndarray
-    residual_norm: float
     relative_residual: float
-    rank: int
 
 
 def least_squares(M, rhs) -> LstSqResult:
@@ -100,10 +97,10 @@ def least_squares(M, rhs) -> LstSqResult:
     b = as_vector(rhs, "right-hand side")
     if A.shape[0] != b.size:
         raise DimensionError(f"matrix has {A.shape[0]} rows but rhs has {b.size} entries")
-    sol, _, rank, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsy", check_finite=False)
+    sol = scipy.linalg.lstsq(A, b, lapack_driver="gelsy", check_finite=False)[0]
     residual = float(np.linalg.norm(np.einsum("ij,j->i", A, sol) - b))
     rel = residual / max(float(np.linalg.norm(b)), _RESIDUAL_FLOOR)
-    return LstSqResult(solution=sol, residual_norm=residual, relative_residual=rel, rank=int(rank))
+    return LstSqResult(solution=sol, relative_residual=rel)
 
 
 @dataclass(frozen=True)
@@ -130,14 +127,6 @@ class MonicPolynomial:
         """Coefficients from the leading 1 down to the constant term."""
         return np.concatenate(([1.0 + 0j], self.low_coeffs[::-1]))
 
-    def __call__(self, z):
-        return np.polyval(self.coeffs_desc(), z)
-
-    @classmethod
-    def from_roots(cls, roots) -> "MonicPolynomial":
-        coeffs = np.atleast_1d(np.poly(np.asarray(roots, dtype=np.complex128)))
-        return cls(coeffs[1:][::-1])
-
 
 def poly_roots(p: MonicPolynomial) -> np.ndarray:
     """All ``degree`` roots, with multiplicity, via the balanced
@@ -145,22 +134,6 @@ def poly_roots(p: MonicPolynomial) -> np.ndarray:
     if p.degree == 0:
         return np.zeros(0, dtype=np.complex128)
     return np.roots(p.coeffs_desc())
-
-
-def poly_divide(p: MonicPolynomial, q: MonicPolynomial):
-    """Long division p = quotient * q + remainder.
-
-    Returns the quotient and the Euclidean norm of the remainder's
-    coefficients. The quotient is monic whenever it is nonzero; when
-    p.degree < q.degree it is None (the zero polynomial).
-    """
-    if q.degree == 0:
-        return p, 0.0
-    if p.degree < q.degree:
-        return None, float(np.linalg.norm(p.coeffs_desc()))
-    quot, rem = np.polydiv(p.coeffs_desc(), q.coeffs_desc())
-    quot = np.atleast_1d(quot)
-    return MonicPolynomial(quot[1:][::-1]), float(np.linalg.norm(np.atleast_1d(rem)))
 
 
 def set_match_error(got, expected) -> float:

@@ -166,12 +166,6 @@ class ExtrapolationModel:
             out[t] = np.einsum("ilj,lj->i", self.weights, out[t - self.L:t])
         return out[:L_total]
 
-    def extrapolate(self, k: int) -> np.ndarray:
-        """Restricted sample at time k (seed values verbatim for k < L)."""
-        if k < 0:
-            raise DimensionError(f"time index must be nonnegative, got {k}")
-        return self.extend(k + 1)[k]
-
 
 def fit_extrapolation(samples: SampleSet, L: int,
                       tol: float = config.TAU_SOLVE) -> ExtrapolationModel:

@@ -19,3 +19,8 @@ def roots_contained(roots, spectrum, tol):
     roots = np.asarray(roots, dtype=np.complex128).ravel()
     spectrum = np.asarray(spectrum, dtype=np.complex128).ravel()
     return all(np.min(np.abs(spectrum - r)) < tol for r in roots)
+
+
+def division_remainder(p, q):
+    """Norm of the remainder of the monic polynomial p divided by q."""
+    return float(np.linalg.norm(np.polydiv(p.coeffs_desc(), q.coeffs_desc())[1]))

@@ -35,13 +35,13 @@ def require_well_conditioned(U: np.ndarray, limit: float = _COND_LIMIT) -> None:
 def as_diagonalizable(op) -> Diagonalizable:
     """View an operator in factored form.
 
-    Dense operators are rejected: the oracles never eigendecompose an
-    unknown matrix, they only read factorizations the caller constructed.
+    The oracles never eigendecompose an unknown matrix, they only read
+    factorizations: a circulant's eigenbasis is the inverse DFT matrix.
     """
     if isinstance(op, Diagonalizable):
         return op
     if isinstance(op, Circulant):
-        return op.to_diagonalizable()
+        return Diagonalizable(np.fft.ifft(np.eye(op.dim), axis=0), op.transfer())
     raise TypeError(f"need a circulant or diagonalizable operator, got {type(op).__name__}")
 
 
@@ -121,7 +121,7 @@ def minimal_polynomial_oracle(op, tau_eig: float = TAU_EIG) -> AnnihilatorPolyno
     diag = as_diagonalizable(op)
     require_well_conditioned(diag.U)
     values, _ = group_eigenvalues(diag.eigs, tau_eig)
-    return AnnihilatorPolynomial(MonicPolynomial.from_roots(values), 0.0, 0)
+    return AnnihilatorPolynomial(MonicPolynomial(np.atleast_1d(np.poly(values))[1:][::-1]), 0.0)
 
 
 def altered_minimal_polynomial_oracle(op, omega, tau_eig: float = TAU_EIG,
@@ -130,7 +130,7 @@ def altered_minimal_polynomial_oracle(op, omega, tau_eig: float = TAU_EIG,
     sampled coordinates: prod (lambda - lambda_j) over the omega-observable
     eigenvalues. Oracle counterpart of the sample-side engine."""
     roots = observable_spectrum_oracle(op, omega, tau_eig=tau_eig, tau_obs=tau_obs)
-    return AnnihilatorPolynomial(MonicPolynomial.from_roots(roots), 0.0, 0)
+    return AnnihilatorPolynomial(MonicPolynomial(np.atleast_1d(np.poly(roots))[1:][::-1]), 0.0)
 
 
 def projection_check(m: int, d: int, z) -> dict:

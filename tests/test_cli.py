@@ -225,6 +225,33 @@ def test_verify_pass_and_corruption(tmp_path, capsys):
     assert "FAIL" in table and "spectrum" in table
 
 
+def test_verify_fails_report_with_collapsed_spectrum(tmp_path, capsys):
+    # a huge dedup merges the 8 true values into 1; the truth keeps its own
+    path = _simulate_diffusion(tmp_path)
+    out = tmp_path / "r.json"
+    assert run("recover", "--in", str(path), "--mode", "invariant",
+               "--dedup", "10", "--out", str(out)) == 0
+    assert len(json.loads(out.read_text())["recovered_spectrum"]) == 1
+    assert run("verify", "--in", str(path), "--report", str(out)) == 1
+    assert "(1 vs 8 values)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command,flag", [("recover", "--tol"), ("recover", "--dedup"),
+                                          ("verify", "--tol")])
+def test_tolerance_flags_reject_nonfinite_or_nonpositive(tmp_path, capsys, command, flag, value):
+    path = _simulate_diffusion(tmp_path)
+    out = tmp_path / "r.json"
+    assert run("recover", "--in", str(path), "--mode", "invariant", "--out", str(out)) == 0
+    capsys.readouterr()
+    if command == "recover":
+        args = ["--in", str(path), "--mode", "invariant", "--out", str(tmp_path / "again.json")]
+    else:
+        args = ["--in", str(path), "--report", str(out)]
+    assert run(command, *args, flag, value) == 2
+    assert f"argument {flag}: expected a finite number > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_invariant_round_trip_verifies_at_d1023(tmp_path, seed):
     p, r = tmp_path / "p.json", tmp_path / "r.json"

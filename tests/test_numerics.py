@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dynspec import numerics
 from dynspec.errors import DimensionError
-from dynspec.numerics import (MonicPolynomial, dft, least_squares,
-                              poly_divide, poly_roots, set_match_error)
-from helpers import assert_sets_close
+from dynspec.numerics import (MonicPolynomial, dft, least_squares, poly_roots,
+                              set_match_error)
+from helpers import assert_sets_close, division_remainder
 
 
 # ---------------------------------------------------------------- dft
@@ -80,7 +80,6 @@ def test_lstsq_recovers_constructed_solution():
     res = least_squares(M, M @ w)
     assert np.max(np.abs(res.solution - w)) < 1e-10
     assert res.relative_residual < 1e-12
-    assert res.rank == 3
 
 
 def test_lstsq_dimension_mismatch():
@@ -113,8 +112,8 @@ def test_lstsq_residual_matches_blas_product(shape, repeated):
     rhs = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
     res = least_squares(M, rhs)
     expected = np.linalg.norm(M @ res.solution - rhs)
-    assert abs(res.residual_norm - expected) <= 1e-13 * np.linalg.norm(rhs)
-    assert res.rank == min(rows, cols - repeated)
+    residual = res.relative_residual * np.linalg.norm(rhs)
+    assert abs(residual - expected) <= 1e-13 * np.linalg.norm(rhs)
 
 
 # ----------------------------------------------------------- poly ops
@@ -136,7 +135,7 @@ def test_roots_match_construction_degree_5():
     # oracle: the polynomial is built from known roots
     rng = np.random.default_rng(11)
     roots = rng.uniform(0.2, 0.9, 5) * np.exp(2j * np.pi * rng.random(5))
-    got = poly_roots(MonicPolynomial.from_roots(roots))
+    got = poly_roots(MonicPolynomial(np.poly(roots)[1:][::-1]))
     assert_sets_close(got, roots, 1e-9)
 
 
@@ -150,7 +149,7 @@ def test_roots_roundtrip_property(degree):
         diffs[np.diag_indices_from(diffs)] = np.inf
         if degree == 1 or diffs.min() > 0.05:
             break
-    got = poly_roots(MonicPolynomial.from_roots(roots))
+    got = poly_roots(MonicPolynomial(np.poly(roots)[1:][::-1]))
     assert_sets_close(got, roots, 1e-9)
 
 
@@ -159,30 +158,28 @@ def test_roots_backward_error():
     low = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     p = MonicPolynomial(low)
     for root in poly_roots(p):
-        assert abs(p(root)) / (1 + abs(root) ** p.degree) < 1e-8
+        assert abs(np.polyval(p.coeffs_desc(), root)) / (1 + abs(root) ** p.degree) < 1e-8
 
+
+# The divisibility checks (criterion 7, the divisibility chain) read this
+# remainder; these pin that it is zero exactly for divisors.
 
 def test_divide_exact():
-    q, rem = poly_divide(MonicPolynomial([-1, 0]), MonicPolynomial([-1]))
-    assert np.allclose(q.low_coeffs, [1])  # quotient lambda + 1
-    assert rem < 1e-14
+    assert division_remainder(MonicPolynomial([-1, 0]), MonicPolynomial([-1])) < 1e-14
 
 
 def test_divide_constant_remainder():
-    _, rem = poly_divide(MonicPolynomial([1, 0]), MonicPolynomial([-1]))
+    rem = division_remainder(MonicPolynomial([1, 0]), MonicPolynomial([-1]))
     assert rem == pytest.approx(2.0)
 
 
 def test_divide_by_degree_zero_is_trivial():
-    p = MonicPolynomial([3, 2, 1])
-    q, rem = poly_divide(p, MonicPolynomial([]))
-    assert q is p and rem == 0.0
+    assert division_remainder(MonicPolynomial([3, 2, 1]), MonicPolynomial([])) == 0.0
 
 
 def test_divide_smaller_by_larger_gives_zero_quotient():
     p = MonicPolynomial([1])
-    q, rem = poly_divide(p, MonicPolynomial([1, 2, 3]))
-    assert q is None
+    rem = division_remainder(p, MonicPolynomial([1, 2, 3]))
     assert rem == pytest.approx(np.linalg.norm(p.coeffs_desc()))
 
 
@@ -193,9 +190,7 @@ def test_divide_product_has_tiny_remainder(seed):
     g = MonicPolynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     prod_desc = np.polymul(q.coeffs_desc(), g.coeffs_desc())
     p = MonicPolynomial(prod_desc[1:][::-1])
-    quot, rem = poly_divide(p, q)
-    assert rem < 1e-12 * np.linalg.norm(prod_desc)
-    assert np.max(np.abs(quot.low_coeffs - g.low_coeffs)) < 1e-10
+    assert division_remainder(p, q) < 1e-12 * np.linalg.norm(prod_desc)
 
 
 def test_set_match_error_handles_empty_sides():

@@ -33,7 +33,7 @@ def test_index_recovery_circulant_full_spectrum():
     op = random_circulant(5, 1)
     x = random_signal(5, 2)
     samples = simulate(op, x, IndexSet((0,)), 10)
-    roots = poly_roots(scalar_annihilator(samples.series(0), 5).poly)
+    roots = poly_roots(scalar_annihilator(samples.samples[:, 0], 5).poly)
     assert_sets_close(roots, op.transfer(), 1e-8)
 
 
@@ -41,7 +41,7 @@ def test_index_recovery_coordinate_basis():
     B = Diagonalizable(np.eye(3), [1, 2, 3])
     x = random_signal(3, 3)
     samples = simulate(B, x, IndexSet((0,)), 6)
-    assert_sets_close(poly_roots(scalar_annihilator(samples.series(0), 3).poly), [1], 1e-9)
+    assert_sets_close(poly_roots(scalar_annihilator(samples.samples[:, 0], 3).poly), [1], 1e-9)
 
 
 # ------------------------------------------------- observable spectrum
@@ -140,7 +140,7 @@ def test_extrapolation_constant_sequences():
     samples = simulate(_identity(5), x, IndexSet((1, 3)), 10)
     model = fit_extrapolation(samples, 1)
     for k in (0, 1, 5, 17):
-        assert np.max(np.abs(model.extrapolate(k) - x[[1, 3]])) < 1e-10
+        assert np.max(np.abs(model.extend(k + 1)[k] - x[[1, 3]])) < 1e-10
 
 
 def test_extrapolation_seed_window_verbatim():
@@ -149,7 +149,7 @@ def test_extrapolation_seed_window_verbatim():
     samples = simulate(B, x, IndexSet((0, 3)), 18)
     model = fit_extrapolation(samples, 6)
     for k in range(6):
-        assert np.array_equal(model.extrapolate(k), samples.samples[k])
+        assert np.array_equal(model.extend(k + 1)[k], samples.samples[k])
 
 
 def test_extrapolation_full_window_always_fits():
