@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Three subcommands: ``simulate`` writes a synthetic problem file,
-``recover`` runs a recovery pipeline and writes a report, ``verify``
-compares a report against the problem's embedded ground truth.
+``recover`` runs the pipeline that ``--mode`` names and writes its
+estimate as a report, ``verify`` compares a report against the
+problem's embedded ground truth.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error, 3 recovery failure. Failures print a single
@@ -20,18 +21,16 @@ import sys
 import numpy as np
 
 from . import config
-from .annihilator import scalar_annihilator
-from .errors import (DynspecError, InsufficientDataError, RecoveryError,
-                     UnderDetermined)
+from .errors import DynspecError, RecoveryError
 from .fileio import (SCHEMA_VERSION, atomic_write_text, complex_to_pairs,
                      load_problem, load_report, pairs_to_complex,
                      save_problem, save_report)
-from .invariant import recover_operator, recover_signal
+from .invariant import recover_operator
 from .model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
                     random_circulant, random_diagonalizable, random_signal,
                     shift_operator, simulate)
-from .numerics import dft, poly_roots, set_match_error
-from .prony import prony_reconstruct, prony_values, random_sparse_signal, snap_support
+from .numerics import dft, set_match_error
+from .prony import prony_support, random_sparse_signal
 from .spectral import merge_roots, recover_observable_spectrum, recover_spectrum_via_extrapolation
 
 # Ground-truth comparisons (recover's verified block and the verify
@@ -73,10 +72,17 @@ def _resolve_seed(value):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error: <prog>: <message>`` line and exit 2;
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dynspec",
-                                     description="Spectrum and operator identification "
-                                                 "from dynamical samples.")
+    parser = _Parser(prog="dynspec",
+                     description="Spectrum and operator identification from dynamical samples.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic problem file")
@@ -182,6 +188,11 @@ def cmd_simulate(args) -> int:
 def _fill_estimate(report: dict, estimate, source_kind: str) -> None:
     report["source_kind"] = source_kind
     report["recovered_spectrum"] = complex_to_pairs(estimate.merged)
+    if estimate.support is not None:
+        report["recovered_support"] = [int(n) for n in estimate.support]
+    for name, value in (("filter", estimate.taps), ("signal", estimate.signal)):
+        if value is not None:
+            report[f"recovered_{name}"] = complex_to_pairs(value)
     per = {}
     for src in sorted(estimate.per_source):
         roots = estimate.per_source[src]
@@ -190,9 +201,10 @@ def _fill_estimate(report: dict, estimate, source_kind: str) -> None:
             entry["residual"] = float(estimate.residuals[src])
         per[str(src)] = entry
     report["per_source"] = per
-    report["diagnostics"]["tolerances"]["dedup_tol"] = float(estimate.dedup_tol)
+    if estimate.dedup_tol is not None:
+        report["diagnostics"]["tolerances"]["dedup_tol"] = float(estimate.dedup_tol)
     for src, msg in estimate.failures.items():
-        report["diagnostics"]["failures"][f"source {src}"] = msg
+        report["diagnostics"]["failures"][src if isinstance(src, str) else f"source {src}"] = msg
 
 
 def cmd_recover(args) -> int:
@@ -209,89 +221,32 @@ def cmd_recover(args) -> int:
             "failures": {},
         },
     }
-    failures = report["diagnostics"]["failures"]
-
+    source_kind = "residue_class" if args.mode == "invariant" else "index"
     try:
         if args.mode == "invariant":
-            if not isinstance(samples.sampler, Uniform):
-                return _fail("invariant mode requires a uniform sampler", 2)
-            operator, estimate = recover_operator(
-                samples, assume_symmetric_decreasing=args.assume_symmetric,
-                dedup_rel=dedup_rel, tol=tol)
-            _fill_estimate(report, estimate, "residue_class")
-            if operator is not None:
-                report["recovered_filter"] = complex_to_pairs(operator.taps)
-                try:
-                    x = recover_signal(samples, operator.transfer(), tol=tol)
-                    report["recovered_signal"] = complex_to_pairs(x)
-                except (UnderDetermined, InsufficientDataError, RecoveryError) as exc:
-                    failures["signal"] = str(exc)
+            estimate = recover_operator(samples, args.assume_symmetric, dedup_rel, tol)
         elif args.mode == "general":
-            r_max = min(samples.d, samples.L_total // 2)
-            if r_max < 1:
-                return _fail("need at least 2 time levels for spectral recovery", 2)
-            estimate = recover_observable_spectrum(samples, r_max=r_max,
-                                                   dedup_rel=dedup_rel, tol=tol)
-            _fill_estimate(report, estimate, "index")
+            estimate = recover_observable_spectrum(samples, dedup_rel=dedup_rel, tol=tol)
         elif args.mode == "extrapolate":
-            n = samples.omega.size
-            L = args.window if args.window is not None else samples.L_total // (n + 1)
-            if L < 1:
-                return _fail(f"no usable window: {samples.L_total} levels "
-                             f"for {n} sampled coordinates", 2)
-            estimate = recover_spectrum_via_extrapolation(samples, L,
-                                                          dedup_rel=dedup_rel, tol=tol)
-            _fill_estimate(report, estimate, "index")
+            estimate = recover_spectrum_via_extrapolation(samples, args.window, dedup_rel, tol)
         else:
-            om = samples.omega
-            if not isinstance(samples.sampler, IndexSet) or om.size != 1:
-                return _fail("prony mode requires an index sampler with exactly one coordinate", 2)
-            s = args.sparsity if args.sparsity is not None else samples.L_total // 2
-            if s < 1 or 2 * s >= samples.d:
-                return _fail(f"sparsity must satisfy 1 <= s < d/2, got s={s}, d={samples.d}", 2)
-            if samples.L_total < 2 * s:
-                return _fail(f"need 2s = {2 * s} time levels, have {samples.L_total}", 2)
-            start = int(om[0])
-            entries = samples.samples[:2 * s, 0]
-            # As in prony_support, only the absolute floor counts as zero.
-            ann = scalar_annihilator(entries, s, tol=tol, zero_scale=0.0)
-            roots = poly_roots(ann.poly)
-            support = snap_support(roots, samples.d)
-            spectrum = prony_values(entries, start, support, samples.d, tol=tol)
-            grid = np.exp(2j * np.pi * np.array(support, dtype=float) / samples.d)
-            report["source_kind"] = "index"
-            report["recovered_support"] = [int(n) for n in support]
-            report["recovered_spectrum"] = complex_to_pairs(grid)
-            report["recovered_signal"] = complex_to_pairs(prony_reconstruct(spectrum))
-            report["per_source"] = {str(start): {
-                "degree": ann.degree,
-                "roots": complex_to_pairs(roots),
-                "residual": ann.relative_residual,
-            }}
+            estimate = prony_support(samples, args.sparsity, tol)
     except RecoveryError as exc:
-        failures["fatal"] = str(exc)
+        report["diagnostics"]["failures"]["fatal"] = str(exc)
         if exc.partial is not None:
-            _fill_estimate(report, exc.partial,
-                           "residue_class" if args.mode == "invariant" else "index")
+            _fill_estimate(report, exc.partial, source_kind)
         save_report(args.out, report)
         return _fail(str(exc), 3)
 
+    _fill_estimate(report, estimate, source_kind)
     if problem.has_truth:
         checks = _truth_checks(problem, report, VERIFY_TOL)
         report["verified"] = {f"{name}_error": err for name, err, _t, _p, _n in checks}
     save_report(args.out, report)
     if args.plot:
-        _write_spectrum_svg(args.plot, pairs_to_complex(report.get("recovered_spectrum", [])))
-    count = len(report.get("recovered_spectrum", []))
-    print(f"wrote {args.out}: {count} spectral values (mode={args.mode})")
+        _write_spectrum_svg(args.plot, estimate.merged)
+    print(f"wrote {args.out}: {estimate.merged.size} spectral values (mode={args.mode})")
     return 0
-
-
-def _entrywise_error(report_field, truth: np.ndarray) -> float:
-    got = pairs_to_complex(report_field, "recovered values")
-    if got.size != truth.size:
-        return float("inf")
-    return float(np.max(np.abs(got - truth)))
 
 
 def _truth_checks(problem, report: dict, tol: float) -> list:
@@ -299,48 +254,33 @@ def _truth_checks(problem, report: dict, tol: float) -> list:
 
     Returns (name, error, tol, passed, note) rows; which rows appear
     depends on the report's mode and fields. The true spectrum is merged
-    on its own scale, so a report cannot pass by collapsing its spectrum.
+    on its own scale, so a report cannot pass by collapsing its spectrum;
+    in prony mode it is the grid points of the true signal's support.
     """
     checks = []
-    d = problem.sample_set.d
-    merged = None
-    if "recovered_spectrum" in report:
-        merged = pairs_to_complex(report["recovered_spectrum"], "recovered_spectrum")
-
-    if report.get("mode") == "prony":
-        if problem.truth_signal is None:
-            return checks
+    prony = report.get("mode") == "prony"
+    expected = None
+    if prony and problem.truth_signal is not None:
         x_hat = dft(problem.truth_signal)
         support = np.flatnonzero(np.abs(x_hat) > 1e-9 * float(np.max(np.abs(x_hat))))
-        if merged is not None:
-            expected = np.exp(2j * np.pi * support / d)
-            err = set_match_error(merged, expected)
-            ok = merged.size == expected.size and err < tol
-            checks.append(("spectrum", err, tol, ok,
-                           f"{merged.size} vs {expected.size} values"))
-        if "recovered_support" in report:
-            got = sorted(int(n) for n in report["recovered_support"])
-            ok = got == [int(n) for n in support]
-            checks.append(("support", 0.0 if ok else float("inf"), tol, ok,
-                           f"{got} vs {support.tolist()}"))
-        if "recovered_signal" in report:
-            err = _entrywise_error(report["recovered_signal"], problem.truth_signal)
-            checks.append(("signal", err, tol, err < tol, ""))
-        return checks
-
-    if problem.truth_taps is not None:
-        if merged is not None:
-            expected, _ = merge_roots([dft(problem.truth_taps)])
-            err = set_match_error(merged, expected)
-            ok = merged.size == expected.size and err < tol
-            checks.append(("spectrum", err, tol, ok,
-                           f"{merged.size} vs {expected.size} values"))
-        if "recovered_filter" in report:
-            err = _entrywise_error(report["recovered_filter"], problem.truth_taps)
-            checks.append(("filter", err, tol, err < tol, ""))
-    if problem.truth_signal is not None and "recovered_signal" in report:
-        err = _entrywise_error(report["recovered_signal"], problem.truth_signal)
-        checks.append(("signal", err, tol, err < tol, ""))
+        expected = np.exp(2j * np.pi * support / problem.sample_set.d)
+    elif not prony and problem.truth_taps is not None:
+        expected, _ = merge_roots([dft(problem.truth_taps)])
+    if expected is not None and "recovered_spectrum" in report:
+        merged = pairs_to_complex(report["recovered_spectrum"], "recovered_spectrum")
+        err = set_match_error(merged, expected)
+        checks.append(("spectrum", err, tol, merged.size == expected.size and err < tol,
+                       f"{merged.size} vs {expected.size} values"))
+    if prony and expected is not None and "recovered_support" in report:
+        got = sorted(int(n) for n in report["recovered_support"])
+        ok = got == support.tolist()
+        checks.append(("support", 0.0 if ok else float("inf"), tol, ok,
+                       f"{got} vs {support.tolist()}"))
+    for name, truth in (("filter", problem.truth_taps), ("signal", problem.truth_signal)):
+        if truth is not None and f"recovered_{name}" in report:
+            got = pairs_to_complex(report[f"recovered_{name}"], "recovered values")
+            err = float(np.max(np.abs(got - truth))) if got.size == truth.size else float("inf")
+            checks.append((name, err, tol, err < tol, ""))
     return checks
 
 

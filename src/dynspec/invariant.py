@@ -18,6 +18,8 @@ alias systems be inverted for the driving signal.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import config
@@ -155,15 +157,15 @@ def recover_signal(samples: SampleSet, a_hat,
 
 def recover_operator(samples: SampleSet, assume_symmetric_decreasing: bool = False,
                      dedup_rel: float = config.DEDUP_REL,
-                     tol: float = config.TAU_SOLVE):
+                     tol: float = config.TAU_SOLVE) -> SpectrumEstimate:
     """Recover the spectrum and, position information permitting, the
-    operator itself.
+    operator and the driving signal.
 
     m = 1 pins every transfer value to its frequency directly (class j is
-    frequency j), so the operator is returned without any ordering
+    frequency j), so the operator is recovered without any ordering
     assumption. Otherwise the operator is only recoverable under the
-    symmetric decreasing assumption; without it the unordered spectrum is
-    returned with no operator. Returns (operator or None, estimate).
+    symmetric decreasing assumption; without it ``taps`` stays None. A
+    signal step that fails is recorded under ``failures["signal"]``.
     """
     sampler = _require_uniform(samples)
     estimate = recover_spectrum_invariant(samples, dedup_rel=dedup_rel, tol=tol)
@@ -177,8 +179,13 @@ def recover_operator(samples: SampleSet, assume_symmetric_decreasing: bool = Fal
                     f"frequency {j} is unrecoverable: its class produced {roots.size} roots "
                     "(the signal's transform may vanish there)")
             a_hat[j] = roots[0]
-        return Circulant(dft(a_hat, inverse=True)), estimate
-    if assume_symmetric_decreasing:
+    elif assume_symmetric_decreasing:
         a_hat = order_symmetric_decreasing(estimate, d)
-        return Circulant(dft(a_hat, inverse=True)), estimate
-    return None, estimate
+    else:
+        return estimate
+    operator = Circulant(dft(a_hat, inverse=True))
+    estimate = replace(estimate, taps=operator.taps)
+    try:
+        return replace(estimate, signal=recover_signal(samples, operator.transfer(), tol=tol))
+    except RecoveryError as exc:
+        return replace(estimate, failures={**estimate.failures, "signal": str(exc)})

@@ -1,22 +1,24 @@
 """Prony's method: recover a signal with an s-sparse Fourier transform
 from 2s consecutive entries.
 
-Consecutive entries of such a signal form a sum of s geometric modes
-whose ratios sit on the unit-circle grid exp(2*pi*i*n/d), so the generic
-scalar annihilator applied to the entries recovers the spectral support
-exactly; snapping to the grid is principled, not heuristic.
+One coordinate sampled under the cyclic shift reads consecutive entries,
+a sum of s geometric modes with ratios on the grid exp(2*pi*i*n/d); so
+Prony is the general pipeline on that coordinate with degree bound s,
+and snapping its roots to the grid is principled, not heuristic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import config
-from .annihilator import scalar_annihilator
-from .errors import DimensionError, NotShiftSpectrum, RecoveryError
-from .numerics import as_vector, dft, least_squares, poly_roots, zero_threshold
+from .errors import (DimensionError, InsufficientDataError, NotShiftSpectrum,
+                     RecoveryError)
+from .model import IndexSet, SampleSet
+from .numerics import as_vector, dft, least_squares, zero_threshold
+from .spectral import SpectrumEstimate, recover_observable_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,24 +41,35 @@ class SparseSpectrum:
             raise DimensionError("values must cover exactly the support frequencies")
 
 
-def prony_support(c, d: int, s: int, tol: float = config.TAU_SOLVE) -> tuple[int, ...]:
-    """Spectral support from 2s consecutive signal entries.
-
-    Requires s < d/2. The annihilator degree can come out below s when the
-    signal is sparser than declared; the (smaller) support is returned.
-    A root farther than ``config.TAU_ROOT`` from every grid point means the
-    data was not produced by a cyclic shift of a sparse-spectrum signal.
+def prony_support(samples: SampleSet, s: int | None = None,
+                  tol: float = config.TAU_SOLVE) -> SpectrumEstimate:
+    """The general pipeline on one shifted coordinate with degree bound
+    1 <= s < d/2 (None: L_total // 2), then grid snapping. The estimate
+    adds the support, smaller when the signal is sparser than declared,
+    whose grid points replace the merged roots, and the signal. A root
+    farther than ``config.TAU_ROOT`` from the grid, or a support that
+    cannot reproduce the samples, raises with the estimate attached.
     """
-    if s < 1:
-        raise ValueError(f"sparsity must be positive, got {s}")
-    if not 2 * s < d:
-        raise ValueError(f"sparsity must satisfy s < d/2, got s={s}, d={d}")
-    c = as_vector(c, "signal entries")
-    if c.size < 2 * s:
-        raise DimensionError(f"need 2s = {2 * s} consecutive entries, got {c.size}")
-    # Relative to its own largest entry, c is zero only below the absolute floor.
-    ann = scalar_annihilator(c[:2 * s], s, tol=tol, zero_scale=0.0)
-    return snap_support(poly_roots(ann.poly), d)
+    if not isinstance(samples.sampler, IndexSet) or samples.omega.size != 1:
+        raise TypeError("prony mode requires an index sampler with exactly one coordinate")
+    d = samples.d
+    s = samples.L_total // 2 if s is None else s
+    if s < 1 or 2 * s >= d:
+        raise ValueError(f"sparsity must satisfy 1 <= s < d/2, got s={s}, d={d}")
+    if samples.L_total < 2 * s:
+        raise InsufficientDataError(f"need 2s = {2 * s} time levels, have {samples.L_total}")
+    head = SampleSet(d, samples.sampler, samples.samples[:2 * s])
+    estimate = recover_observable_spectrum(head, r_max=s, tol=tol)
+    start = int(samples.omega[0])
+    try:
+        support = snap_support(estimate.per_source[start], d)
+        spectrum = prony_values(head.samples[:, 0], start, support, d, tol=tol)
+    except RecoveryError as exc:
+        exc.partial = estimate
+        raise
+    grid = np.exp(2j * np.pi * np.array(support, dtype=float) / d)
+    return replace(estimate, merged=grid, dedup_tol=None, support=support,
+                   signal=prony_reconstruct(spectrum))
 
 
 def snap_support(roots, d: int) -> tuple[int, ...]:

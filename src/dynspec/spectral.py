@@ -17,8 +17,8 @@ import numpy as np
 
 from . import config
 from .annihilator import _block_hankel, scalar_annihilator
-from .errors import (DimensionError, InsufficientDataError, NoAnnihilator,
-                     RecoveryError, SpanConditionViolated)
+from .errors import (InsufficientDataError, NoAnnihilator, RecoveryError,
+                     SpanConditionViolated)
 from .model import SampleSet
 from .numerics import least_squares, poly_roots
 
@@ -30,16 +30,21 @@ class SpectrumEstimate:
     ``per_source`` maps a source id (a sampled coordinate, or a residue
     class id for the aliased pipeline) to its recovered root list; every
     merged value is one of those roots, and merged values are pairwise
-    separated by more than ``dedup_tol``. ``residuals`` holds the
-    per-source annihilator residuals, ``failures`` the per-source error
-    messages for sources that produced no annihilator.
+    separated by more than ``dedup_tol`` (None for Prony, whose merged
+    values are grid points). ``residuals`` holds the per-source
+    annihilator residuals, ``failures`` the messages of failed sources
+    (by id) and later steps (by name). ``support``, ``taps`` and
+    ``signal`` are the Prony support, filter and signal, when recovered.
     """
 
     per_source: dict
     merged: np.ndarray
-    dedup_tol: float
+    dedup_tol: float | None
     residuals: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
+    support: tuple | None = None
+    taps: np.ndarray | None = None
+    signal: np.ndarray | None = None
 
 
 def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL,
@@ -83,15 +88,18 @@ def _is_new(z: complex, reps: list, tol: float) -> bool:
 
 
 def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,
-                   tol: float) -> tuple[SpectrumEstimate, float]:
+                   tol: float, bounded: bool = True) -> tuple[SpectrumEstimate, float]:
     """Run the degree search on each (source id, sequence) pair drawn from
     ``samples`` and merge the roots; zero tests are relative to the
     largest sample, so rescaling the data leaves every degree unchanged.
 
     A source whose search finds no annihilator is recorded in
-    ``failures``; the others contribute their roots and residuals. Returns
-    the estimate and the best residual of the worst failing source (0.0
-    when none failed); each caller decides which failures are fatal. A
+    ``failures``; the others contribute their roots and residuals.
+    ``bounded`` False says that r_max is no a-priori bound on the degree:
+    degree r_max then solves a square system, which fits any data, so a
+    source that reaches it is recorded as a failure too. Returns the
+    estimate and the best residual of the worst failing source (0.0 when
+    none failed); each caller decides which failures are fatal. A
     merged spectrum with more than d values cannot belong to a d x d
     operator, so it raises RecoveryError with the estimate attached.
     """
@@ -103,6 +111,9 @@ def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,
     for src, seq in sources:
         try:
             ann = scalar_annihilator(seq, r_max, tol=tol, zero_scale=zero_scale)
+            if not bounded and ann.degree == r_max:
+                raise NoAnnihilator(f"degree {r_max} fills a square system, which fits any "
+                                    "data; 2d levels would bound it", ann.relative_residual)
         except NoAnnihilator as exc:
             failures[src] = str(exc)
             worst = max(worst, exc.best_residual)
@@ -125,20 +136,26 @@ def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
     """Observable spectrum of the sampling set: per-coordinate roots,
     merged with dedup.
 
-    ``r_max`` bounds the per-coordinate degree search; None means the
-    safe upper bound d, which needs 2d time levels. Per-coordinate failures
-    are recorded; the call fails only when every coordinate fails.
+    ``r_max`` is an a-priori degree bound, needing 2 * r_max levels; None
+    means min(d, L_total // 2), which below d bounds nothing, so a
+    coordinate reaching it fails. The call fails only when every
+    coordinate fails, with the estimate attached.
     """
-    r_max = samples.d if r_max is None else r_max
+    if samples.L_total < 2:
+        raise InsufficientDataError("need at least 2 time levels for spectral recovery")
+    bounded = r_max is not None or samples.L_total >= 2 * samples.d
+    r_max = min(samples.d, samples.L_total // 2) if r_max is None else r_max
     need = 2 * r_max
     if samples.L_total < need:
         raise InsufficientDataError(
             f"r_max={r_max} needs {need} time levels, have {samples.L_total}")
     sources = ((int(i), samples.samples[:need, pos]) for pos, i in enumerate(samples.omega))
-    estimate, worst = search_sources(samples, sources, r_max, dedup_rel, tol)
+    estimate, worst = search_sources(samples, sources, r_max, dedup_rel, tol, bounded)
     if not estimate.per_source:
-        raise NoAnnihilator(
+        err = NoAnnihilator(
             f"all {samples.omega.size} sampled coordinates failed the degree search", worst)
+        err.partial = estimate
+        raise err
     return estimate
 
 
@@ -177,10 +194,11 @@ def fit_extrapolation(samples: SampleSet, L: int,
     that coordinate, reported as SpanConditionViolated. Retrying with a
     larger window helps; L = d always fits.
     """
-    if L < 1:
-        raise DimensionError(f"window length must be positive, got {L}")
     omega = samples.omega
     n = omega.size
+    if L < 1:
+        raise InsufficientDataError(
+            f"no usable window: {samples.L_total} levels for {n} sampled coordinates")
     need = (n + 1) * L
     if samples.L_total < need:
         raise InsufficientDataError(
@@ -199,11 +217,13 @@ def fit_extrapolation(samples: SampleSet, L: int,
     return ExtrapolationModel(tuple(int(i) for i in omega), L, weights, S[:L].copy())
 
 
-def recover_spectrum_via_extrapolation(samples: SampleSet, L: int,
+def recover_spectrum_via_extrapolation(samples: SampleSet, L: int | None = None,
                                        dedup_rel: float = config.DEDUP_REL,
                                        tol: float = config.TAU_SOLVE) -> SpectrumEstimate:
-    """Fit the window recurrence, extrapolate each coordinate out to 2d
-    levels, then recover the observable spectrum with degree bound d."""
+    """Fit the window recurrence (L None: the largest that fits), extrapolate
+    each coordinate out to 2d levels, then recover the observable spectrum
+    with degree bound d."""
+    L = samples.L_total // (samples.omega.size + 1) if L is None else L
     model = fit_extrapolation(samples, L, tol=tol)
     extended = SampleSet(samples.d, samples.sampler, model.extend(2 * samples.d))
-    return recover_observable_spectrum(extended, dedup_rel=dedup_rel, tol=tol)
+    return recover_observable_spectrum(extended, r_max=samples.d, dedup_rel=dedup_rel, tol=tol)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dynspec.model import IndexSet, SampleSet
 from dynspec.numerics import set_match_error
 
 
@@ -19,6 +20,11 @@ def roots_contained(roots, spectrum, tol):
     roots = np.asarray(roots, dtype=np.complex128).ravel()
     spectrum = np.asarray(spectrum, dtype=np.complex128).ravel()
     return all(np.min(np.abs(spectrum - r)) < tol for r in roots)
+
+
+def one_coordinate(entries, d, start=0):
+    """Samples of coordinate ``start`` whose time levels are ``entries``."""
+    return SampleSet(d, IndexSet((start,)), np.asarray(entries)[:, None])
 
 
 def division_remainder(p, q):

@@ -162,6 +162,7 @@ def test_recover_failure_exits_3_with_partial_report(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     report = json.loads(out.read_text())  # partial report still written
     assert "fatal" in report["diagnostics"]["failures"]
+    assert set(report["per_source"]) == {"0"}  # the coordinate's off-grid roots
 
 
 def test_recover_malformed_input_exits_2(tmp_path, capsys):
@@ -325,8 +326,18 @@ def test_readme_walkthrough_runs(tmp_path):
             assert proc.returncode == 0, (argv, proc.stderr)
     assert (tmp_path / "spectrum.svg").is_file()
 
-def test_usage_error_exits_2():
-    assert run("recover", "--mode", "invariant") == 2  # missing --in/--out
+def test_usage_error_exits_2(capsys):
+    for argv in (["recover", "--mode", "invariant"],  # missing --in/--out
+                 ["recover", "--tol", "nan"], ["simulate", "--omega", "a"],
+                 ["recover", "--mode", "general", "--out", "r.json"], []):
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def test_help_exits_0(capsys):
+    assert run("recover", "--help") == 0
+    assert "--sparsity" in capsys.readouterr().out
 
 
 def test_no_command_exits_2():
@@ -369,6 +380,20 @@ def test_recover_general_merging_more_values_than_d_exits_3(tmp_path, capsys):
     assert count > 16
     assert f"{count} values, more than d = 16" in report["diagnostics"]["failures"]["fatal"]
     assert set(report["per_source"]) == {"0", "5"}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recover_general_refuses_the_square_system(tmp_path, capsys, seed):
+    # 50 levels for d = 96: the degree-25 system is square and fits any data
+    problem = tmp_path / "p.json"
+    out = tmp_path / "r.json"
+    assert run("simulate", "--mode", "shift", "--d", "96", "--omega", "3", "--levels", "50",
+               "--include-truth", "--seed", str(seed), "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "general", "--out", str(out)) == 3
+    assert "error:" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert "square system" in report["diagnostics"]["failures"]["source 3"]
+    assert report["per_source"] == {}
 
 
 @pytest.mark.parametrize("simulate_args,recover_args", [

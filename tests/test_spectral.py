@@ -7,8 +7,9 @@ from dynspec.annihilator import scalar_annihilator
 from dynspec.errors import SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
                            random_circulant, random_diagonalizable,
-                           random_signal, simulate)
+                           random_signal, shift_operator, simulate)
 from dynspec.numerics import poly_roots
+from dynspec.prony import prony_support, random_sparse_signal
 from dynspec.spectral import (fit_extrapolation, merge_roots,
                               recover_observable_spectrum,
                               recover_spectrum_via_extrapolation)
@@ -220,6 +221,33 @@ def test_via_extrapolation_matches_oracle(seed):
     oracle = observable_spectrum_oracle(B, omega)
     assert est.merged.size == oracle.size
     assert_sets_close(est.merged, oracle, 1e-7)
+
+
+# ---------------------------------------------------- pipeline defaults
+
+@pytest.mark.parametrize("pipeline,omega,levels,spied,expected", [
+    (recover_observable_spectrum, (0, 3), 12, "scalar_annihilator", 6),  # min(d, levels // 2)
+    (recover_spectrum_via_extrapolation, (0, 3), 13, "fit_extrapolation", 4),  # 13 // (2 + 1)
+    (prony_support, (5,), 10, "scalar_annihilator", 5),  # levels // 2
+], ids=["general-r_max", "extrapolate-window", "prony-sparsity"])
+def test_pipeline_defaults_from_samples_alone(monkeypatch, pipeline, omega, levels, spied,
+                                              expected):
+    import dynspec.spectral as spectral_mod
+
+    d = 32
+    x, spectrum = random_sparse_signal(d, 3, 64)
+    samples = simulate(shift_operator(d), x, IndexSet(omega), levels)
+    real = getattr(spectral_mod, spied)
+    seen = []
+
+    def spy(first, bound, **kwargs):
+        seen.append(bound)
+        return real(first, bound, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, spied, spy)
+    est = pipeline(samples)
+    assert seen[0] == expected
+    assert_sets_close(est.merged, np.exp(2j * np.pi * np.array(spectrum.support) / d), 1e-8)
 
 
 # ------------------------------------------------- failure accounting
