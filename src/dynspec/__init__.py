@@ -21,11 +21,10 @@ from .model import (Circulant, Diagonalizable, EvolutionOperator, IndexSet,
                     shift_operator, simulate)
 from .annihilator import (AnnihilatorPolynomial, annihilator_from_samples,
                           scalar_annihilator)
-from .spectral import (ExtrapolationModel, SpectrumEstimate, fit_extrapolation,
-                       merge_roots, recover_observable_spectrum,
-                       recover_spectrum_via_extrapolation)
+from .spectral import (SpectrumEstimate, fit_extrapolation, merge_roots,
+                       recover_observable_spectrum, recover_spectrum_via_extrapolation)
 from .invariant import (fourier_classes, order_symmetric_decreasing,
                         recover_operator, recover_signal,
                         recover_spectrum_invariant)
-from .prony import (SparseSpectrum, prony_reconstruct, prony_support,
-                    prony_values, random_sparse_signal, snap_support)
+from .prony import (prony_support, prony_values, random_sparse_signal,
+                    snap_support)

@@ -28,7 +28,9 @@ class RecoveryError(DynspecError):
     ``partial`` (a SpectrumEstimate) so callers can still report them.
     """
 
-    partial = None
+    def __init__(self, message, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class NoAnnihilator(RecoveryError):
@@ -39,8 +41,8 @@ class NoAnnihilator(RecoveryError):
     genuinely degenerate data.
     """
 
-    def __init__(self, message, best_residual=float("inf")):
-        super().__init__(message)
+    def __init__(self, message, best_residual, partial=None):
+        super().__init__(message, partial)
         self.best_residual = best_residual
 
 

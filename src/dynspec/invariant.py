@@ -78,10 +78,9 @@ def recover_spectrum_invariant(samples: SampleSet,
     sources = ((j, series[:2 * m, j]) for j in range(series.shape[1]))
     estimate, worst = search_sources(samples, sources, m, dedup_rel, tol)
     if estimate.failures:
-        err = NoAnnihilator(
-            f"classes {list(estimate.failures)} produced no annihilator of degree <= {m}", worst)
-        err.partial = estimate
-        raise err
+        raise NoAnnihilator(
+            f"classes {list(estimate.failures)} produced no annihilator of degree <= {m}", worst,
+            estimate)
     return estimate
 
 
@@ -93,27 +92,28 @@ def order_symmetric_decreasing(estimate: SpectrumEstimate, d: int) -> np.ndarray
     The (d+1)/2 deduplicated values are sorted in decreasing order onto
     frequencies 0..(d-1)/2 and mirrored onto the conjugate half. Imaginary
     parts below ``_REAL_TOL`` (relative to the spectral scale) are dropped;
-    larger ones are an error, never silently truncated.
+    larger ones are an error, never silently truncated. Every ordering
+    error carries the estimate as ``partial``.
     """
     if d < 1 or d % 2 == 0:
         raise DimensionError(f"symmetric ordering needs odd d, got {d}")
     roots = np.asarray(estimate.merged, dtype=np.complex128)
     if roots.size == 0:
-        raise AmbiguousOrdering("no spectral values to order")
+        raise AmbiguousOrdering("no spectral values to order", estimate)
     scale = float(np.max(np.abs(roots)))
     if float(np.max(np.abs(roots.imag))) > _REAL_TOL * (scale if scale > 0 else 1.0):
         raise NotSymmetricReal(
             f"spectral values have imaginary parts up to {np.max(np.abs(roots.imag)):.3e}; "
-            "the symmetric decreasing assumption does not apply")
+            "the symmetric decreasing assumption does not apply", estimate)
     half = (d + 1) // 2
     if roots.size != half:
         raise AmbiguousOrdering(
             f"expected {half} distinct spectral values for d={d}, got {roots.size} "
-            "(degenerate filter: repeated half-spectrum values)")
+            "(degenerate filter: repeated half-spectrum values)", estimate)
     vals = np.sort(roots.real)[::-1]
     if np.any(np.diff(vals) >= 0):
         raise AmbiguousOrdering("spectral values are not strictly decreasing after "
-                                "projection to the real axis")
+                                "projection to the real axis", estimate)
     return np.concatenate([vals, vals[1:][::-1]]).astype(np.complex128)
 
 
@@ -177,7 +177,7 @@ def recover_operator(samples: SampleSet, assume_symmetric_decreasing: bool = Fal
             if roots.size != 1:
                 raise RecoveryError(
                     f"frequency {j} is unrecoverable: its class produced {roots.size} roots "
-                    "(the signal's transform may vanish there)")
+                    "(the signal's transform may vanish there)", estimate)
             a_hat[j] = roots[0]
     elif assume_symmetric_decreasing:
         a_hat = order_symmetric_decreasing(estimate, d)

@@ -153,6 +153,8 @@ class SampleSet:
     samples: np.ndarray
 
     def __post_init__(self):
+        if self.d < 1:
+            raise DimensionError(f"d must be positive, got d={self.d}")
         arr = np.asarray(self.samples, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DimensionError(f"samples must be a (L_total, |omega|) array, got shape {arr.shape}")

@@ -9,7 +9,7 @@ and snapping its roots to the grid is principled, not heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,26 +19,6 @@ from .errors import (DimensionError, InsufficientDataError, NotShiftSpectrum,
 from .model import IndexSet, SampleSet
 from .numerics import as_vector, dft, least_squares, zero_threshold
 from .spectral import SpectrumEstimate, recover_observable_spectrum
-
-
-@dataclass(frozen=True, eq=False)
-class SparseSpectrum:
-    """Support and values of a sparse Fourier transform."""
-
-    d: int
-    support: tuple[int, ...]
-    values: dict
-
-    def __post_init__(self):
-        supp = tuple(sorted(int(n) for n in self.support))
-        if len(set(supp)) != len(supp):
-            raise DimensionError(f"support frequencies must be distinct, got {supp}")
-        if supp and (supp[0] < 0 or supp[-1] >= self.d):
-            raise DimensionError(f"support {supp} out of range for d={self.d}")
-        object.__setattr__(self, "support", supp)
-        object.__setattr__(self, "values", {int(n): complex(v) for n, v in self.values.items()})
-        if set(self.values) != set(supp):
-            raise DimensionError("values must cover exactly the support frequencies")
 
 
 def prony_support(samples: SampleSet, s: int | None = None,
@@ -63,13 +43,13 @@ def prony_support(samples: SampleSet, s: int | None = None,
     start = int(samples.omega[0])
     try:
         support = snap_support(estimate.per_source[start], d)
-        spectrum = prony_values(head.samples[:, 0], start, support, d, tol=tol)
+        x_hat = prony_values(head.samples[:, 0], start, support, d, tol=tol)
     except RecoveryError as exc:
         exc.partial = estimate
         raise
     grid = np.exp(2j * np.pi * np.array(support, dtype=float) / d)
     return replace(estimate, merged=grid, dedup_tol=None, support=support,
-                   signal=prony_reconstruct(spectrum))
+                   signal=dft(x_hat, inverse=True))
 
 
 def snap_support(roots, d: int) -> tuple[int, ...]:
@@ -91,17 +71,19 @@ def snap_support(roots, d: int) -> tuple[int, ...]:
 
 
 def prony_values(c, start: int, support, d: int,
-                 tol: float = config.TAU_SOLVE) -> SparseSpectrum:
-    """Transform values on a known support, fitted to the same entries.
+                 tol: float = config.TAU_SOLVE) -> np.ndarray:
+    """Transform values on a known support, fitted to the same entries;
+    returns the length-d transform, zero off the support.
 
     Uses all supplied entries (overdetermined), so a wrong support shows
     up as an inconsistent system at no extra sample cost. Values that come
-    out numerically zero are dropped, keeping the support honest.
+    out numerically zero are set to zero, keeping the support honest.
     """
     supp = tuple(sorted(set(int(n) for n in support)))
     c = as_vector(c, "signal entries")
+    x_hat = np.zeros(d, dtype=np.complex128)
     if len(supp) == 0:
-        return SparseSpectrum(d, (), {})
+        return x_hat
     if len(supp) > c.size:
         raise DimensionError(f"support size {len(supp)} exceeds the {c.size} entries supplied")
     positions = start + np.arange(c.size)
@@ -112,30 +94,22 @@ def prony_values(c, start: int, support, d: int,
             f"support {supp} cannot reproduce the entries "
             f"(residual {res.relative_residual:.3e}); support/sample mismatch")
     vmax = float(np.max(np.abs(res.solution)))
-    keep = {n: complex(v) for n, v in zip(supp, res.solution)
-            if abs(v) > zero_threshold(vmax)}
-    return SparseSpectrum(d, tuple(sorted(keep)), keep)
-
-
-def prony_reconstruct(spectrum: SparseSpectrum) -> np.ndarray:
-    """Full signal from a sparse spectrum (inverse transform)."""
-    x_hat = np.zeros(spectrum.d, dtype=np.complex128)
-    for n, v in spectrum.values.items():
-        x_hat[n] = v
-    return dft(x_hat, inverse=True)
+    keep = np.abs(res.solution) > zero_threshold(vmax)
+    x_hat[np.array(supp)[keep]] = res.solution[keep]
+    return x_hat
 
 
 def random_sparse_signal(d: int, s: int, seed):
     """Seeded signal with an s-sparse Fourier transform.
 
     Support is drawn without replacement; values have moduli in [0.5, 1.5]
-    so no mode is numerically invisible. Returns (signal, SparseSpectrum).
+    so no mode is numerically invisible. Returns (signal, x_hat), x_hat
+    the length-d transform.
     """
     if not 0 < s < d:
         raise DimensionError(f"need 0 < s < d, got s={s}, d={d}")
     rng = np.random.default_rng(seed)
-    support = tuple(sorted(int(n) for n in rng.choice(d, size=s, replace=False)))
-    values = {n: complex(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.random()))
-              for n in support}
-    spectrum = SparseSpectrum(d, support, values)
-    return prony_reconstruct(spectrum), spectrum
+    x_hat = np.zeros(d, dtype=np.complex128)
+    for n in np.sort(rng.choice(d, size=s, replace=False)):
+        x_hat[n] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.random())
+    return dft(x_hat, inverse=True), x_hat

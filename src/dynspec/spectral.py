@@ -123,10 +123,8 @@ def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,
     merged, tol_used = merge_roots(per_source.values(), dedup_rel)
     estimate = SpectrumEstimate(per_source, merged, tol_used, residuals, failures)
     if merged.size > samples.d:
-        err = RecoveryError(
-            f"merged spectrum has {merged.size} values, more than d = {samples.d}")
-        err.partial = estimate
-        raise err
+        raise RecoveryError(
+            f"merged spectrum has {merged.size} values, more than d = {samples.d}", estimate)
     return estimate, worst
 
 
@@ -152,47 +150,24 @@ def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
     sources = ((int(i), samples.samples[:need, pos]) for pos, i in enumerate(samples.omega))
     estimate, worst = search_sources(samples, sources, r_max, dedup_rel, tol, bounded)
     if not estimate.per_source:
-        err = NoAnnihilator(
-            f"all {samples.omega.size} sampled coordinates failed the degree search", worst)
-        err.partial = estimate
-        raise err
+        raise NoAnnihilator(
+            f"all {samples.omega.size} sampled coordinates failed the degree search", worst,
+            estimate)
     return estimate
 
 
-@dataclass(frozen=True, eq=False)
-class ExtrapolationModel:
-    """Length-L vector recurrence over the sampled coordinates.
+def fit_extrapolation(samples: SampleSet, L: int, levels: int,
+                      tol: float = config.TAU_SOLVE) -> np.ndarray:
+    """Fit the length-L recurrence from the first (|omega|+1)*L levels and
+    run it out to ``levels``; returns the (levels, |omega|) array whose
+    first L rows are the samples verbatim.
 
     The restricted sample at time k >= L is a fixed linear combination of
-    the L preceding restricted samples: weights[i, l, j] multiplies the
-    value at coordinate omega[j], lag L - l. The first L training levels
-    are kept as the seed window.
-    """
-
-    omega: tuple[int, ...]
-    L: int
-    weights: np.ndarray
-    seed_window: np.ndarray
-
-    def extend(self, L_total: int) -> np.ndarray:
-        """Run the recurrence forward; rows 0..L-1 are the seed verbatim."""
-        n = len(self.omega)
-        out = np.empty((max(L_total, self.L), n), dtype=np.complex128)
-        out[:self.L] = self.seed_window
-        for t in range(self.L, L_total):
-            out[t] = np.einsum("ilj,lj->i", self.weights, out[t - self.L:t])
-        return out[:L_total]
-
-
-def fit_extrapolation(samples: SampleSet, L: int,
-                      tol: float = config.TAU_SOLVE) -> ExtrapolationModel:
-    """Fit the length-L recurrence from the first (|omega|+1)*L levels.
-
-    For each coordinate the square system over row offsets k =
-    0..|omega|*L-1 is solved (minimum-norm when degenerate); a relative
-    residual at or above ``tol`` means no length-L recurrence reproduces
-    that coordinate, reported as SpanConditionViolated. Retrying with a
-    larger window helps; L = d always fits.
+    the L preceding ones. For each coordinate the square system over row
+    offsets k = 0..|omega|*L-1 is solved (minimum-norm when degenerate);
+    a relative residual at or above ``tol`` means no length-L recurrence
+    reproduces that coordinate, reported as SpanConditionViolated.
+    Retrying with a larger window helps; L = d always fits.
     """
     omega = samples.omega
     n = omega.size
@@ -206,6 +181,8 @@ def fit_extrapolation(samples: SampleSet, L: int,
     S = samples.samples
     nL = n * L
     M = _block_hankel(S, L, nL).T
+    # weights[i, l, j] multiplies coordinate omega[j] at lag L - l in the
+    # recurrence of coordinate omega[i]
     weights = np.empty((n, L, n), dtype=np.complex128)
     for pos in range(n):
         res = least_squares(M, S[L:L + nL, pos])
@@ -214,7 +191,11 @@ def fit_extrapolation(samples: SampleSet, L: int,
                 f"no length-{L} recurrence reproduces coordinate {omega[pos]} "
                 f"(residual {res.relative_residual:.3e}); retry with a larger window")
         weights[pos] = res.solution.reshape(L, n)
-    return ExtrapolationModel(tuple(int(i) for i in omega), L, weights, S[:L].copy())
+    out = np.empty((max(levels, L), n), dtype=np.complex128)
+    out[:L] = S[:L]
+    for t in range(L, levels):
+        out[t] = np.einsum("ilj,lj->i", weights, out[t - L:t])
+    return out[:levels]
 
 
 def recover_spectrum_via_extrapolation(samples: SampleSet, L: int | None = None,
@@ -224,6 +205,6 @@ def recover_spectrum_via_extrapolation(samples: SampleSet, L: int | None = None,
     each coordinate out to 2d levels, then recover the observable spectrum
     with degree bound d."""
     L = samples.L_total // (samples.omega.size + 1) if L is None else L
-    model = fit_extrapolation(samples, L, tol=tol)
-    extended = SampleSet(samples.d, samples.sampler, model.extend(2 * samples.d))
+    extended = SampleSet(samples.d, samples.sampler,
+                         fit_extrapolation(samples, L, levels=2 * samples.d, tol=tol))
     return recover_observable_spectrum(extended, r_max=samples.d, dedup_rel=dedup_rel, tol=tol)

@@ -174,6 +174,17 @@ def test_recover_malformed_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_recover_nonpositive_dimension_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"schema_version": "dynspec-1", "d": 0, "L_total": 2,
+                                "sampler": {"type": "uniform", "m": 1}, "samples": [[], []]}))
+    code = run("recover", "--in", str(path), "--mode", "general",
+               "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "d=0" in err
+
+
 @pytest.mark.parametrize("sampler", [{"type": "uniform"}, {"type": "indices"}],
                          ids=["uniform-without-m", "indices-without-omega"])
 def test_recover_sampler_missing_parameter_exits_2(tmp_path, capsys, sampler):
@@ -366,6 +377,34 @@ def test_recover_invariant_partial_results_on_class_failure(tmp_path, monkeypatc
     report = json.loads(out.read_text())
     assert "fatal" in report["diagnostics"]["failures"]
     assert len(report["per_source"]) == 4  # the four classes that still solved
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recover_invariant_ordering_failure_keeps_per_source_records(tmp_path, capsys, seed):
+    # a random complex filter is not symmetric: every class solves, the ordering fails
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "15", "--mode", "circulant", "--m", "3", "--levels", "6",
+               "--seed", str(seed), "--include-truth", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "invariant", "--assume-symmetric",
+               "--out", str(out)) == 3
+    assert "symmetric decreasing" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert set(report["per_source"]) == {"0", "1", "2", "3", "4"}
+    assert len(report["recovered_spectrum"]) == 15
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 0
+
+
+def test_recover_invariant_m1_recovers_filter_and_signal(tmp_path, capsys):
+    # m = 1: class j is frequency j, so no ordering assumption is needed
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "7", "--mode", "circulant", "--m", "1", "--levels", "2",
+               "--include-truth", "--seed", "1", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "invariant", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 0
+    rows = {line.split()[0]: line.split()[3]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows == {"spectrum": "PASS", "filter": "PASS", "signal": "PASS"}
 
 
 def test_recover_general_merging_more_values_than_d_exits_3(tmp_path, capsys):

@@ -59,6 +59,15 @@ def test_problem_inconsistent_level_count_rejected(tmp_path):
         load_problem(str(path))
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_problem_nonpositive_dimension_rejected(tmp_path, d):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"schema_version": "dynspec-1", "d": d, "L_total": 2,
+                                "sampler": {"type": "uniform", "m": 1}, "samples": [[], []]}))
+    with pytest.raises(FileFormatError, match=f"d={d}"):
+        load_problem(str(path))
+
+
 @pytest.mark.parametrize("sampler", [{"type": "uniform"}, {"type": "indices"}],
                          ids=["uniform-without-m", "indices-without-omega"])
 def test_problem_sampler_missing_parameter_rejected(tmp_path, sampler):

@@ -4,7 +4,7 @@ import pytest
 from dynspec.annihilator import _block_hankel
 from dynspec.errors import (AmbiguousOrdering, DimensionError,
                             InsufficientDataError, NotSymmetricReal,
-                            UnderDetermined)
+                            RecoveryError, UnderDetermined)
 from dynspec.invariant import (fourier_classes, order_symmetric_decreasing,
                                recover_operator, recover_signal,
                                recover_spectrum_invariant)
@@ -259,6 +259,17 @@ def test_operator_asymmetric_filter_rejected_under_assumption():
     with pytest.raises(NotSymmetricReal):
         recover_operator(simulate(op, x, Uniform(m), 2 * m),
                          assume_symmetric_decreasing=True)
+
+
+def test_operator_m1_vanishing_frequency_keeps_partial():
+    # m = 1 with a sparse transform: the classes off the support carry no root
+    d = 16
+    x, x_hat = random_sparse_signal(d, 3, 1)
+    with pytest.raises(RecoveryError, match="unrecoverable") as info:
+        recover_operator(simulate(shift_operator(d), x, Uniform(1), 2))
+    partial = info.value.partial
+    assert sorted(partial.per_source) == list(range(d))
+    assert_sets_close(partial.merged, np.exp(2j * np.pi * np.flatnonzero(x_hat) / d), 1e-8)
 
 
 def test_operator_without_assumption_returns_spectrum_only():

@@ -13,13 +13,13 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench" / "bench.py"
 PUBLIC_NAMES = [
     "AmbiguousOrdering", "AnnihilatorPolynomial", "Circulant", "ConditioningError",
     "Diagonalizable", "DimensionError", "DynspecError", "EvolutionOperator",
-    "ExtrapolationModel", "FileFormatError", "IndexSet", "InsufficientDataError",
+    "FileFormatError", "IndexSet", "InsufficientDataError",
     "LstSqResult", "MonicPolynomial", "NoAnnihilator", "NotShiftSpectrum",
     "NotSymmetricReal", "RecoveryError", "SampleSet", "Sampler",
-    "SpanConditionViolated", "SparseSpectrum", "SpectrumEstimate", "UnderDetermined",
+    "SpanConditionViolated", "SpectrumEstimate", "UnderDetermined",
     "Uniform", "annihilator_from_samples", "dft", "fit_extrapolation",
     "fourier_classes", "least_squares", "make_diffusion_filter", "merge_roots",
-    "order_symmetric_decreasing", "poly_roots", "prony_reconstruct", "prony_support",
+    "order_symmetric_decreasing", "poly_roots", "prony_support",
     "prony_values", "random_circulant", "random_diagonalizable", "random_signal",
     "random_sparse_signal", "recover_observable_spectrum", "recover_operator",
     "recover_signal", "recover_spectrum_invariant", "recover_spectrum_via_extrapolation",
