@@ -13,8 +13,7 @@ from .errors import (AmbiguousOrdering, ConditioningError, DimensionError,
                      DynspecError, FileFormatError, InsufficientDataError,
                      NoAnnihilator, NotShiftSpectrum, NotSymmetricReal,
                      RecoveryError, SpanConditionViolated, UnderDetermined)
-from .numerics import (LstSqResult, MonicPolynomial, dft, least_squares,
-                       poly_roots, set_match_error)
+from .numerics import dft, least_squares, poly_roots, set_match_error
 from .model import (Circulant, Diagonalizable, EvolutionOperator, IndexSet,
                     SampleSet, Sampler, Uniform, make_diffusion_filter,
                     random_circulant, random_diagonalizable, random_signal,

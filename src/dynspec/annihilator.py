@@ -26,19 +26,20 @@ import numpy as np
 
 from . import config
 from .errors import DimensionError, NoAnnihilator
-from .numerics import MonicPolynomial, least_squares, zero_threshold
+from .numerics import least_squares, zero_threshold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnihilatorPolynomial:
-    """A computed annihilator with the relative residual of its system."""
+    """A computed monic annihilator, by its low-order coefficients (as
+    ``poly_roots`` takes them), with the relative residual of its system."""
 
-    poly: MonicPolynomial
+    poly: np.ndarray
     relative_residual: float
 
     @property
     def degree(self) -> int:
-        return self.poly.degree
+        return self.poly.size
 
 
 def _block_hankel(terms: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -80,15 +81,15 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
             f"need at least rows + r_max = {rows + r_max} time levels, got {terms.shape[0]}")
 
     if float(np.max(np.abs(terms))) < zero_threshold(zero_scale):
-        return AnnihilatorPolynomial(MonicPolynomial(np.zeros(0)), 0.0)
+        return AnnihilatorPolynomial(np.zeros(0, dtype=np.complex128), 0.0)
 
     H = _block_hankel(terms, rows, r_max + 1)
     best = float("inf")
     for r in range(1, r_max + 1):
-        res = least_squares(H[:, :r], -H[:, r])
-        if res.relative_residual < tol:
-            return AnnihilatorPolynomial(MonicPolynomial(res.solution), res.relative_residual)
-        best = min(best, res.relative_residual)
+        alpha, residual = least_squares(H[:, :r], -H[:, r])
+        if residual < tol:
+            return AnnihilatorPolynomial(alpha, residual)
+        best = min(best, residual)
     raise NoAnnihilator(
         f"no annihilator of degree <= {r_max} fits the sequence (best residual {best:.3e})", best)
 

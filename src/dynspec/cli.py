@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--filter", choices=["diffusion", "random", "file"], default="random",
                      help="filter source for circulant mode")
     sim.add_argument("--filter-file", help="JSON file with filter taps as [re, im] pairs")
-    sim.add_argument("--decay", type=float, default=0.1, help="diffusion filter decay rate")
+    sim.add_argument("--decay", type=_positive_float, default=0.1,
+                     help="diffusion filter decay rate (finite, > 0)")
     sim.add_argument("--sparsity", type=int, default=None,
                      help="shift mode: give the signal an s-sparse Fourier transform")
     sim.add_argument("--include-truth", action="store_true",
@@ -272,7 +273,7 @@ def _truth_checks(problem, report: dict, tol: float) -> list:
         checks.append(("spectrum", err, tol, merged.size == expected.size and err < tol,
                        f"{merged.size} vs {expected.size} values"))
     if prony and expected is not None and "recovered_support" in report:
-        got = sorted(int(n) for n in report["recovered_support"])
+        got = sorted(report["recovered_support"])
         ok = got == support.tolist()
         checks.append(("support", 0.0 if ok else float("inf"), tol, ok,
                        f"{got} vs {support.tolist()}"))

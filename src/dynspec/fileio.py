@@ -61,20 +61,32 @@ def _load_json(path: str):
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_int(value, path: str, name: str) -> int:
+    """A JSON integer field; floats, strings, booleans and null are refused
+    rather than truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(
+            f"{path}: field {name!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _sampler_to_json(sampler):
     if isinstance(sampler, Uniform):
         return {"type": "uniform", "m": sampler.m}
     return {"type": "indices", "omega": [int(i) for i in sampler.omega]}
 
 
-def _sampler_from_json(obj):
+def _sampler_from_json(obj, path: str):
     if not isinstance(obj, dict) or "type" not in obj:
         raise FileFormatError("sampler must be an object with a 'type' field")
     try:
         if obj["type"] == "uniform":
-            return Uniform(int(obj["m"]))
+            return Uniform(_json_int(obj["m"], path, "sampler.m"))
         if obj["type"] == "indices":
-            return IndexSet(tuple(int(i) for i in obj["omega"]))
+            omega = obj["omega"]
+            if not isinstance(omega, list):
+                raise FileFormatError(f"{path}: field 'sampler.omega' must be a list")
+            return IndexSet(tuple(_json_int(i, path, "sampler.omega") for i in omega))
     except KeyError as exc:
         raise FileFormatError(f"{obj['type']} sampler is missing field {exc}") from exc
     raise FileFormatError(f"unknown sampler type {obj['type']!r}")
@@ -122,10 +134,11 @@ def load_problem(path: str) -> Problem:
     for key in ("d", "sampler", "L_total", "samples"):
         if key not in obj:
             raise FileFormatError(f"{path}: missing field {key!r}")
-    d = int(obj["d"])
-    sampler = _sampler_from_json(obj["sampler"])
+    d = _json_int(obj["d"], path, "d")
+    sampler = _sampler_from_json(obj["sampler"], path)
     levels = obj["samples"]
-    if not isinstance(levels, list) or len(levels) != int(obj["L_total"]):
+    L_total = _json_int(obj["L_total"], path, "L_total")
+    if not isinstance(levels, list) or len(levels) != L_total:
         raise FileFormatError(f"{path}: samples length does not match L_total")
     try:
         data = np.array([pairs_to_complex(level, "sample level") for level in levels],
@@ -164,4 +177,9 @@ def load_report(path: str) -> dict:
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict) or not isinstance(diagnostics.get("tolerances", {}), dict):
         raise FileFormatError(f"{path}: diagnostics and its tolerances must be objects")
+    support = obj.get("recovered_support", [])
+    if not isinstance(support, list):
+        raise FileFormatError(f"{path}: field 'recovered_support' must be a list")
+    for n in support:
+        _json_int(n, path, "recovered_support")
     return obj

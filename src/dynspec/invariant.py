@@ -146,12 +146,12 @@ def recover_signal(samples: SampleSet, a_hat,
                 f"class {j} has repeated transfer values; its aliased signal "
                 "components cannot be separated", class_id=j)
         powers = nodes[None, :] ** np.arange(m)[:, None] / m
-        res = least_squares(powers, series[:m, j])
-        if res.relative_residual >= tol:
+        values, residual = least_squares(powers, series[:m, j])
+        if residual >= tol:
             raise RecoveryError(
                 f"class {j} alias system is inconsistent with the supplied filter "
-                f"(residual {res.relative_residual:.3e})")
-        x_hat[freqs] = res.solution
+                f"(residual {residual:.3e})")
+        x_hat[freqs] = values
     return dft(x_hat, inverse=True)
 
 
@@ -164,12 +164,15 @@ def recover_operator(samples: SampleSet, assume_symmetric_decreasing: bool = Fal
     m = 1 pins every transfer value to its frequency directly (class j is
     frequency j), so the operator is recovered without any ordering
     assumption. Otherwise the operator is only recoverable under the
-    symmetric decreasing assumption; without it ``taps`` stays None. A
+    symmetric decreasing assumption; without it ``taps`` stays None. That
+    assumption needs odd d, which is checked before any class search. A
     signal step that fails is recorded under ``failures["signal"]``.
     """
     sampler = _require_uniform(samples)
-    estimate = recover_spectrum_invariant(samples, dedup_rel=dedup_rel, tol=tol)
     d = samples.d
+    if assume_symmetric_decreasing and sampler.m > 1 and d % 2 == 0:
+        raise DimensionError(f"symmetric ordering needs odd d, got {d}")
+    estimate = recover_spectrum_invariant(samples, dedup_rel=dedup_rel, tol=tol)
     if sampler.m == 1:
         a_hat = np.empty(d, dtype=np.complex128)
         for j in range(d):

@@ -210,8 +210,8 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
     """
     if d < 1 or d % 2 == 0:
         raise DimensionError(f"diffusion filter requires odd d, got {d}")
-    if decay <= 0:
-        raise ValueError(f"decay must be positive, got {decay}")
+    if not 0 < decay < float("inf"):
+        raise ValueError(f"decay must be finite and positive, got {decay}")
     half = (d - 1) // 2
     head = np.exp(-decay * np.arange(half + 1, dtype=float) ** 2)
     if not np.all(np.diff(head) < 0):

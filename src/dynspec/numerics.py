@@ -2,14 +2,13 @@
 
 Everything here is a pure function of its inputs: the DFT in both
 directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
-least squares, monic polynomials and their roots, and the shared zero
-and separation tests. Vectors and matrices are plain complex ndarrays;
-``as_vector`` and ``as_matrix`` check their shape and finiteness.
+least squares, the roots of a monic polynomial given by its low-order
+coefficients, and the shared zero and separation tests. Vectors and
+matrices are plain complex ndarrays; ``as_vector`` and ``as_matrix``
+check their shape and finiteness.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -66,21 +65,12 @@ def dft(v, inverse: bool = False) -> np.ndarray:
     return np.fft.ifft(arr) if inverse else np.fft.fft(arr)
 
 
-@dataclass(frozen=True)
-class LstSqResult:
-    """Minimum-norm least-squares solution and its residual.
-
-    ``relative_residual`` is measured against the right-hand-side norm with
-    a tiny floor, so an exactly reproduced (or all-zero) rhs gives 0.
-    """
-
-    solution: np.ndarray
-    relative_residual: float
-
-
-def least_squares(M, rhs) -> LstSqResult:
+def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     """Minimum-norm least squares via a column-pivoted orthogonal
-    factorization (LAPACK gelsy), never normal equations.
+    factorization (LAPACK gelsy), never normal equations. Returns
+    (solution, relative_residual); the residual is relative to the
+    right-hand-side norm with a tiny floor, so an exactly reproduced (or
+    all-zero) rhs gives 0.
 
     Deterministic for identical inputs. The stacked systems this solves
     can be ill-conditioned Hankel blocks, hence the rank-revealing driver.
@@ -100,40 +90,19 @@ def least_squares(M, rhs) -> LstSqResult:
     sol = scipy.linalg.lstsq(A, b, lapack_driver="gelsy", check_finite=False)[0]
     residual = float(np.linalg.norm(np.einsum("ij,j->i", A, sol) - b))
     rel = residual / max(float(np.linalg.norm(b)), _RESIDUAL_FLOOR)
-    return LstSqResult(solution=sol, relative_residual=rel)
+    return sol, rel
 
 
-@dataclass(frozen=True)
-class MonicPolynomial:
-    """Monic polynomial stored by its low-order coefficients.
-
-    ``low_coeffs[l]`` multiplies lambda^l; the leading coefficient is an
-    implicit 1, so degree 0 is the constant polynomial 1.
-    """
-
-    low_coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.low_coeffs, dtype=np.complex128).ravel()
-        if not np.all(np.isfinite(arr)):
-            raise DimensionError("polynomial coefficients must be finite")
-        object.__setattr__(self, "low_coeffs", arr)
-
-    @property
-    def degree(self) -> int:
-        return self.low_coeffs.size
-
-    def coeffs_desc(self) -> np.ndarray:
-        """Coefficients from the leading 1 down to the constant term."""
-        return np.concatenate(([1.0 + 0j], self.low_coeffs[::-1]))
-
-
-def poly_roots(p: MonicPolynomial) -> np.ndarray:
-    """All ``degree`` roots, with multiplicity, via the balanced
-    companion-matrix eigensolve."""
-    if p.degree == 0:
+def poly_roots(low_coeffs) -> np.ndarray:
+    """All roots, with multiplicity, of the monic polynomial lambda^r +
+    sum_{l<r} low_coeffs[l] lambda^l, r = len(low_coeffs) (no roots for
+    r = 0), via the balanced companion-matrix eigensolve."""
+    low = np.asarray(low_coeffs, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(low)):
+        raise DimensionError("polynomial coefficients must be finite")
+    if low.size == 0:
         return np.zeros(0, dtype=np.complex128)
-    return np.roots(p.coeffs_desc())
+    return np.roots(np.concatenate(([1.0 + 0j], low[::-1])))
 
 
 def set_match_error(got, expected) -> float:

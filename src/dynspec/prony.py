@@ -88,14 +88,14 @@ def prony_values(c, start: int, support, d: int,
         raise DimensionError(f"support size {len(supp)} exceeds the {c.size} entries supplied")
     positions = start + np.arange(c.size)
     modes = np.exp(2j * np.pi * np.outer(positions, supp) / d) / d
-    res = least_squares(modes, c)
-    if res.relative_residual >= tol:
+    values, residual = least_squares(modes, c)
+    if residual >= tol:
         raise RecoveryError(
             f"support {supp} cannot reproduce the entries "
-            f"(residual {res.relative_residual:.3e}); support/sample mismatch")
-    vmax = float(np.max(np.abs(res.solution)))
-    keep = np.abs(res.solution) > zero_threshold(vmax)
-    x_hat[np.array(supp)[keep]] = res.solution[keep]
+            f"(residual {residual:.3e}); support/sample mismatch")
+    vmax = float(np.max(np.abs(values)))
+    keep = np.abs(values) > zero_threshold(vmax)
+    x_hat[np.array(supp)[keep]] = values[keep]
     return x_hat
 
 

@@ -185,12 +185,12 @@ def fit_extrapolation(samples: SampleSet, L: int, levels: int,
     # recurrence of coordinate omega[i]
     weights = np.empty((n, L, n), dtype=np.complex128)
     for pos in range(n):
-        res = least_squares(M, S[L:L + nL, pos])
-        if res.relative_residual >= tol:
+        solution, residual = least_squares(M, S[L:L + nL, pos])
+        if residual >= tol:
             raise SpanConditionViolated(
                 f"no length-{L} recurrence reproduces coordinate {omega[pos]} "
-                f"(residual {res.relative_residual:.3e}); retry with a larger window")
-        weights[pos] = res.solution.reshape(L, n)
+                f"(residual {residual:.3e}); retry with a larger window")
+        weights[pos] = solution.reshape(L, n)
     out = np.empty((max(levels, L), n), dtype=np.complex128)
     out[:L] = S[:L]
     for t in range(L, levels):

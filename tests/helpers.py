@@ -27,6 +27,11 @@ def one_coordinate(entries, d, start=0):
     return SampleSet(d, IndexSet((start,)), np.asarray(entries)[:, None])
 
 
+def coeffs_desc(low):
+    """Monic polynomial coefficients from the leading 1 down, given ``low``."""
+    return np.concatenate(([1.0 + 0j], np.asarray(low, dtype=np.complex128)[::-1]))
+
+
 def division_remainder(p, q):
-    """Norm of the remainder of the monic polynomial p divided by q."""
-    return float(np.linalg.norm(np.polydiv(p.coeffs_desc(), q.coeffs_desc())[1]))
+    """Norm of the remainder of monic p divided by q, both by low-order coefficients."""
+    return float(np.linalg.norm(np.polydiv(coeffs_desc(p), coeffs_desc(q))[1]))

@@ -14,7 +14,7 @@ import numpy as np
 from dynspec.annihilator import AnnihilatorPolynomial
 from dynspec.errors import ConditioningError, DimensionError
 from dynspec.model import Circulant, Diagonalizable, IndexSet, Uniform
-from dynspec.numerics import MonicPolynomial, as_vector
+from dynspec.numerics import as_vector
 
 # Relative gap under which two eigenvalues are grouped as one.
 TAU_EIG = 1e-9
@@ -121,7 +121,7 @@ def minimal_polynomial_oracle(op, tau_eig: float = TAU_EIG) -> AnnihilatorPolyno
     diag = as_diagonalizable(op)
     require_well_conditioned(diag.U)
     values, _ = group_eigenvalues(diag.eigs, tau_eig)
-    return AnnihilatorPolynomial(MonicPolynomial(np.atleast_1d(np.poly(values))[1:][::-1]), 0.0)
+    return AnnihilatorPolynomial(np.atleast_1d(np.poly(values))[1:][::-1].astype(complex), 0.0)
 
 
 def altered_minimal_polynomial_oracle(op, omega, tau_eig: float = TAU_EIG,
@@ -130,7 +130,7 @@ def altered_minimal_polynomial_oracle(op, omega, tau_eig: float = TAU_EIG,
     sampled coordinates: prod (lambda - lambda_j) over the omega-observable
     eigenvalues. Oracle counterpart of the sample-side engine."""
     roots = observable_spectrum_oracle(op, omega, tau_eig=tau_eig, tau_obs=tau_obs)
-    return AnnihilatorPolynomial(MonicPolynomial(np.atleast_1d(np.poly(roots))[1:][::-1]), 0.0)
+    return AnnihilatorPolynomial(np.atleast_1d(np.poly(roots))[1:][::-1].astype(complex), 0.0)
 
 
 def projection_check(m: int, d: int, z) -> dict:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dynspec
+from dynspec import cli
 from dynspec.cli import main
 from dynspec.fileio import load_problem, pairs_to_complex
 from dynspec.model import Uniform, make_diffusion_filter, random_signal, simulate
@@ -165,6 +166,21 @@ def test_recover_failure_exits_3_with_partial_report(tmp_path, capsys):
     assert set(report["per_source"]) == {"0"}  # the coordinate's off-grid roots
 
 
+@pytest.mark.parametrize("simulate_args,recover_args,message", [
+    (["--d", "16", "--mode", "shift", "--sparsity", "3", "--omega", "5", "--levels", "10"],
+     ["--mode", "prony", "--sparsity", "6"], "need 2s = 12 time levels, have 10"),
+    (["--d", "8", "--m", "1", "--levels", "1"], ["--mode", "general"],
+     "need at least 2 time levels for spectral recovery"),
+], ids=["prony-sparsity-6-on-10-levels", "general-on-1-level"])
+def test_recover_too_few_levels_exits_2(tmp_path, capsys, simulate_args, recover_args, message):
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", *simulate_args, "--seed", "1", "--out", str(problem)) == 0
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), *recover_args, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_recover_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")
@@ -281,18 +297,40 @@ def test_verify_requires_truth(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("report", [
-    {"schema_version": "other"},
-    {"schema_version": "dynspec-1", "mode": "invariant", "recovered_spectrum": [],
-     "diagnostics": []},
-    {"schema_version": "dynspec-1", "mode": "invariant", "recovered_spectrum": [],
-     "diagnostics": {"tolerances": []}},
-], ids=["wrong-schema", "diagnostics-not-object", "tolerances-not-object"])
-def test_verify_rejects_malformed_report(tmp_path, report):
+@pytest.mark.parametrize("report,message", [
+    ({"schema_version": "other"}, "schema_version 'other'"),
+    ({"schema_version": "dynspec-1", "mode": "invariant", "recovered_spectrum": [],
+      "diagnostics": []}, "diagnostics and its tolerances must be objects"),
+    ({"schema_version": "dynspec-1", "mode": "invariant", "recovered_spectrum": [],
+      "diagnostics": {"tolerances": []}}, "diagnostics and its tolerances must be objects"),
+    ({"schema_version": "dynspec-1", "mode": "invariant"},
+     "report has no fields comparable against the ground truth"),
+], ids=["wrong-schema", "diagnostics-not-object", "tolerances-not-object", "nothing-comparable"])
+def test_verify_rejects_malformed_report(tmp_path, capsys, report, message):
     path = _simulate_diffusion(tmp_path)
     bad = tmp_path / "r.json"
     bad.write_text(json.dumps(report))
+    capsys.readouterr()
     assert run("verify", "--in", str(path), "--report", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+def test_verify_rejects_non_integer_support(tmp_path, capsys):
+    # truncating 6.9 to 6 would let a report of wrong frequencies pass
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "64", "--mode", "shift", "--sparsity", "5", "--omega", "17",
+               "--levels", "10", "--seed", "2", "--include-truth", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "prony", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    report["recovered_support"] = [n + 0.9 for n in report["recovered_support"]]
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"error: {out}: field 'recovered_support' must be an integer" in captured.err
 
 
 # ----------------------------------------------------- process-level
@@ -337,13 +375,32 @@ def test_readme_walkthrough_runs(tmp_path):
             assert proc.returncode == 0, (argv, proc.stderr)
     assert (tmp_path / "spectrum.svg").is_file()
 
-def test_usage_error_exits_2(capsys):
-    for argv in (["recover", "--mode", "invariant"],  # missing --in/--out
-                 ["recover", "--tol", "nan"], ["simulate", "--omega", "a"],
-                 ["recover", "--mode", "general", "--out", "r.json"], []):
+def test_usage_error_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    diffusion = ["simulate", "--d", "15", "--m", "3", "--levels", "6", "--filter", "diffusion",
+                 "--out", out]
+    taps = tmp_path / "taps.json"
+    taps.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    for argv, message in (
+            (["recover", "--mode", "invariant"], "required: --in, --out"),
+            (["recover", "--tol", "nan"], "argument --tol: expected a finite number > 0"),
+            (["simulate", "--omega", "a"], "expected comma-separated integers, got 'a'"),
+            (["recover", "--mode", "general", "--out", "r.json"], "required: --in"),
+            ([], "required: command"),
+            *(([*diffusion, "--decay", value],
+               f"argument --decay: expected a finite number > 0, got '{value}'")
+              for value in ("nan", "inf", "0")),
+            (["simulate", "--d", "0", "--m", "1", "--levels", "2", "--out", out],
+             "d must be positive, got 0"),
+            (["simulate", "--d", "4", "--m", "1", "--levels", "0", "--out", out],
+             "levels must be positive, got 0"),
+            (["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter", "file",
+              "--filter-file", str(taps), "--out", out], "filter file has 3 taps, expected 4")):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert message in err, (argv, err)
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_help_exits_0(capsys):
@@ -353,6 +410,16 @@ def test_help_exits_0(capsys):
 
 def test_no_command_exits_2():
     assert run() == 2
+
+
+@pytest.mark.parametrize("argv,code", [(["recover", "--help"], 0), ([], 2)],
+                         ids=["help", "no-command"])
+def test_console_script_entry_exits(monkeypatch, capsys, argv, code):
+    # the installed ``dynspec`` script calls cli.entry, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["dynspec", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
 
 
 def test_recover_invariant_partial_results_on_class_failure(tmp_path, monkeypatch, capsys):
@@ -392,6 +459,39 @@ def test_recover_invariant_ordering_failure_keeps_per_source_records(tmp_path, c
     assert set(report["per_source"]) == {"0", "1", "2", "3", "4"}
     assert len(report["recovered_spectrum"]) == 15
     assert run("verify", "--in", str(problem), "--report", str(out)) == 0
+
+
+def test_recover_assume_symmetric_even_d_refuses_before_searching(tmp_path, capsys,
+                                                                 monkeypatch):
+    import dynspec.invariant as invariant_mod
+
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "16", "--mode", "circulant", "--m", "4", "--levels", "8",
+               "--seed", "1", "--include-truth", "--out", str(problem)) == 0
+    calls = []
+    real = invariant_mod.search_sources
+    monkeypatch.setattr(invariant_mod, "search_sources",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), "--mode", "invariant", "--assume-symmetric",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: symmetric ordering needs odd d, got 16\n"
+    assert calls == []
+    assert not out.exists()
+
+
+def test_recover_assume_symmetric_is_ignored_for_m1(tmp_path, capsys):
+    # m = 1 pins every value to its frequency, so even d needs no ordering
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "8", "--m", "1", "--levels", "2", "--include-truth",
+               "--seed", "1", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "invariant", "--assume-symmetric",
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 0
+    rows = {line.split()[0]: line.split()[3]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows == {"spectrum": "PASS", "filter": "PASS", "signal": "PASS"}
 
 
 def test_recover_invariant_m1_recovers_filter_and_signal(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from dynspec.errors import FileFormatError
 from dynspec.fileio import (atomic_write_json, complex_to_pairs, load_problem,
-                            pairs_to_complex, save_problem)
-from dynspec.model import IndexSet, random_circulant, random_signal, simulate
+                            load_report, pairs_to_complex, save_problem)
+from dynspec.model import IndexSet, Uniform, random_circulant, random_signal, simulate
 
 
 def test_complex_pairs_round_trip_is_bit_exact():
@@ -66,6 +67,43 @@ def test_problem_nonpositive_dimension_rejected(tmp_path, d):
                                 "sampler": {"type": "uniform", "m": 1}, "samples": [[], []]}))
     with pytest.raises(FileFormatError, match=f"d={d}"):
         load_problem(str(path))
+
+
+def _problem_json(tmp_path, sampler):
+    """Path of a valid saved problem on ``sampler``, and its JSON object."""
+    samples = simulate(random_circulant(6, 3), random_signal(6, 4), sampler, 4)
+    path = tmp_path / "p.json"
+    save_problem(str(path), samples)
+    return path, json.loads(path.read_text())
+
+
+NON_INTEGERS = [15.9, "15", True, None, 2.5, [1.5]]
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("field", ["d", "L_total", "sampler.m", "sampler.omega"])
+def test_problem_non_integer_field_rejected(tmp_path, field, value):
+    path, obj = _problem_json(tmp_path, Uniform(3) if field == "sampler.m" else IndexSet((1,)))
+    if field == "sampler.m":
+        obj["sampler"]["m"] = value
+    elif field == "sampler.omega":
+        obj["sampler"]["omega"] = [1, value]
+    else:
+        obj[field] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: field '{field}' "
+                                              "must be an integer, got "):
+        load_problem(str(path))
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+def test_report_non_integer_support_rejected(tmp_path, value):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"schema_version": "dynspec-1", "mode": "prony",
+                                "recovered_support": [6, value]}))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: field "
+                                              "'recovered_support' must be an integer, got "):
+        load_report(str(path))
 
 
 @pytest.mark.parametrize("sampler", [{"type": "uniform"}, {"type": "indices"}],

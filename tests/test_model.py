@@ -221,6 +221,12 @@ def test_diffusion_underflow_rejected():
         make_diffusion_filter(1023, 0.1)
 
 
+@pytest.mark.parametrize("decay", [float("nan"), float("inf"), 0.0, -1.0])
+def test_diffusion_rejects_nonfinite_or_nonpositive_decay(decay):
+    with pytest.raises(ValueError, match="^decay must be finite and positive, got "):
+        make_diffusion_filter(15, decay)
+
+
 def test_circulant_transfer_is_a_copy():
     op = random_circulant(8, 3)
     x = _rand_vec(8, 4)

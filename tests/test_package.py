@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "AmbiguousOrdering", "AnnihilatorPolynomial", "Circulant", "ConditioningError",
     "Diagonalizable", "DimensionError", "DynspecError", "EvolutionOperator",
     "FileFormatError", "IndexSet", "InsufficientDataError",
-    "LstSqResult", "MonicPolynomial", "NoAnnihilator", "NotShiftSpectrum",
+    "NoAnnihilator", "NotShiftSpectrum",
     "NotSymmetricReal", "RecoveryError", "SampleSet", "Sampler",
     "SpanConditionViolated", "SpectrumEstimate", "UnderDetermined",
     "Uniform", "annihilator_from_samples", "dft", "fit_extrapolation",
