@@ -241,7 +241,7 @@ def cmd_recover(args) -> int:
 
     _fill_estimate(report, estimate, source_kind)
     if problem.has_truth:
-        checks = _truth_checks(problem, report, VERIFY_TOL)
+        checks = _truth_checks(problem, report, VERIFY_TOL, args.out)
         report["verified"] = {f"{name}_error": err for name, err, _t, _p, _n in checks}
     save_report(args.out, report)
     if args.plot:
@@ -250,13 +250,14 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _truth_checks(problem, report: dict, tol: float) -> list:
+def _truth_checks(problem, report: dict, tol: float, report_path: str) -> list:
     """Compare a report against the problem's ground truth.
 
     Returns (name, error, tol, passed, note) rows; which rows appear
     depends on the report's mode and fields. The true spectrum is merged
     on its own scale, so a report cannot pass by collapsing its spectrum;
     in prony mode it is the grid points of the true signal's support.
+    ``report_path`` names the report in errors about its value lists.
     """
     checks = []
     prony = report.get("mode") == "prony"
@@ -268,7 +269,8 @@ def _truth_checks(problem, report: dict, tol: float) -> list:
     elif not prony and problem.truth_taps is not None:
         expected, _ = merge_roots([dft(problem.truth_taps)])
     if expected is not None and "recovered_spectrum" in report:
-        merged = pairs_to_complex(report["recovered_spectrum"], "recovered_spectrum")
+        merged = pairs_to_complex(report["recovered_spectrum"],
+                                  f"{report_path}: field 'recovered_spectrum'")
         err = set_match_error(merged, expected)
         checks.append(("spectrum", err, tol, merged.size == expected.size and err < tol,
                        f"{merged.size} vs {expected.size} values"))
@@ -279,7 +281,8 @@ def _truth_checks(problem, report: dict, tol: float) -> list:
                        f"{got} vs {support.tolist()}"))
     for name, truth in (("filter", problem.truth_taps), ("signal", problem.truth_signal)):
         if truth is not None and f"recovered_{name}" in report:
-            got = pairs_to_complex(report[f"recovered_{name}"], "recovered values")
+            got = pairs_to_complex(report[f"recovered_{name}"],
+                                   f"{report_path}: field 'recovered_{name}'")
             err = float(np.max(np.abs(got - truth))) if got.size == truth.size else float("inf")
             checks.append((name, err, tol, err < tol, ""))
     return checks
@@ -290,7 +293,7 @@ def cmd_verify(args) -> int:
     if not problem.has_truth:
         return _fail("problem file carries no ground truth", 2)
     report = load_report(args.report)
-    checks = _truth_checks(problem, report, args.tol)
+    checks = _truth_checks(problem, report, args.tol, args.report)
     if not checks:
         return _fail("report has no fields comparable against the ground truth", 2)
     width = max(len(name) for name, *_ in checks)

@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,19 +20,34 @@ from .errors import FileFormatError
 from .model import IndexSet, SampleSet, Uniform
 
 SCHEMA_VERSION = "dynspec-1"
+_JSON_NUMBERS = {int, float}
 
 
 def complex_to_pairs(values) -> list:
     arr = np.asarray(values, dtype=np.complex128).ravel()
-    return [[float(z.real), float(z.imag)] for z in arr]
+    return arr.view(np.float64).reshape(-1, 2).tolist()
 
 
 def pairs_to_complex(pairs, name: str = "value list") -> np.ndarray:
+    """A list of [re, im] pairs of JSON numbers as a complex array.
+
+    Only ``int`` and ``float`` entries are accepted: strings, booleans,
+    null and lists are refused rather than converted (``float("1e0")``
+    and ``float(True)`` would load them as numbers). ``name`` leads the
+    error message, so callers pass the file and the field. The checks
+    run as set-of-types scans, which cost less than a Python loop over
+    thousands of pairs."""
+    message = f"{name}: expected a list of [re, im] pairs of numbers"
+    if (type(pairs) is not list or not set(map(type, pairs)) <= {list}
+            or not set(map(len, pairs)) <= {2}):
+        raise FileFormatError(message)
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= _JSON_NUMBERS:
+        raise FileFormatError(message)
     try:
-        return np.array([complex(float(re), float(im)) for re, im in pairs],
-                        dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{name}: expected a list of [re, im] pairs") from exc
+        return np.array(flat, dtype=np.float64).view(np.complex128)
+    except OverflowError as exc:
+        raise FileFormatError(f"{name}: number out of range") from exc
 
 
 def atomic_write_json(path: str, payload) -> None:
@@ -78,7 +94,7 @@ def _sampler_to_json(sampler):
 
 def _sampler_from_json(obj, path: str):
     if not isinstance(obj, dict) or "type" not in obj:
-        raise FileFormatError("sampler must be an object with a 'type' field")
+        raise FileFormatError(f"{path}: sampler must be an object with a 'type' field")
     try:
         if obj["type"] == "uniform":
             return Uniform(_json_int(obj["m"], path, "sampler.m"))
@@ -88,8 +104,8 @@ def _sampler_from_json(obj, path: str):
                 raise FileFormatError(f"{path}: field 'sampler.omega' must be a list")
             return IndexSet(tuple(_json_int(i, path, "sampler.omega") for i in omega))
     except KeyError as exc:
-        raise FileFormatError(f"{obj['type']} sampler is missing field {exc}") from exc
-    raise FileFormatError(f"unknown sampler type {obj['type']!r}")
+        raise FileFormatError(f"{path}: {obj['type']} sampler is missing field {exc}") from exc
+    raise FileFormatError(f"{path}: unknown sampler type {obj['type']!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +157,7 @@ def load_problem(path: str) -> Problem:
     if not isinstance(levels, list) or len(levels) != L_total:
         raise FileFormatError(f"{path}: samples length does not match L_total")
     try:
-        data = np.array([pairs_to_complex(level, "sample level") for level in levels],
+        data = np.array([pairs_to_complex(level, f"{path}: field 'samples'") for level in levels],
                         dtype=np.complex128)
     except ValueError as exc:
         raise FileFormatError(f"{path}: ragged sample levels") from exc
@@ -152,8 +168,8 @@ def load_problem(path: str) -> Problem:
     truth = obj.get("ground_truth", {})
     if not isinstance(truth, dict):
         raise FileFormatError(f"{path}: ground_truth must be an object")
-    taps = pairs_to_complex(truth["filter"], "ground-truth filter") if "filter" in truth else None
-    signal = pairs_to_complex(truth["signal"], "ground-truth signal") if "signal" in truth else None
+    taps, signal = (pairs_to_complex(truth[key], f"{path}: field 'ground_truth.{key}'")
+                    if key in truth else None for key in ("filter", "signal"))
     if taps is not None and taps.size != d:
         raise FileFormatError(f"{path}: ground-truth filter has length {taps.size}, expected {d}")
     if signal is not None and signal.size != d:

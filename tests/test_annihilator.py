@@ -106,6 +106,43 @@ def test_hankel_system_matches_scipy_hankel(degree, rows, extra):
     assert np.array_equal(H, scipy.linalg.hankel(c[:rows], c[rows - 1:rows + degree]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(1, 3), rows=st.integers(1, 8), cols=st.integers(1, 9),
+       extra=st.integers(0, 2), layout=st.sampled_from(["contiguous", "column", "reversed"]),
+       seed=st.integers(0, 2**16))
+def test_block_hankel_matches_sliding_window_view(q, rows, cols, extra, layout, seed):
+    # reference: the sliding_window_view construction _block_hankel
+    # replaced; the same entries and strides, so the solvers downstream
+    # see the same input
+    rng = np.random.default_rng(seed)
+    T = rows + cols - 1 + extra
+    wide = rng.standard_normal((T, q + 1)) + 1j * rng.standard_normal((T, q + 1))
+    terms = {"contiguous": np.ascontiguousarray(wide[:, :q]), "column": wide[:, 1:],
+             "reversed": wide[::-1, :q]}[layout]
+    windows = np.lib.stride_tricks.sliding_window_view(terms[:rows + cols - 1], rows, axis=0)
+    expected = windows.transpose(2, 1, 0).reshape(rows * q, cols)
+    H = _block_hankel(terms, rows, cols)
+    assert np.array_equal(H, expected)
+    assert H.strides == expected.strides and H.flags.writeable == expected.flags.writeable
+
+
+def test_block_hankel_rejects_too_few_levels():
+    with pytest.raises(DimensionError, match=r"^need at least rows \+ cols - 1 = 7 time levels, got 6$"):
+        _block_hankel(np.zeros((6, 1), dtype=np.complex128), 3, 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1),
+                                 complex(1.5e308, 1.5e308)], ids=repr)
+@pytest.mark.filterwarnings("ignore:overflow encountered in absolute:RuntimeWarning")
+def test_nonfinite_sequence_rejected(bad):
+    # the check reads the peak modulus, so finite parts whose modulus
+    # overflows count as non-finite too
+    seq = np.ones(8, dtype=np.complex128)
+    seq[5] = bad
+    with pytest.raises(DimensionError, match="^sample sequence contains non-finite values$"):
+        scalar_annihilator(seq, 4)
+
+
 # ------------------------------------------ per-degree reference search
 
 def _annihilator_per_degree(seq, r_max, rows):

@@ -201,9 +201,12 @@ def test_recover_nonpositive_dimension_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "d=0" in err
 
 
-@pytest.mark.parametrize("sampler", [{"type": "uniform"}, {"type": "indices"}],
-                         ids=["uniform-without-m", "indices-without-omega"])
-def test_recover_sampler_missing_parameter_exits_2(tmp_path, capsys, sampler):
+@pytest.mark.parametrize("sampler, message", [
+    ({"type": "uniform"}, "uniform sampler is missing field 'm'"),
+    ({"type": "indices"}, "indices sampler is missing field 'omega'"),
+    ({"type": "weird"}, "unknown sampler type 'weird'"),
+], ids=["uniform-without-m", "indices-without-omega", "unknown-type"])
+def test_recover_sampler_missing_parameter_exits_2(tmp_path, capsys, sampler, message):
     path = _simulate_diffusion(tmp_path)
     obj = json.loads(path.read_text())
     obj["sampler"] = sampler
@@ -211,8 +214,40 @@ def test_recover_sampler_missing_parameter_exits_2(tmp_path, capsys, sampler):
     code = run("recover", "--in", str(path), "--mode", "general",
                "--out", str(tmp_path / "r.json"))
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_recover_string_and_boolean_sample_exits_2(tmp_path, capsys):
+    # loaded through float(), ["1e0", true] used to become 1+1j and recover
+    # ran on the altered samples
+    path = _simulate_diffusion(tmp_path)
+    obj = json.loads(path.read_text())
+    obj["samples"][0][0] = ["1e0", True]
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert run("recover", "--in", str(path), "--mode", "general", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: {path}: field 'samples': expected a list of "
+                                       "[re, im] pairs of numbers\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e0", True, None, [1]], ids=repr)
+@pytest.mark.parametrize("field", ["recovered_spectrum", "recovered_filter", "recovered_signal"])
+def test_verify_rejects_non_number_report_values(tmp_path, capsys, field, value):
+    # m = 1 invariant recovery reports the spectrum, filter and signal
+    path, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "7", "--mode", "circulant", "--m", "1", "--levels", "2",
+               "--include-truth", "--seed", "1", "--out", str(path)) == 0
+    assert run("recover", "--in", str(path), "--mode", "invariant", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    report[field][0] = [value, 0.0]
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run("verify", "--in", str(path), "--report", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out}: field '{field}': expected a list of "
+                            "[re, im] pairs of numbers\n")
 
 
 def test_recover_plot_writes_svg(tmp_path):

@@ -14,10 +14,13 @@ from dynspec.model import IndexSet, Uniform, random_circulant, random_signal, si
 def test_complex_pairs_round_trip_is_bit_exact():
     rng = np.random.default_rng(0)
     values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    values[:3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     # through an actual JSON text pass, not just the converters
     text = json.dumps(complex_to_pairs(values))
     back = pairs_to_complex(json.loads(text))
-    assert np.array_equal(back, values)
+    assert back.dtype == np.complex128 and back.tobytes() == values.tobytes()
+    # JSON integers, however large, load as the numbers float() gives
+    assert pairs_to_complex([[2, -3], [2**70, 0]]).tolist() == [2 - 3j, 2.0**70]
 
 
 def test_problem_round_trip_preserves_everything(tmp_path):
@@ -106,9 +109,47 @@ def test_report_non_integer_support_rejected(tmp_path, value):
         load_report(str(path))
 
 
-@pytest.mark.parametrize("sampler", [{"type": "uniform"}, {"type": "indices"}],
-                         ids=["uniform-without-m", "indices-without-omega"])
-def test_problem_sampler_missing_parameter_rejected(tmp_path, sampler):
+NON_NUMBERS = ["1e0", True, None, [1]]
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS, ids=repr)
+@pytest.mark.parametrize("field", ["samples", "ground_truth.filter", "ground_truth.signal"])
+def test_problem_non_number_value_rejected(tmp_path, field, value):
+    # float("1e0") and float(True) would load these as numbers
+    samples = simulate(random_circulant(6, 3), random_signal(6, 4), IndexSet((1,)), 4)
+    path = tmp_path / "p.json"
+    save_problem(str(path), samples, truth_taps=np.ones(6), truth_signal=np.ones(6))
+    obj = json.loads(path.read_text())
+    if field == "samples":
+        obj["samples"][0][0] = [value, 0.5]
+    else:
+        obj["ground_truth"][field.split(".")[1]][2] = [0.5, value]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: field '{field}': "
+                                              "expected a list of \\[re, im\\] pairs of numbers$"):
+        load_problem(str(path))
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS + [[1, 2, 3], "ab", 1.5], ids=repr)
+def test_pairs_to_complex_rejects_non_number_pairs(value):
+    with pytest.raises(FileFormatError, match="^x: expected a list of"):
+        pairs_to_complex([[1, 2], value], "x")
+    with pytest.raises(FileFormatError, match="^x: expected a list of"):
+        pairs_to_complex(value, "x")
+
+
+def test_pairs_to_complex_number_out_of_range_rejected():
+    with pytest.raises(FileFormatError, match="^x: number out of range$"):
+        pairs_to_complex([[10**400, 0]], "x")
+
+
+@pytest.mark.parametrize("sampler, message", [
+    ({"type": "uniform"}, "uniform sampler is missing field 'm'"),
+    ({"type": "indices"}, "indices sampler is missing field 'omega'"),
+    ({"type": "weird"}, "unknown sampler type 'weird'"),
+    ([1, 2], "sampler must be an object with a 'type' field"),
+], ids=["uniform-without-m", "indices-without-omega", "unknown-type", "not-an-object"])
+def test_problem_sampler_missing_parameter_rejected(tmp_path, sampler, message):
     op = random_circulant(6, 3)
     samples = simulate(op, random_signal(6, 4), IndexSet((1,)), 4)
     path = tmp_path / "p.json"
@@ -116,7 +157,7 @@ def test_problem_sampler_missing_parameter_rejected(tmp_path, sampler):
     obj = json.loads(path.read_text())
     obj["sampler"] = sampler
     path.write_text(json.dumps(obj))
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_problem(str(path))
 
 

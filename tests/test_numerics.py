@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,36 @@ def test_lstsq_residual_matches_blas_product(shape, repeated):
     assert abs(residual - expected) <= 1e-13 * np.linalg.norm(rhs)
 
 
+def _same_bits(got, expected):
+    return (got.dtype == expected.dtype and got.shape == expected.shape
+            and got.tobytes() == expected.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), repeated=st.integers(0, 2),
+       seed=st.integers(0, 2**16))
+def test_lstsq_matches_scipy_gelsy_bit_for_bit(rows, cols, repeated, seed):
+    # reference: the scipy wrapper that least_squares used to go through;
+    # the direct zgelsy call passes the arguments it passed. Covers rows <
+    # cols (rhs padding) and rank-deficient systems whose last columns
+    # repeat the first.
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    repeated = min(repeated, cols // 2)
+    M[:, cols - repeated:] = M[:, :repeated]
+    rhs = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    expected = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")[0]
+    solution, _ = least_squares(M, rhs)
+    assert _same_bits(solution, expected)
+
+
+def test_lstsq_illegal_lapack_argument_raises():
+    failed = (None, np.zeros(1, dtype=np.complex128), None, 0, -3)
+    with mock.patch.object(numerics, "zgelsy", return_value=failed):
+        with pytest.raises(ValueError, match="illegal value in argument 3 of LAPACK zgelsy"):
+            least_squares([[1.0]], [1.0])
+
+
 # ----------------------------------------------------------- poly ops
 
 def test_roots_of_quadratic():
@@ -134,6 +165,33 @@ def test_roots_degree_zero_is_empty():
 def test_roots_reject_nonfinite_coefficients(low):
     with pytest.raises(DimensionError, match="^polynomial coefficients must be finite$"):
         poly_roots(low)
+
+
+@pytest.mark.parametrize("low", [[], [0], [0, 0, 0], [-0.0, 0j], [2, 0], [0, 1], [1j]],
+                         ids=repr)
+def test_roots_are_complex128(low):
+    # a pure power lambda^r has only zero roots, which np.roots gives as floats
+    assert poly_roots(low).dtype == np.complex128
+
+
+_SIGNED_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree=st.integers(1, 10), zeros=st.integers(0, 10), hole=st.integers(0, 10),
+       zero=st.sampled_from(_SIGNED_ZEROS), seed=st.integers(0, 2**16))
+def test_roots_match_np_roots_bit_for_bit(degree, zeros, hole, zero, seed):
+    # reference: np.roots on the descending coefficients, which poly_roots
+    # follows step by step; exact-zero (and -0.0) low-order coefficients
+    # are roots at 0 that it strips before the eigensolve, and a signed
+    # zero further up lands in the companion matrix's first row
+    rng = np.random.default_rng(seed)
+    low = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    low[:min(zeros, degree)] = zero
+    if hole < degree:
+        low[hole] = zero
+    expected = np.roots(np.concatenate(([1.0 + 0j], low[::-1])))
+    assert _same_bits(poly_roots(low), expected.astype(np.complex128))
 
 
 def test_roots_match_construction_degree_5():
