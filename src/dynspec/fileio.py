@@ -21,11 +21,23 @@ from .model import IndexSet, SampleSet, Uniform
 
 SCHEMA_VERSION = "dynspec-1"
 _JSON_NUMBERS = {int, float}
+_PAIRS_EXPECTED = "expected a list of [re, im] pairs of numbers"
 
 
 def complex_to_pairs(values) -> list:
     arr = np.asarray(values, dtype=np.complex128).ravel()
     return arr.view(np.float64).reshape(-1, 2).tolist()
+
+
+def _flatten(rows, name: str) -> tuple[set, list]:
+    """The lengths of a list of lists, as a set, and their entries in
+    order; anything else raises FileFormatError."""
+    try:
+        if type(rows) is list:
+            return set(map(len, rows)), list(chain.from_iterable(rows))
+    except TypeError:
+        pass
+    raise FileFormatError(f"{name}: {_PAIRS_EXPECTED}")
 
 
 def pairs_to_complex(pairs, name: str = "value list") -> np.ndarray:
@@ -37,13 +49,9 @@ def pairs_to_complex(pairs, name: str = "value list") -> np.ndarray:
     error message, so callers pass the file and the field. The checks
     run as set-of-types scans, which cost less than a Python loop over
     thousands of pairs."""
-    message = f"{name}: expected a list of [re, im] pairs of numbers"
-    if (type(pairs) is not list or not set(map(type, pairs)) <= {list}
-            or not set(map(len, pairs)) <= {2}):
-        raise FileFormatError(message)
-    flat = list(chain.from_iterable(pairs))
-    if not set(map(type, flat)) <= _JSON_NUMBERS:
-        raise FileFormatError(message)
+    widths, flat = _flatten(pairs, name)
+    if not widths <= {2} or not set(map(type, flat)) <= _JSON_NUMBERS:
+        raise FileFormatError(f"{name}: {_PAIRS_EXPECTED}")
     try:
         return np.array(flat, dtype=np.float64).view(np.complex128)
     except OverflowError as exc:
@@ -156,11 +164,16 @@ def load_problem(path: str) -> Problem:
     L_total = _json_int(obj["L_total"], path, "L_total")
     if not isinstance(levels, list) or len(levels) != L_total:
         raise FileFormatError(f"{path}: samples length does not match L_total")
-    try:
-        data = np.array([pairs_to_complex(level, f"{path}: field 'samples'") for level in levels],
-                        dtype=np.complex128)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: ragged sample levels") from exc
+    # all levels convert in one pass: a pass per level cost more than the
+    # conversion itself on files of many short levels
+    name = f"{path}: field 'samples'"
+    if not set(map(type, levels)) <= {list}:
+        raise FileFormatError(f"{name}: {_PAIRS_EXPECTED}")
+    widths, pairs = _flatten(levels, name)
+    if len(widths) > 1:
+        raise FileFormatError(f"{path}: ragged sample levels")
+    values = pairs_to_complex(pairs, name)
+    data = values.reshape(L_total, len(levels[0])) if levels else values
     try:
         sample_set = SampleSet(d, sampler, data)
     except Exception as exc:

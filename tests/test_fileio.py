@@ -130,6 +130,24 @@ def test_problem_non_number_value_rejected(tmp_path, field, value):
         load_problem(str(path))
 
 
+@pytest.mark.parametrize("level, message", [
+    ([[0.5, 0.5], [0.5, 0.5]], "ragged sample levels"),
+    ([], "ragged sample levels"),
+    (1.5, "field 'samples': expected a list of [re, im] pairs of numbers"),
+    ("ab", "field 'samples': expected a list of [re, im] pairs of numbers"),
+    (None, "field 'samples': expected a list of [re, im] pairs of numbers"),
+], ids=["two-pairs", "empty", "number", "string", "null"])
+def test_problem_malformed_sample_level_rejected(tmp_path, level, message):
+    samples = simulate(random_circulant(6, 3), random_signal(6, 4), IndexSet((1,)), 4)
+    path = tmp_path / "p.json"
+    save_problem(str(path), samples)
+    obj = json.loads(path.read_text())
+    obj["samples"][2] = level
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_problem(str(path))
+
+
 @pytest.mark.parametrize("value", NON_NUMBERS + [[1, 2, 3], "ab", 1.5], ids=repr)
 def test_pairs_to_complex_rejects_non_number_pairs(value):
     with pytest.raises(FileFormatError, match="^x: expected a list of"):
