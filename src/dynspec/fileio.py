@@ -20,7 +20,7 @@ from .errors import FileFormatError
 from .model import IndexSet, SampleSet, Uniform
 
 SCHEMA_VERSION = "dynspec-1"
-_JSON_NUMBERS = {int, float}
+_JSON_NUMBERS = frozenset({int, float})
 _PAIRS_EXPECTED = "expected a list of [re, im] pairs of numbers"
 
 
