@@ -20,6 +20,7 @@ on the first r columns of H against minus column r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,11 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     if peak < zero_threshold(zero_scale):
         return AnnihilatorPolynomial(np.zeros(0, dtype=np.complex128), 0.0)
 
+    # Scale the peak into [0.5, 1) by a power of two. That is exact, so at
+    # ordinary scales every residual and coefficient keeps its bits, and
+    # data near either end of the float range no longer underflows or
+    # overflows in the solves.
+    terms = terms * math.ldexp(1.0, -math.frexp(peak)[1])
     H = _block_hankel(terms, rows, r_max + 1)
     best = float("inf")
     for r in range(1, r_max + 1):

@@ -14,7 +14,6 @@ the environment variable DYNSPEC_SEED is used, then 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import config
 from .errors import DynspecError, RecoveryError
-from .fileio import (SCHEMA_VERSION, atomic_write_text, complex_to_pairs,
+from .fileio import (SCHEMA_VERSION, _load_json, atomic_write_text, complex_to_pairs,
                      load_problem, load_report, pairs_to_complex,
                      save_problem, save_report)
 from .invariant import recover_operator
@@ -155,8 +154,7 @@ def cmd_simulate(args) -> int:
         else:
             if not args.filter_file:
                 return _fail("--filter file requires --filter-file PATH", 2)
-            with open(args.filter_file) as fh:
-                taps = pairs_to_complex(json.load(fh), "filter file")
+            taps = pairs_to_complex(_load_json(args.filter_file), args.filter_file)
             if taps.size != args.d:
                 return _fail(f"filter file has {taps.size} taps, expected {args.d}", 2)
             op = Circulant(taps)
@@ -335,8 +333,6 @@ def main(argv=None) -> int:
         return 2 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except RecoveryError as exc:
-        return _fail(str(exc), 3)
     except (DynspecError, ValueError, TypeError, OSError) as exc:
         return _fail(str(exc), 2)
 

@@ -85,6 +85,18 @@ def _load_json(path: str):
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_document(path: str, kind: str) -> dict:
+    """A problem or report file (``kind``) as a JSON object carrying the
+    current schema version."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{path}: {kind} file must be a JSON object")
+    if obj.get("schema_version") != SCHEMA_VERSION:
+        raise FileFormatError(
+            f"{path}: schema_version {obj.get('schema_version')!r}, expected {SCHEMA_VERSION!r}")
+    return obj
+
+
 def _json_int(value, path: str, name: str) -> int:
     """A JSON integer field; floats, strings, booleans and null are refused
     rather than truncated or converted."""
@@ -149,12 +161,7 @@ def save_problem(path: str, samples: SampleSet,
 
 
 def load_problem(path: str) -> Problem:
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"{path}: problem file must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise FileFormatError(
-            f"{path}: schema_version {obj.get('schema_version')!r}, expected {SCHEMA_VERSION!r}")
+    obj = _load_document(path, "problem")
     for key in ("d", "sampler", "L_total", "samples"):
         if key not in obj:
             raise FileFormatError(f"{path}: missing field {key!r}")
@@ -195,12 +202,7 @@ def save_report(path: str, report: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"{path}: report file must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise FileFormatError(
-            f"{path}: schema_version {obj.get('schema_version')!r}, expected {SCHEMA_VERSION!r}")
+    obj = _load_document(path, "report")
     if "mode" not in obj:
         raise FileFormatError(f"{path}: missing field 'mode'")
     diagnostics = obj.get("diagnostics", {})

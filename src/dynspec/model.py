@@ -155,11 +155,7 @@ class SampleSet:
     def __post_init__(self):
         if self.d < 1:
             raise DimensionError(f"d must be positive, got d={self.d}")
-        arr = np.asarray(self.samples, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise DimensionError(f"samples must be a (L_total, |omega|) array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DimensionError("samples contain non-finite values")
+        arr = as_matrix(self.samples, "samples")
         idx = self.sampler.indices(self.d)
         if arr.shape[1] != idx.size:
             raise DimensionError(f"{arr.shape[1]} values per time level, expected {idx.size}")

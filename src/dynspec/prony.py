@@ -38,12 +38,11 @@ def prony_support(samples: SampleSet, s: int | None = None,
         raise ValueError(f"sparsity must satisfy 1 <= s < d/2, got s={s}, d={d}")
     if samples.L_total < 2 * s:
         raise InsufficientDataError(f"need 2s = {2 * s} time levels, have {samples.L_total}")
-    head = SampleSet(d, samples.sampler, samples.samples[:2 * s])
-    estimate = recover_observable_spectrum(head, r_max=s, tol=tol)
+    estimate = recover_observable_spectrum(samples, r_max=s, tol=tol)
     start = int(samples.omega[0])
     try:
         support = snap_support(estimate.per_source[start], d)
-        x_hat = prony_values(head.samples[:, 0], start, support, d, tol=tol)
+        x_hat = prony_values(samples.samples[:2 * s, 0], start, support, d, tol=tol)
     except RecoveryError as exc:
         exc.partial = estimate
         raise

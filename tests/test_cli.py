@@ -171,7 +171,12 @@ def test_recover_failure_exits_3_with_partial_report(tmp_path, capsys):
      ["--mode", "prony", "--sparsity", "6"], "need 2s = 12 time levels, have 10"),
     (["--d", "8", "--m", "1", "--levels", "1"], ["--mode", "general"],
      "need at least 2 time levels for spectral recovery"),
-], ids=["prony-sparsity-6-on-10-levels", "general-on-1-level"])
+    (["--d", "8", "--m", "1", "--levels", "1"], ["--mode", "extrapolate"],
+     "no usable window: 1 levels for 8 sampled coordinates"),
+    (["--d", "16", "--omega", "0,5", "--levels", "32"], ["--mode", "extrapolate", "--window", "11"],
+     "window L=11 with 2 coordinates needs 33 time levels, have 32"),
+], ids=["prony-sparsity-6-on-10-levels", "general-on-1-level", "extrapolate-on-1-level",
+        "extrapolate-window-11-on-32-levels"])
 def test_recover_too_few_levels_exits_2(tmp_path, capsys, simulate_args, recover_args, message):
     problem, out = tmp_path / "p.json", tmp_path / "r.json"
     assert run("simulate", *simulate_args, "--seed", "1", "--out", str(problem)) == 0
@@ -416,6 +421,12 @@ def test_usage_error_exits_2(tmp_path, capsys):
                  "--out", out]
     taps = tmp_path / "taps.json"
     taps.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    unclosed, string_tap, missing = (tmp_path / name for name in
+                                     ("unclosed.json", "string.json", "missing.json"))
+    unclosed.write_text("[[1.0, 0.0],\n")
+    string_tap.write_text(json.dumps([["2", 0]]))
+    from_file = ["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter", "file",
+                 "--out", out, "--filter-file"]
     for argv, message in (
             (["recover", "--mode", "invariant"], "required: --in, --out"),
             (["recover", "--tol", "nan"], "argument --tol: expected a finite number > 0"),
@@ -430,7 +441,11 @@ def test_usage_error_exits_2(tmp_path, capsys):
             (["simulate", "--d", "4", "--m", "1", "--levels", "0", "--out", out],
              "levels must be positive, got 0"),
             (["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter", "file",
-              "--filter-file", str(taps), "--out", out], "filter file has 3 taps, expected 4")):
+              "--filter-file", str(taps), "--out", out], "filter file has 3 taps, expected 4"),
+            ([*from_file, str(unclosed)], f"{unclosed} is not valid JSON"),
+            ([*from_file, str(string_tap)],
+             f"{string_tap}: expected a list of [re, im] pairs of numbers"),
+            ([*from_file, str(missing)], f"cannot read {missing}")):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

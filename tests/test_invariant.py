@@ -8,9 +8,9 @@ from dynspec.errors import (AmbiguousOrdering, DimensionError,
 from dynspec.invariant import (fourier_classes, order_symmetric_decreasing,
                                recover_operator, recover_signal,
                                recover_spectrum_invariant)
-from dynspec.model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
-                           random_circulant, random_signal, shift_operator,
-                           simulate)
+from dynspec.model import (Circulant, IndexSet, SampleSet, Uniform,
+                           make_diffusion_filter, random_circulant, random_signal,
+                           shift_operator, simulate)
 from dynspec.numerics import dft
 from dynspec.prony import random_sparse_signal
 from dynspec.spectral import SpectrumEstimate
@@ -152,6 +152,21 @@ def test_invariant_degree_bound_and_root_locality(d, m):
         assert len(roots) <= m
         assert roots_contained(roots, a_hat[np.arange(j, d, J)], 1e-8)
     assert_sets_close(est.merged, a_hat, 1e-8)
+
+
+@pytest.mark.parametrize("k", [-290, -200, 200, 290])
+def test_invariant_recovery_is_scale_invariant(k):
+    # unnormalized, 1e-200 data gave degree 1 per class, 5 of 15 values
+    # and no error, and 1e+200 data found no annihilator
+    d, m = 15, 3
+    samples = simulate(random_circulant(d, 5), random_signal(d, 6), Uniform(m), 2 * m)
+    scaled = SampleSet(d, samples.sampler, samples.samples * 10.0 ** k)
+    ref = recover_spectrum_invariant(samples)
+    got = recover_spectrum_invariant(scaled)
+    assert ({j: r.size for j, r in got.per_source.items()}
+            == {j: r.size for j, r in ref.per_source.items()})
+    assert got.merged.size == ref.merged.size == d
+    assert_sets_close(got.merged, ref.merged, 1e-8)
 
 
 def test_invariant_zero_class_contributes_nothing():

@@ -1,5 +1,7 @@
-"""The package's public surface, and the layers the benchmark traces."""
+"""The package's public surface, the module that owns the file format,
+and the layers the benchmark traces."""
 
+import ast
 import importlib.util
 import sys
 import types
@@ -31,6 +33,22 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(dynspec).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_only_fileio_imports_json():
+    # the file format is fileio's decision: every file is read and written there
+    importers = set()
+    for path in Path(dynspec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name == "json" or name.startswith("json.") for name in modules):
+                importers.add(path.name)
+    assert importers == {"fileio.py"}
 
 
 def test_every_traced_layer_exists(monkeypatch):
