@@ -94,14 +94,19 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
         raise DimensionError(
             f"need at least rows + r_max = {rows + r_max} time levels, got {terms.shape[0]}")
 
-    if peak < zero_threshold(zero_scale):
+    if peak <= zero_threshold(zero_scale):
         return AnnihilatorPolynomial(np.zeros(0, dtype=np.complex128), 0.0)
 
     # Scale the peak into [0.5, 1) by a power of two. That is exact, so at
     # ordinary scales every residual and coefficient keeps its bits, and
     # data near either end of the float range no longer underflows or
     # overflows in the solves.
-    terms = terms * math.ldexp(1.0, -math.frexp(peak)[1])
+    shift = -math.frexp(peak)[1]
+    if shift > 1000:
+        # a subnormal peak, whose 2**shift would overflow: lift the terms
+        # into the normal range first, which is exact as well
+        terms, shift = terms * 2.0 ** 64, shift - 64
+    terms = terms * math.ldexp(1.0, shift)
     H = _block_hankel(terms, rows, r_max + 1)
     best = float("inf")
     for r in range(1, r_max + 1):

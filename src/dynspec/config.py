@@ -18,7 +18,6 @@ TAU_NODE = 1e-8
 # Dedup tolerance for merging roots, relative to the spectral scale.
 DEDUP_REL = 1e-6
 
-# All-zero detection (numerics.zero_threshold): absolute floor plus a
-# relative factor on the caller-supplied scale.
-ZERO_FLOOR = 1e-300
+# All-zero detection (numerics.zero_threshold): a value counts as zero
+# at or below this fraction of the caller-supplied scale.
 ZERO_REL = 1e-12

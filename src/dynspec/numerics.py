@@ -49,9 +49,10 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def zero_threshold(scale: float) -> float:
-    """Magnitude below which a value counts as zero, for data of the
-    given scale: an absolute floor plus a relative factor."""
-    return max(config.ZERO_FLOOR, config.ZERO_REL * scale)
+    """Magnitude at or below which a value counts as zero, for data of the
+    given scale: a fixed fraction of it, so only zero counts as zero at
+    scale 0."""
+    return config.ZERO_REL * scale
 
 
 def min_pairwise_gap(values: np.ndarray) -> float:

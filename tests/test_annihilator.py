@@ -80,6 +80,15 @@ def test_two_exponential_sequence():
     assert_sets_close(poly_roots(ann.poly), [2, 3], 1e-9)
 
 
+@pytest.mark.parametrize("value", [0.0, 1e-301, 1e-307, 1e-320, 5e-324])
+def test_zero_test_is_relative_to_zero_scale(value):
+    # only exact zeros count as zero at zero_scale 0; subnormal data are
+    # lifted exactly into the normal range before the search
+    ann = scalar_annihilator(np.full(6, value), 3, zero_scale=value)
+    assert ann.degree == (1 if value else 0)
+    assert np.allclose(ann.poly, [-1][:ann.degree], atol=1e-12)
+
+
 def test_all_zero_sequence_is_trivial():
     ann = scalar_annihilator(np.zeros(8), 4)
     assert ann.degree == 0
@@ -152,7 +161,7 @@ def _annihilator_per_degree(seq, r_max, rows):
     terms = np.asarray(seq, dtype=np.complex128)
     if terms.ndim == 1:
         terms = terms[:, None]
-    if float(np.max(np.abs(terms))) < max(config.ZERO_FLOOR, config.ZERO_REL):
+    if float(np.max(np.abs(terms))) <= config.ZERO_REL:
         return 0, np.zeros(0, dtype=np.complex128), 0.0
     best = float("inf")
     for r in range(1, r_max + 1):

@@ -453,6 +453,28 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{\x00}\x00", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, ": JSON nested too deeply to read"),
+], ids=["utf-16", "deep"])
+@pytest.mark.parametrize("command", ["recover", "verify", "simulate"])
+def test_undecodable_input_file_names_itself_and_exits_2(tmp_path, capsys, command,
+                                                         content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    good = _simulate_diffusion(tmp_path)
+    out = str(tmp_path / "out.json")
+    argv = {"recover": ["recover", "--in", str(bad), "--mode", "invariant", "--out", out],
+            "verify": ["verify", "--in", str(good), "--report", str(bad)],
+            "simulate": ["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter",
+                         "file", "--filter-file", str(bad), "--out", out]}[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and err.count("\n") == 1, err
+    assert message in err
+    assert not os.path.exists(out)
+
+
 def test_help_exits_0(capsys):
     assert run("recover", "--help") == 0
     assert "--sparsity" in capsys.readouterr().out

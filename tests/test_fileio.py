@@ -1,13 +1,17 @@
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynspec.cli import main
 from dynspec.errors import FileFormatError
-from dynspec.fileio import (atomic_write_json, complex_to_pairs, load_problem,
-                            load_report, pairs_to_complex, save_problem)
+from dynspec.fileio import (_dumps, _pair_list, atomic_write_json, complex_to_pairs,
+                            load_problem, load_report, pairs_to_complex, save_problem)
 from dynspec.model import IndexSet, Uniform, random_circulant, random_signal, simulate
 
 
@@ -197,3 +201,93 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_problem(str(tmp_path / "p.json"), samples)
     leftovers = [f for f in tmp_path.iterdir() if f.suffix == ".tmp"]
     assert leftovers == []
+
+
+# ------------------------------------------------------------ the writer
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_texts = st.text(st.characters(codec=None), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "\u00e9\u2028\U0001f600", "NaN"])
+_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1e-7])
+_numbers = _floats | st.integers(-(2 ** 200), 2 ** 200)
+# pair lists: mostly all-float pairs, which take the one-pass path; an
+# int, a non-finite value, a bool or a ragged entry sends them to the
+# generic path
+_pair = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2)
+_odd_pair = (st.tuples(_numbers | st.booleans(), _numbers).map(list)
+             | st.lists(_floats, max_size=3))
+_pair_lists = st.lists(_pair | _odd_pair, min_size=1, max_size=4) | st.lists(_pair, max_size=4)
+_leaves = _texts | _numbers | st.booleans() | st.none() | _pair_lists
+_trees = st.recursive(_leaves, lambda children: st.lists(children, max_size=4)
+                      | st.dictionaries(_texts, children, max_size=4), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_trees)
+def test_writer_matches_json_dumps(obj):
+    assert _dumps(obj) == _oracle(obj)
+
+
+@pytest.mark.parametrize("items", [
+    [[1.0, 2]], [[1, 2.0]], [[True, 2.0]], [[math.nan, 1.0]], [[1.0, math.inf]],
+    [[-math.inf, 1.0]], [[1.0]], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0]], [[1.0, 2.0], 3.0],
+    [[np.float64(1.0), 2.0]], [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]],
+], ids=["int-im", "int-re", "bool", "nan", "inf", "-inf", "short", "long", "ragged",
+        "bare-number", "float-subclass", "pairs-of-pairs"])
+def test_writer_sends_other_pair_lists_to_the_generic_path(items):
+    assert _pair_list(items, "\n") is None
+    assert _dumps(items) == _oracle(items)
+    assert _dumps({"a": [items]}) == _oracle({"a": [items]})
+
+
+def test_writer_pair_list_path_is_byte_identical():
+    values = np.random.default_rng(3).standard_normal(64) * 10.0 ** np.arange(-32, 32)
+    values[:4] = [-0.0, 5e-324, 1e300, -1e-300]
+    items = values.reshape(-1, 2).tolist()
+    assert _pair_list(items, "\n") == _oracle(items)
+    assert _dumps({"b": {"a": items}}) == _oracle({"b": {"a": items}})
+
+
+def test_writer_spells_true_false_none_as_json():
+    # bool is an int subclass, and int.__repr__(True) is "True"
+    obj = {"t": True, "f": False, "n": None, "l": [True, 1, False, 0, None], "one": 1}
+    assert _dumps(obj) == _oracle(obj)
+    assert _dumps(True) == "true" and _dumps(False) == "false" and _dumps(None) == "null"
+
+
+@pytest.mark.parametrize("obj", [(1.0, 2.0), {1: "a"}, {None: 1}, {"a": {1, 2}}, b"x",
+                                 [np.int64(3)], {"a": np.complex128(1j)}],
+                         ids=["tuple", "int-key", "none-key", "set", "bytes", "np-int",
+                              "np-complex"])
+def test_writer_refuses_types_the_file_formats_do_not_use(obj, tmp_path):
+    # json.dumps would convert tuples and non-str keys; this writer refuses them
+    with pytest.raises(TypeError):
+        _dumps(obj)
+    with pytest.raises(TypeError):
+        atomic_write_json(str(tmp_path / "r.json"), {"mode": "general", "x": obj})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_files_equal_json_dumps_of_their_content(tmp_path, capsys):
+    # invariant and prony successes, and a general-mode exit-3 report
+    # that records failures
+    runs = {
+        "invariant": (["--d", "15", "--mode", "circulant", "--filter", "diffusion", "--m", "3",
+                       "--levels", "6"], ["--mode", "invariant", "--assume-symmetric"], 0),
+        "prony": (["--d", "64", "--mode", "shift", "--omega", "5", "--sparsity", "4",
+                   "--levels", "8"], ["--mode", "prony"], 0),
+        "general": (["--d", "96", "--mode", "shift", "--omega", "3", "--levels", "50"],
+                    ["--mode", "general"], 3),
+    }
+    for name, (sim, rec, code) in runs.items():
+        problem, report = tmp_path / f"{name}.problem.json", tmp_path / f"{name}.report.json"
+        assert main(["simulate", *sim, "--include-truth", "--seed", "1",
+                     "--out", str(problem)]) == 0
+        assert main(["recover", "--in", str(problem), *rec, "--out", str(report)]) == code
+        for path in (problem, report):
+            text = path.read_text()
+            assert text == _oracle(json.loads(text)) + "\n", path.name
+    assert json.loads(report.read_text())["diagnostics"]["failures"]
