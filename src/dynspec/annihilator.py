@@ -62,15 +62,19 @@ def _block_hankel(terms: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
                              tol: float = config.TAU_SOLVE,
-                             zero_scale: float = 1.0) -> AnnihilatorPolynomial:
+                             zero_scale: float | None = None) -> AnnihilatorPolynomial:
     """Smallest-degree monic annihilator of a restricted power sequence.
 
     ``seq`` is time-major: seq[l] is the restricted sample at time l (a
     vector, or a scalar for the scalar form). ``rows`` defaults to r_max,
     which needs 2 * r_max terms. Degree 0 (the constant polynomial 1) is
-    returned only when the whole sequence is numerically zero; otherwise
-    degrees 1..r_max are tried in ascending order and the first one whose
-    system reaches relative residual < tol wins.
+    returned only when the whole sequence is numerically zero: its peak
+    modulus is at most ``zero_threshold(zero_scale)``. ``zero_scale``
+    defaults to that peak itself, so only an all-zero sequence counts as
+    zero, whatever the data's scale; the pipelines pass the largest
+    sample of all their sequences. Otherwise degrees 1..r_max are tried
+    in ascending order and the first one whose system reaches relative
+    residual < tol wins.
 
     Raises NoAnnihilator, carrying the best residual seen, when no degree
     up to r_max is consistent (r_max too small, or degenerate data).
@@ -94,7 +98,7 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
         raise DimensionError(
             f"need at least rows + r_max = {rows + r_max} time levels, got {terms.shape[0]}")
 
-    if peak <= zero_threshold(zero_scale):
+    if peak <= zero_threshold(peak if zero_scale is None else zero_scale):
         return AnnihilatorPolynomial(np.zeros(0, dtype=np.complex128), 0.0)
 
     # Scale the peak into [0.5, 1) by a power of two. That is exact, so at
@@ -120,7 +124,7 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
 
 def scalar_annihilator(c, r_max: int, rows: int | None = None,
                        tol: float = config.TAU_SOLVE,
-                       zero_scale: float = 1.0) -> AnnihilatorPolynomial:
+                       zero_scale: float | None = None) -> AnnihilatorPolynomial:
     """Scalar form of the engine; the coefficient matrix is Hankel."""
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 1:

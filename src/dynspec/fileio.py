@@ -3,7 +3,8 @@
 Both are JSON with complex numbers stored as [re, im] pairs. Floats are
 written with Python's round-trip repr, so save -> load is exact to the
 bit for finite values, and key order is fixed, so identical content means
-identical bytes. Writes go through a temp file plus rename.
+identical bytes. Writes go through a temp file plus rename, and leave
+the mode a plain ``open`` would.
 
 The text written is ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
 newline, byte for byte, but built by ``_dumps``: with ``indent`` set, json
@@ -130,16 +131,28 @@ def atomic_write_json(path: str, payload) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path`` and rename it into
+    place. The file gets the mode a plain ``open(path, "w")`` would give,
+    0o666 less the umask: ``mkstemp`` creates it readable by its owner
+    only."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    """The process umask, which can only be read by setting it."""
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
 
 
 def _load_json(path: str):

@@ -2,10 +2,10 @@
 
 Everything here is a pure function of its inputs: the DFT in both
 directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
-least squares, the roots of a monic polynomial given by its low-order
-coefficients, and the shared zero and separation tests. Vectors and
-matrices are plain complex ndarrays; ``as_vector`` and ``as_matrix``
-check their shape and finiteness.
+least squares, the roots of monic polynomials given by their low-order
+coefficients, the distance between two point sets, and the shared zero
+and separation tests. Vectors and matrices are plain complex ndarrays;
+``as_vector`` and ``as_matrix`` check their shape and finiteness.
 
 The degree search solves many tiny systems (the invariant pipeline
 solves 3 x k systems, thousands per recovery), so least squares calls
@@ -13,9 +13,23 @@ LAPACK's zgelsy and the root finder numpy's eigenvalue routine directly.
 On such systems ``scipy.linalg.lstsq`` spent several times the LAPACK
 call on its generic checks, and ``np.roots`` a smaller share; the direct
 calls pass the same arguments and give bit-identical results.
+
+The work per source and per point is done over whole arrays. The
+invariant pipeline has one residue class per d/m frequencies, 512 at
+d = 1536: ``poly_roots`` takes the stack of all their polynomials and
+runs one batched eigensolve per count of zero roots, and
+``set_match_error`` compares two spectra through a window of each
+point's real-order neighbours instead of a dense distance table. Both
+give the bits the per-row and dense forms give. The degree search itself
+still runs per source, one least-squares solve per tried degree: a
+batched screen would change the per-search solve counts that the
+benchmark's tests pin.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
 
 import numpy as np
 from scipy.linalg.lapack import zgelsy, zgelsy_lwork
@@ -26,6 +40,9 @@ from .errors import DimensionError
 _RESIDUAL_FLOOR = float(np.finfo(np.float64).tiny)
 _EPS = float(np.finfo(np.float64).eps)
 _MATCH_BLOCK_ENTRIES = 1 << 16
+# Real-order neighbours on each side whose distance bounds a point's
+# nearest-neighbour search in set_match_error.
+_MATCH_NEIGHBOURS = 2
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
@@ -33,7 +50,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError(f"{name}: expected a nonempty 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError(f"{name}: entries must be finite")
     return arr
 
@@ -43,7 +60,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(M, dtype=np.complex128)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionError(f"{name}: expected a nonempty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError(f"{name}: entries must be finite")
     return arr
 
@@ -99,7 +116,8 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     product ``A @ sol``: OpenBLAS runs a complex mat-vec multi-threaded
     once rows * cols >= 4096. On a 2-vCPU machine with two BLAS threads,
     such a product after a solve took about 4-7 ms, against about 4-13 us
-    single-threaded; the einsum loop takes 20-60 us at 96 rows.
+    single-threaded; the einsum loop takes 20-60 us at 96 rows. Both
+    norms are ``np.linalg.norm``'s, computed by ``_norm``.
     """
     A = as_matrix(M, "coefficient matrix")
     b = as_vector(rhs, "right-hand side")
@@ -115,15 +133,27 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK zgelsy")
     sol = x[:n]
-    residual = float(np.linalg.norm(np.einsum("ij,j->i", A, sol) - b))
-    rel = residual / max(float(np.linalg.norm(b)), _RESIDUAL_FLOOR)
+    residual = _norm(np.einsum("ij,j->i", A, sol) - b)
+    rel = residual / max(_norm(b), _RESIDUAL_FLOOR)
     return sol, rel
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a complex vector, bit for bit, by the steps
+    it takes: a ``ravel(order="K")`` (a contiguous copy of a strided
+    vector, so the dot products below see the same strides), then
+    sqrt(re . re + im . im). The degree search forms two norms per solve,
+    and the generic function's dispatch cost more than the arithmetic."""
+    flat = v.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def poly_roots(low_coeffs) -> np.ndarray:
     """All roots, with multiplicity, of the monic polynomial lambda^r +
     sum_{l<r} low_coeffs[l] lambda^l, r = len(low_coeffs), as a complex128
-    array (empty for r = 0).
+    array (empty for r = 0). A (k, r) array is a stack of k such
+    polynomials and gives the (k, r) array of their roots, row by row.
 
     Follows ``np.roots`` step by step, without its generic checks: the
     exact-zero low-order coefficients low[0..z-1] give z trailing roots
@@ -132,39 +162,97 @@ def poly_roots(low_coeffs) -> np.ndarray:
     first row is -p[1:] / p[0] and whose subdiagonal is ones. The roots
     are bit-identical to ``np.roots``, except that a pure power lambda^r
     gives complex zeros where ``np.roots`` gives float ones.
+
+    The rows of a stack that share z go through one batched eigensolve,
+    which runs the same LAPACK routine on the same matrices, so each row
+    has the bits that row alone would give; a vector is a stack of one.
     """
-    low = np.asarray(low_coeffs, dtype=np.complex128).ravel()
-    if not np.all(np.isfinite(low)):
+    low = np.asarray(low_coeffs, dtype=np.complex128)
+    if low.ndim < 2:
+        return poly_roots(low.reshape(1, low.size))[0]
+    if low.ndim > 2:
+        raise DimensionError(f"expected coefficients of shape (r,) or (k, r), got {low.shape}")
+    if not np.isfinite(low).all():
         raise DimensionError("polynomial coefficients must be finite")
-    nonzero = np.flatnonzero(low)
-    zeros = int(nonzero[0]) if nonzero.size else low.size
-    p = np.concatenate(([1.0 + 0j], low[zeros:][::-1]))
-    n = p.size - 1
-    if n == 0:
-        return np.zeros(zeros, dtype=np.complex128)
-    companion = np.eye(n, k=-1, dtype=np.complex128)
-    # p[0] is 1, but dividing by it as np.roots does keeps the matrix
-    # identical to np.roots' down to the sign of its zeros
-    companion[0, :] = -p[1:] / p[0]
-    return np.concatenate((np.linalg.eigvals(companion), np.zeros(zeros, dtype=np.complex128)))
+    k, r = low.shape
+    # the count of leading exact zeros (-0.0 included) of each row
+    zeros = np.logical_and.accumulate(low == 0, axis=1).sum(axis=1)
+    roots = np.zeros((k, r), dtype=np.complex128)
+    for z in np.unique(zeros[zeros < r]).tolist():
+        rows = np.flatnonzero(zeros == z)
+        n = r - z
+        companion = np.zeros((rows.size, n, n), dtype=np.complex128)
+        companion[:, 1:, :-1] = np.eye(n - 1, dtype=np.complex128)
+        # p[0] is 1, but dividing by it as np.roots does keeps the matrix
+        # identical to np.roots' down to the sign of its zeros
+        companion[:, 0, :] = -low[rows, z:][:, ::-1] / (1 + 0j)
+        roots[rows, :n] = np.linalg.eigvals(companion)
+    return roots
 
 
 def set_match_error(got, expected) -> float:
     """Symmetric worst-case nearest-neighbor distance between two point
-    sets in the complex plane (inf when exactly one side is empty)."""
+    sets in the complex plane (inf when exactly one side is empty).
+
+    Equals the dense formula, the max over both sides of each point's
+    smallest ``np.abs`` distance to the other side, bit for bit, NaN and
+    inf entries included, without forming the dense table: each point is
+    compared only with the candidates ``_match_candidates`` yields, which
+    hold its nearest neighbour, and min and max are exact.
+    """
     a = np.asarray(got, dtype=np.complex128).ravel()
     b = np.asarray(expected, dtype=np.complex128).ravel()
     if a.size == 0 and b.size == 0:
         return 0.0
     if a.size == 0 or b.size == 0:
         return float("inf")
-    # Row blocks of at most _MATCH_BLOCK_ENTRIES distances, so memory stays
-    # bounded; min and max are exact, so the result equals the dense one.
-    step = max(1, _MATCH_BLOCK_ENTRIES // b.size)
-    row_min = np.empty(a.size)
+    row_min = np.full(a.size, np.inf)
     col_min = np.full(b.size, np.inf)
-    for start in range(0, a.size, step):
-        dist = np.abs(a[start:start + step, None] - b[None, :])
-        row_min[start:start + step] = dist.min(axis=1)
-        np.minimum(col_min, dist.min(axis=0), out=col_min)
+    # every pair's distance counts for both of its points; np.minimum
+    # flags a NaN it propagates as invalid, which the dense min does not
+    with np.errstate(invalid="ignore"):
+        for i, j in chain(_match_candidates(a, b), (ji[::-1] for ji in _match_candidates(b, a))):
+            dist = np.abs(a[i] - b[j])
+            np.minimum.at(row_min, i, dist)
+            np.minimum.at(col_min, j, dist)
     return float(max(row_min.max(), col_min.max()))
+
+
+def _match_candidates(queries: np.ndarray, targets: np.ndarray):
+    """(query index, target index) pairs, in chunks of at most
+    ``_MATCH_BLOCK_ENTRIES``, that hold every query's nearest target.
+
+    A finite query's candidates are the finite targets whose real part is
+    within u of its own, where u is its distance to the
+    ``_MATCH_NEIGHBOURS`` finite targets on each side of it in real
+    order: a target nearer than u is that close in real part. u is
+    widened by a few ulps of the real parts, so rounding in the distances
+    and the bounds cannot drop one. A non-finite query's candidates are
+    all targets; the non-finite targets of a finite query are its
+    candidates in the other direction, whose queries they are.
+    """
+    # candidate ranges index ``perm``: the finite targets in real order,
+    # then the others (keyed +inf)
+    finite_t = np.isfinite(targets)
+    key = np.where(finite_t, targets.real, np.inf)
+    perm = key.argsort(kind="stable")
+    n_finite = int(np.count_nonzero(finite_t))
+    keys = key[perm[:n_finite]]
+    lo = np.zeros(queries.size, dtype=np.intp)
+    hi = np.full(queries.size, targets.size, dtype=np.intp)
+    q = np.nonzero(np.isfinite(queries))[0]
+    hi[q] = 0
+    if n_finite and q.size:
+        re = queries.real[q]
+        pos = keys.searchsorted(re)[:, None] + np.arange(-_MATCH_NEIGHBOURS, _MATCH_NEIGHBOURS)
+        near = perm[np.minimum(np.maximum(pos, 0), n_finite - 1)]
+        u = np.abs(queries[q, None] - targets[near]).min(axis=1)
+        reach = (u + np.abs(re)) * (4 * _EPS) + u
+        lo[q] = keys.searchsorted(re - reach, "left")
+        hi[q] = keys.searchsorted(re + reach, "right")
+    ends = (hi - lo).cumsum()
+    total = int(ends[-1])
+    for start in range(0, total, _MATCH_BLOCK_ENTRIES):
+        flat = np.arange(start, min(start + _MATCH_BLOCK_ENTRIES, total))
+        query = ends.searchsorted(flat, "right")
+        yield query, perm[hi[query] - (ends[query] - flat)]

@@ -104,7 +104,7 @@ def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,
     operator, so it raises RecoveryError with the estimate attached.
     """
     zero_scale = float(np.max(np.abs(samples.samples)))
-    per_source: dict = {}
+    polys: dict = {}
     residuals: dict = {}
     failures: dict = {}
     worst = 0.0
@@ -118,8 +118,13 @@ def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,
             failures[src] = str(exc)
             worst = max(worst, exc.best_residual)
             continue
-        per_source[src] = poly_roots(ann.poly)
+        polys[src] = ann.poly
         residuals[src] = ann.relative_residual
+    # one root-finding call per degree, over the stack of its polynomials
+    per_source = dict.fromkeys(polys)
+    for degree in {poly.size for poly in polys.values()}:
+        same = [src for src, poly in polys.items() if poly.size == degree]
+        per_source.update(zip(same, poly_roots(np.stack([polys[src] for src in same]))))
     merged, tol_used = merge_roots(per_source.values(), dedup_rel)
     estimate = SpectrumEstimate(per_source, merged, tol_used, residuals, failures)
     if merged.size > samples.d:

@@ -89,6 +89,23 @@ def test_zero_test_is_relative_to_zero_scale(value):
     assert np.allclose(ann.poly, [-1][:ann.degree], atol=1e-12)
 
 
+_SCALED_SEQUENCES = {
+    "zero": (np.zeros(6), 0),
+    "constant": (np.ones(6), 1),
+    "two modes": (np.array([2.0 ** l + 3.0 ** l for l in range(6)]), 2),
+    "three modes": (np.array([1 + (-0.5) ** l + (0.5j) ** l for l in range(6)]), 3),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_SCALED_SEQUENCES)), k=st.integers(-300, 300))
+def test_default_zero_scale_follows_the_data(name, k):
+    # the default zero scale is the sequence's own peak, so a direct call
+    # finds the same degree at any scale; 1e-13 * ones once counted as zero
+    seq, degree = _SCALED_SEQUENCES[name]
+    assert scalar_annihilator(seq * 10.0 ** k, 3).degree == degree
+
+
 def test_all_zero_sequence_is_trivial():
     ann = scalar_annihilator(np.zeros(8), 4)
     assert ann.degree == 0
@@ -157,11 +174,13 @@ def test_nonfinite_sequence_rejected(bad):
 def _annihilator_per_degree(seq, r_max, rows):
     """The ascending search with each degree's system stacked on its own and
     its residual formed by the BLAS product. Returns (degree, low_coeffs,
-    relative residual) or raises NoAnnihilator."""
+    relative residual) or raises NoAnnihilator. The zero test is relative
+    to the sequence's own peak, the default zero scale."""
     terms = np.asarray(seq, dtype=np.complex128)
     if terms.ndim == 1:
         terms = terms[:, None]
-    if float(np.max(np.abs(terms))) <= config.ZERO_REL:
+    peak = float(np.max(np.abs(terms)))
+    if peak <= config.ZERO_REL * peak:
         return 0, np.zeros(0, dtype=np.complex128), 0.0
     best = float("inf")
     for r in range(1, r_max + 1):

@@ -293,6 +293,26 @@ def test_verify_pass_and_corruption(tmp_path, capsys):
     assert "FAIL" in table and "spectrum" in table
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
+@pytest.mark.filterwarnings("error")
+def test_verify_fails_report_with_nonfinite_spectrum(tmp_path, capsys, value):
+    # json writes these as NaN and Infinity, and reads them back
+    path = _simulate_diffusion(tmp_path)
+    out = tmp_path / "r.json"
+    assert run("recover", "--in", str(path), "--mode", "invariant",
+               "--assume-symmetric", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    report["recovered_spectrum"][3][1] = value
+    corrupted = tmp_path / "c.json"
+    corrupted.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run("verify", "--in", str(path), "--report", str(corrupted)) == 1
+    captured = capsys.readouterr()
+    row = next(line for line in captured.out.splitlines() if line.startswith("spectrum"))
+    assert row.split()[1] in ("nan", "inf") and "FAIL" in row
+    assert captured.err == ""
+
+
 def test_verify_fails_report_with_collapsed_spectrum(tmp_path, capsys):
     # a huge dedup merges the 8 true values into 1; the truth keeps its own
     path = _simulate_diffusion(tmp_path)

@@ -195,6 +195,19 @@ def test_atomic_write_failure_removes_temp_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_json(str(tmp_path / "r.json"), {"mode": "general"})
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "r.json").stat().st_mode & 0o777 == mode
+    assert (tmp_path / "plain.json").stat().st_mode & 0o777 == mode
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     op = random_circulant(6, 5)
     samples = simulate(op, random_signal(6, 6), IndexSet((0,)), 2)

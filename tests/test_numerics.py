@@ -194,6 +194,34 @@ def test_roots_match_np_roots_bit_for_bit(degree, zeros, hole, zero, seed):
     assert _same_bits(poly_roots(low), expected.astype(np.complex128))
 
 
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(0, 6),
+       rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from(_SIGNED_ZEROS)),
+                     min_size=1, max_size=8),
+       seed=st.integers(0, 2**16))
+def test_stacked_roots_match_each_row_bit_for_bit(r, rows, seed):
+    # rows of one stack with different counts of leading (signed) zeros,
+    # up to all-zero rows, and degree 0 when r is 0; every row keeps the
+    # bits of its own call and of np.roots
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((len(rows), r)) + 1j * rng.standard_normal((len(rows), r))
+    for row, (zeros, hole, zero) in zip(stack, rows):
+        row[:min(zeros, r)] = zero
+        if hole < r:
+            row[hole] = zero
+    got = poly_roots(stack)
+    assert got.shape == stack.shape and got.dtype == np.complex128
+    for low, roots in zip(stack, got):
+        assert _same_bits(roots, poly_roots(low))
+        expected = np.roots(np.concatenate(([1.0 + 0j], low[::-1])))
+        assert _same_bits(roots, expected.astype(np.complex128))
+
+
+def test_roots_reject_deeper_stacks():
+    with pytest.raises(DimensionError, match=r"shape \(r,\) or \(k, r\)"):
+        poly_roots(np.ones((2, 2, 2)))
+
+
 def test_roots_match_construction_degree_5():
     # oracle: the polynomial is built from known roots
     rng = np.random.default_rng(11)
@@ -281,6 +309,60 @@ _point = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
 def test_set_match_error_blocks_match_dense_formula(got, expected, block):
     with mock.patch.object(numerics, "_MATCH_BLOCK_ENTRIES", block):
         assert set_match_error(got, expected) == _set_match_error_dense(got, expected)
+
+
+_NONFINITE = [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(-np.inf, 1),
+              complex(2, np.inf), complex(np.inf, -np.inf), complex(np.nan, np.inf)]
+
+
+@st.composite
+def _point_set(draw):
+    """Point sets that stress a search ordered by real part: one shared real
+    part, exact duplicates from a small pool, and near-ties a few ulps
+    apart, with optional NaN and infinite entries."""
+    n = draw(st.integers(0, 25))
+    kind = draw(st.sampled_from(["plane", "line", "pool", "ties"]))
+    if kind == "plane":
+        points = draw(st.lists(_point, min_size=n, max_size=n))
+    elif kind == "line":
+        re = draw(st.sampled_from([0.0, -0.0, 1.0, -3.5]))
+        points = [complex(re, im) for im in draw(st.lists(st.floats(-1e3, 1e3), min_size=n,
+                                                          max_size=n))]
+    elif kind == "pool":
+        points = draw(st.lists(st.sampled_from([0j, 1 + 1j, 1 - 1j, -0.5j, 1 + 0j]),
+                               min_size=n, max_size=n))
+    else:
+        base = draw(st.sampled_from([1.0, -1.0, 1e-300, 3e5]))
+        steps = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              min_size=n, max_size=n))
+        ulp = float(np.spacing(base))
+        points = [complex(base + k * ulp, base + j * ulp) for k, j in steps]
+    extra = draw(st.lists(st.sampled_from(_NONFINITE), max_size=2))
+    return draw(st.permutations(points + extra))
+
+
+@settings(max_examples=400, deadline=None)
+@given(got=_point_set(), expected=_point_set(), block=st.integers(1, 70))
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_set_match_error_matches_dense_formula_on_hard_sets(got, expected, block):
+    # NaN compares as NaN: both sides must give it
+    with mock.patch.object(numerics, "_MATCH_BLOCK_ENTRIES", block):
+        got_err = set_match_error(got, expected)
+    dense = _set_match_error_dense(got, expected)
+    assert got_err == dense or (np.isnan(got_err) and np.isnan(dense))
+
+
+def test_set_match_error_unit_circle_against_perturbed_permutation():
+    # the invariant-wide spectra: 1536 roots of unity, conjugate pairs
+    # sharing each real part, against a shuffled copy moved by 1e-13
+    d = 1536
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    rng = np.random.default_rng(1536)
+    moved = rng.permutation(roots) + 1e-13 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    err = set_match_error(moved, roots)
+    assert err == _set_match_error_dense(moved, roots) and 0 < err < 1e-12
+    with mock.patch.object(numerics, "_MATCH_BLOCK_ENTRIES", 97):
+        assert set_match_error(roots, moved) == err
 
 
 @pytest.mark.parametrize("sizes", [(1536, 1536), (300, 301), (3, 70001), (70001, 2)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynspec import config
 from dynspec.annihilator import scalar_annihilator
 from dynspec.errors import SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
@@ -12,7 +13,7 @@ from dynspec.numerics import poly_roots
 from dynspec.prony import prony_support, random_sparse_signal
 from dynspec.spectral import (fit_extrapolation, merge_roots,
                               recover_observable_spectrum,
-                              recover_spectrum_via_extrapolation)
+                              recover_spectrum_via_extrapolation, search_sources)
 from helpers import assert_sets_close, roots_contained
 from oracles import observable_spectrum_oracle
 
@@ -244,6 +245,40 @@ def test_pipeline_defaults_from_samples_alone(monkeypatch, pipeline, omega, leve
     est = pipeline(samples)
     assert seen[0] == expected
     assert_sets_close(est.merged, np.exp(2j * np.pi * np.flatnonzero(x_hat) / d), 1e-8)
+
+
+# ------------------------------------------------- per-degree roots
+
+@settings(max_examples=100, deadline=None)
+@given(degrees=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       noisy=st.integers(0, 12), seed=st.integers(0, 2**16))
+def test_search_sources_roots_match_per_source_calls(degrees, noisy, seed):
+    # sources of mixed degree, zero series (degree 0) among them, under
+    # shuffled ids, one of them noise that only the square system fits (a
+    # failure when the bound is not a-priori): the roots found per degree
+    # stack keep each source's bits, and per_source its insertion order
+    rng = np.random.default_rng(seed)
+    series = np.zeros((8, len(degrees)), dtype=np.complex128)
+    for pos, degree in enumerate(degrees):
+        ratios = (1 + np.arange(degree)) * np.exp(2j * np.pi * rng.random(degree))
+        series[:, pos] = (ratios ** np.arange(8)[:, None]) @ (1 + rng.random(degree))
+    if noisy < len(degrees):
+        series[:, noisy] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    ids = rng.permutation(100)[:len(degrees)].tolist()
+    samples = SampleSet(100, IndexSet(tuple(range(len(degrees)))), series)
+    zero_scale = float(np.max(np.abs(series)))
+    expected = {}
+    for src, seq in zip(ids, series.T):
+        ann = scalar_annihilator(seq, 4, zero_scale=zero_scale)
+        if ann.degree < 4:
+            expected[src] = poly_roots(ann.poly)
+    estimate, _worst = search_sources(samples, zip(ids, series.T), 4, config.DEDUP_REL,
+                                      config.TAU_SOLVE, bounded=False)
+    assert list(estimate.per_source) == list(expected)
+    assert set(estimate.failures) == set(ids) - set(expected)
+    for src, roots in expected.items():
+        got = estimate.per_source[src]
+        assert got.dtype == roots.dtype and got.tobytes() == roots.tobytes()
 
 
 # ------------------------------------------------- failure accounting
