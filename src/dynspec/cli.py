@@ -5,6 +5,10 @@ Three subcommands: ``simulate`` writes a synthetic problem file,
 estimate as a report, ``verify`` compares a report against the
 problem's embedded ground truth.
 
+The files are ``fileio``'s: ``recover`` hands it the estimate to write,
+and ``verify`` gets back a typed ``Report``. The truth checks compare a
+``Report`` whichever command builds it, and the SVG plot is written here.
+
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error, 3 recovery failure. Failures print a single
 machine-greppable ``error: ...`` line on stderr. When --seed is absent
@@ -21,8 +25,7 @@ import numpy as np
 
 from . import config
 from .errors import DynspecError, RecoveryError
-from .fileio import (SCHEMA_VERSION, _load_json, atomic_write_text, complex_to_pairs,
-                     load_problem, load_report, pairs_to_complex,
+from .fileio import (Report, atomic_write_text, load_problem, load_report, load_taps,
                      save_problem, save_report)
 from .invariant import recover_operator
 from .model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
@@ -154,7 +157,7 @@ def cmd_simulate(args) -> int:
         else:
             if not args.filter_file:
                 return _fail("--filter file requires --filter-file PATH", 2)
-            taps = pairs_to_complex(_load_json(args.filter_file), args.filter_file)
+            taps = load_taps(args.filter_file)
             if taps.size != args.d:
                 return _fail(f"filter file has {taps.size} taps, expected {args.d}", 2)
             op = Circulant(taps)
@@ -184,43 +187,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fill_estimate(report: dict, estimate, source_kind: str) -> None:
-    report["source_kind"] = source_kind
-    report["recovered_spectrum"] = complex_to_pairs(estimate.merged)
-    if estimate.support is not None:
-        report["recovered_support"] = [int(n) for n in estimate.support]
-    for name, value in (("filter", estimate.taps), ("signal", estimate.signal)):
-        if value is not None:
-            report[f"recovered_{name}"] = complex_to_pairs(value)
-    per = {}
-    for src in sorted(estimate.per_source):
-        roots = estimate.per_source[src]
-        entry = {"degree": int(len(roots)), "roots": complex_to_pairs(roots)}
-        if src in estimate.residuals:
-            entry["residual"] = float(estimate.residuals[src])
-        per[str(src)] = entry
-    report["per_source"] = per
-    if estimate.dedup_tol is not None:
-        report["diagnostics"]["tolerances"]["dedup_tol"] = float(estimate.dedup_tol)
-    for src, msg in estimate.failures.items():
-        report["diagnostics"]["failures"][src if isinstance(src, str) else f"source {src}"] = msg
-
-
 def cmd_recover(args) -> int:
     problem = load_problem(args.infile)
     samples = problem.sample_set
     tol = config.TAU_SOLVE if args.tol is None else args.tol
     dedup_rel = config.DEDUP_REL if args.dedup is None else args.dedup
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": args.mode,
-        "diagnostics": {
-            "tolerances": {"tau_solve": tol, "dedup_rel": dedup_rel,
-                           "tau_root": config.TAU_ROOT},
-            "failures": {},
-        },
-    }
-    source_kind = "residue_class" if args.mode == "invariant" else "index"
+    tolerances = {"tau_solve": tol, "dedup_rel": dedup_rel, "tau_root": config.TAU_ROOT}
     try:
         if args.mode == "invariant":
             estimate = recover_operator(samples, args.assume_symmetric, dedup_rel, tol)
@@ -231,34 +203,31 @@ def cmd_recover(args) -> int:
         else:
             estimate = prony_support(samples, args.sparsity, tol)
     except RecoveryError as exc:
-        report["diagnostics"]["failures"]["fatal"] = str(exc)
-        if exc.partial is not None:
-            _fill_estimate(report, exc.partial, source_kind)
-        save_report(args.out, report)
+        save_report(args.out, args.mode, tolerances, exc.partial, fatal=str(exc))
         return _fail(str(exc), 3)
 
-    _fill_estimate(report, estimate, source_kind)
+    verified = None
     if problem.has_truth:
-        checks = _truth_checks(problem, report, VERIFY_TOL, args.out)
-        report["verified"] = {f"{name}_error": err for name, err, _t, _p, _n in checks}
-    save_report(args.out, report)
+        found = Report(args.mode, estimate.merged, estimate.support, estimate.taps,
+                       estimate.signal)
+        verified = {name: err for name, err, *_ in _truth_checks(problem, found, VERIFY_TOL)}
+    save_report(args.out, args.mode, tolerances, estimate, verified=verified)
     if args.plot:
         _write_spectrum_svg(args.plot, estimate.merged)
     print(f"wrote {args.out}: {estimate.merged.size} spectral values (mode={args.mode})")
     return 0
 
 
-def _truth_checks(problem, report: dict, tol: float, report_path: str) -> list:
+def _truth_checks(problem, report: Report, tol: float) -> list:
     """Compare a report against the problem's ground truth.
 
     Returns (name, error, tol, passed, note) rows; which rows appear
     depends on the report's mode and fields. The true spectrum is merged
     on its own scale, so a report cannot pass by collapsing its spectrum;
     in prony mode it is the grid points of the true signal's support.
-    ``report_path`` names the report in errors about its value lists.
     """
     checks = []
-    prony = report.get("mode") == "prony"
+    prony = report.mode == "prony"
     expected = None
     if prony and problem.truth_signal is not None:
         x_hat = dft(problem.truth_signal)
@@ -266,21 +235,19 @@ def _truth_checks(problem, report: dict, tol: float, report_path: str) -> list:
         expected = np.exp(2j * np.pi * support / problem.sample_set.d)
     elif not prony and problem.truth_taps is not None:
         expected, _ = merge_roots([dft(problem.truth_taps)])
-    if expected is not None and "recovered_spectrum" in report:
-        merged = pairs_to_complex(report["recovered_spectrum"],
-                                  f"{report_path}: field 'recovered_spectrum'")
+    if expected is not None and report.spectrum is not None:
+        merged = report.spectrum
         err = set_match_error(merged, expected)
         checks.append(("spectrum", err, tol, merged.size == expected.size and err < tol,
                        f"{merged.size} vs {expected.size} values"))
-    if prony and expected is not None and "recovered_support" in report:
-        got = sorted(report["recovered_support"])
+    if prony and expected is not None and report.support is not None:
+        got = sorted(report.support)
         ok = got == support.tolist()
         checks.append(("support", 0.0 if ok else float("inf"), tol, ok,
                        f"{got} vs {support.tolist()}"))
-    for name, truth in (("filter", problem.truth_taps), ("signal", problem.truth_signal)):
-        if truth is not None and f"recovered_{name}" in report:
-            got = pairs_to_complex(report[f"recovered_{name}"],
-                                   f"{report_path}: field 'recovered_{name}'")
+    for name, truth, got in (("filter", problem.truth_taps, report.taps),
+                             ("signal", problem.truth_signal, report.signal)):
+        if truth is not None and got is not None:
             err = float(np.max(np.abs(got - truth))) if got.size == truth.size else float("inf")
             checks.append((name, err, tol, err < tol, ""))
     return checks
@@ -290,8 +257,7 @@ def cmd_verify(args) -> int:
     problem = load_problem(args.infile)
     if not problem.has_truth:
         return _fail("problem file carries no ground truth", 2)
-    report = load_report(args.report)
-    checks = _truth_checks(problem, report, args.tol, args.report)
+    checks = _truth_checks(problem, load_report(args.report), args.tol)
     if not checks:
         return _fail("report has no fields comparable against the ground truth", 2)
     width = max(len(name) for name, *_ in checks)

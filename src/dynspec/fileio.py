@@ -1,10 +1,14 @@
-"""Problem and report files.
+"""Problem, report and filter-tap files.
 
-Both are JSON with complex numbers stored as [re, im] pairs. Floats are
-written with Python's round-trip repr, so save -> load is exact to the
-bit for finite values, and key order is fixed, so identical content means
-identical bytes. Writes go through a temp file plus rename, and leave
-the mode a plain ``open`` would.
+This module owns their format: ``save_problem`` and ``save_report`` build
+a file from a sample set or a recovery estimate, and ``load_problem``,
+``load_report`` and ``load_taps`` check a file and return typed values
+(``Problem``, ``Report``, an array), so no other module reads or writes
+a field. All are JSON with complex numbers stored as [re, im] pairs.
+Floats are written with Python's round-trip repr, so save -> load is
+exact to the bit for finite values, and key order is fixed, so identical
+content means identical bytes. Writes go through a temp file plus
+rename, and leave the mode a plain ``open`` would.
 
 The text written is ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
 newline, byte for byte, but built by ``_dumps``: with ``indent`` set, json
@@ -19,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -132,27 +135,20 @@ def atomic_write_json(path: str, payload) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to a temp file beside ``path`` and rename it into
-    place. The file gets the mode a plain ``open(path, "w")`` would give,
-    0o666 less the umask: ``mkstemp`` creates it readable by its owner
-    only."""
+    place. The temp file is created with mode 0o666, which the kernel
+    cuts by the umask as it does for a plain ``open(path, "w")``; reading
+    the umask would mean setting it, for every thread of the process."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _umask() -> int:
-    """The process umask, which can only be read by setting it."""
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
 
 
 def _load_json(path: str):
@@ -223,6 +219,18 @@ class Problem:
         return self.truth_taps is not None or self.truth_signal is not None
 
 
+@dataclass(frozen=True, eq=False)
+class Report:
+    """The recovered fields of a report, each None when it has none: the
+    merged spectrum, the Prony support, and the filter and signal."""
+
+    mode: str
+    spectrum: np.ndarray | None = None
+    support: tuple[int, ...] | None = None
+    taps: np.ndarray | None = None
+    signal: np.ndarray | None = None
+
+
 def save_problem(path: str, samples: SampleSet,
                  truth_taps=None, truth_signal=None) -> None:
     payload = {
@@ -279,20 +287,56 @@ def load_problem(path: str) -> Problem:
     return Problem(sample_set, taps, signal)
 
 
-def save_report(path: str, report: dict) -> None:
+def load_taps(path: str) -> np.ndarray:
+    """A filter file: a JSON list of the taps as [re, im] pairs."""
+    return pairs_to_complex(_load_json(path), path)
+
+
+def save_report(path: str, mode: str, tolerances: dict, estimate=None,
+                fatal: str | None = None, verified: dict | None = None) -> None:
+    """Write the report of a ``mode`` run: the ``tolerances`` it used,
+    its ``estimate`` (a ``SpectrumEstimate``; for a failed run the partial
+    one, or None), the ``fatal`` message of a failed run, and ``verified``,
+    the error of each ground-truth check by check name."""
+    tolerances = dict(tolerances)
+    failures = {} if fatal is None else {"fatal": fatal}
+    report = {"schema_version": SCHEMA_VERSION, "mode": mode,
+              "diagnostics": {"tolerances": tolerances, "failures": failures}}
+    if estimate is not None:
+        report["source_kind"] = "residue_class" if mode == "invariant" else "index"
+        report["recovered_spectrum"] = complex_to_pairs(estimate.merged)
+        if estimate.support is not None:
+            report["recovered_support"] = [int(n) for n in estimate.support]
+        for name, value in (("filter", estimate.taps), ("signal", estimate.signal)):
+            if value is not None:
+                report[f"recovered_{name}"] = complex_to_pairs(value)
+        per_source = report["per_source"] = {}
+        for src, roots in estimate.per_source.items():
+            entry = per_source[str(src)] = {"degree": len(roots), "roots": complex_to_pairs(roots)}
+            if src in estimate.residuals:
+                entry["residual"] = float(estimate.residuals[src])
+        if estimate.dedup_tol is not None:
+            tolerances["dedup_tol"] = float(estimate.dedup_tol)
+        for src, msg in estimate.failures.items():
+            failures[src if isinstance(src, str) else f"source {src}"] = msg
+    if verified is not None:
+        report["verified"] = {f"{name}_error": err for name, err in verified.items()}
     atomic_write_json(path, report)
 
 
-def load_report(path: str) -> dict:
+def load_report(path: str) -> Report:
     obj = _load_document(path, "report")
     if "mode" not in obj:
         raise FileFormatError(f"{path}: missing field 'mode'")
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict) or not isinstance(diagnostics.get("tolerances", {}), dict):
         raise FileFormatError(f"{path}: diagnostics and its tolerances must be objects")
-    support = obj.get("recovered_support", [])
-    if not isinstance(support, list):
-        raise FileFormatError(f"{path}: field 'recovered_support' must be a list")
-    for n in support:
-        _json_int(n, path, "recovered_support")
-    return obj
+    support = obj.get("recovered_support")
+    if "recovered_support" in obj:
+        if not isinstance(support, list):
+            raise FileFormatError(f"{path}: field 'recovered_support' must be a list")
+        support = tuple(_json_int(n, path, "recovered_support") for n in support)
+    spectrum, taps, signal = (
+        pairs_to_complex(obj[key], f"{path}: field {key!r}") if key in obj else None
+        for key in ("recovered_spectrum", "recovered_filter", "recovered_signal"))
+    return Report(obj["mode"], spectrum, support, taps, signal)

@@ -210,10 +210,15 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
         raise ValueError(f"decay must be finite and positive, got {decay}")
     half = (d - 1) // 2
     head = np.exp(-decay * np.arange(half + 1, dtype=float) ** 2)
-    if not np.all(np.diff(head) < 0):
-        raise ValueError(
-            f"diffusion filter with d={d}, decay={decay} is not strictly decreasing: "
-            "exp(-decay*k^2) underflows before the folding index; use a smaller decay")
+    stalls = np.flatnonzero(np.diff(head) >= 0)
+    if stalls.size:
+        # a tiny decay leaves neighbouring values equal near 1, a large one
+        # takes them to 0
+        cause = ("rounds to 1, or to one value near 1, at neighbouring frequencies; "
+                 "use a larger decay" if head[stalls[0]] > 0.5 else
+                 "underflows before the folding index; use a smaller decay")
+        raise ValueError(f"diffusion filter with d={d}, decay={decay} is not strictly "
+                         f"decreasing: exp(-decay*k^2) {cause}")
     a_hat = np.concatenate([head, head[1:][::-1]]).astype(np.complex128)
     return Circulant(dft(a_hat, inverse=True))
 

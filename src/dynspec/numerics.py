@@ -166,6 +166,9 @@ def poly_roots(low_coeffs) -> np.ndarray:
     The rows of a stack that share z go through one batched eigensolve,
     which runs the same LAPACK routine on the same matrices, so each row
     has the bits that row alone would give; a vector is a stack of one.
+    Pass a whole stack in one call: each call has a fixed cost, so 512
+    degree-3 rows take several times longer one call per row than as
+    one stack.
     """
     low = np.asarray(low_coeffs, dtype=np.complex128)
     if low.ndim < 2:

@@ -93,6 +93,16 @@ def test_simulate_diffusion_underflow_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_simulate_diffusion_tiny_decay_exits_2(tmp_path, capsys):
+    code = run("simulate", "--d", "15", "--m", "3", "--levels", "6", "--filter",
+               "diffusion", "--decay", "1e-20", "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "rounds to 1" in err and err.endswith("use a larger decay\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 # ------------------------------------------------------------- recover
 
 def test_recover_invariant_symmetric(tmp_path):

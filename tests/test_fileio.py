@@ -2,17 +2,25 @@ import json
 import math
 import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynspec import config
 from dynspec.cli import main
-from dynspec.errors import FileFormatError
-from dynspec.fileio import (_dumps, _pair_list, atomic_write_json, complex_to_pairs,
-                            load_problem, load_report, pairs_to_complex, save_problem)
-from dynspec.model import IndexSet, Uniform, random_circulant, random_signal, simulate
+from dynspec.errors import FileFormatError, RecoveryError
+from dynspec.fileio import (_dumps, _pair_list, atomic_write_json, atomic_write_text,
+                            complex_to_pairs, load_problem, load_report, pairs_to_complex,
+                            save_problem, save_report)
+from dynspec.invariant import recover_operator
+from dynspec.model import (IndexSet, Uniform, make_diffusion_filter, random_circulant,
+                           random_diagonalizable, random_signal, shift_operator, simulate)
+from dynspec.prony import prony_support, random_sparse_signal
+from dynspec.spectral import recover_observable_spectrum, recover_spectrum_via_extrapolation
 
 
 def test_complex_pairs_round_trip_is_bit_exact():
@@ -39,6 +47,74 @@ def test_problem_round_trip_preserves_everything(tmp_path):
     assert np.array_equal(problem.sample_set.samples, samples.samples)
     assert np.array_equal(problem.truth_taps, op.taps)
     assert np.array_equal(problem.truth_signal, x)
+
+
+def _estimate(case):
+    """One estimate of each recovery mode, as ``recover`` computes it."""
+    if case == "invariant-symmetric":  # filter recovered, signal refused
+        samples = simulate(make_diffusion_filter(15, 0.1), random_signal(15, 1), Uniform(3), 6)
+        return "invariant", recover_operator(samples, True)
+    if case == "invariant-m1":  # filter and signal recovered
+        samples = simulate(random_circulant(7, 2), random_signal(7, 3), Uniform(1), 2)
+        return "invariant", recover_operator(samples)
+    if case == "general":
+        samples = simulate(random_diagonalizable(8, 4), random_signal(8, 5), IndexSet((0, 3)), 16)
+        return "general", recover_observable_spectrum(samples)
+    if case == "extrapolate":
+        samples = simulate(random_circulant(9, 16), random_signal(9, 17), IndexSet((0,)), 18)
+        return "extrapolate", recover_spectrum_via_extrapolation(samples, 9)
+    if case == "prony":
+        x, _ = random_sparse_signal(64, 5, np.random.default_rng(6))
+        samples = simulate(shift_operator(64), x, IndexSet((17,)), 10)
+        return "prony", prony_support(samples)
+    # a random filter is not symmetric: every class solves, the ordering fails
+    samples = simulate(random_circulant(15, 7), random_signal(15, 8), Uniform(3), 6)
+    with pytest.raises(RecoveryError) as info:
+        recover_operator(samples, True)
+    return "invariant", info.value.partial
+
+
+@pytest.mark.parametrize("case", ["invariant-symmetric", "invariant-m1", "general",
+                                  "extrapolate", "prony", "partial"])
+def test_report_round_trip_is_bit_exact(tmp_path, case):
+    mode, estimate = _estimate(case)
+    path = tmp_path / "r.json"
+    tolerances = {"tau_solve": config.TAU_SOLVE, "dedup_rel": config.DEDUP_REL,
+                  "tau_root": config.TAU_ROOT}
+    fatal = "ordering failed" if case == "partial" else None
+    save_report(str(path), mode, tolerances, estimate, fatal=fatal)
+    report = load_report(str(path))
+    assert report.mode == mode
+    assert report.spectrum.dtype == np.complex128
+    assert report.spectrum.tobytes() == estimate.merged.tobytes()
+    assert report.support == estimate.support
+    for got, sent in ((report.taps, estimate.taps), (report.signal, estimate.signal)):
+        assert (got is None) == (sent is None)
+        assert got is None or got.tobytes() == np.asarray(sent, dtype=np.complex128).tobytes()
+    present = {"invariant-symmetric": ("taps",), "invariant-m1": ("taps", "signal"),
+               "prony": ("support", "signal")}.get(case, ())
+    assert {name for name in ("support", "taps", "signal")
+            if getattr(report, name) is not None} == set(present)
+
+
+def test_report_without_estimate_has_no_recovered_fields(tmp_path):
+    path = tmp_path / "r.json"
+    save_report(str(path), "general", {"tau_solve": 1e-8}, fatal="no samples")
+    report = load_report(str(path))
+    assert (report.mode, report.spectrum, report.support, report.taps, report.signal) == (
+        "general", None, None, None, None)
+    assert json.loads(path.read_text())["diagnostics"]["failures"] == {"fatal": "no samples"}
+
+
+@pytest.mark.parametrize("field", ["recovered_spectrum", "recovered_filter", "recovered_signal"])
+def test_report_non_number_value_rejected(tmp_path, field):
+    # float("1e0") would load the string as a number
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"schema_version": "dynspec-1", "mode": "invariant",
+                                field: [[0.5, 0.5], ["1e0", 0.0]]}))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: field '{field}': "
+                                              "expected a list of \\[re, im\\] pairs of numbers$"):
+        load_report(str(path))
 
 
 def test_problem_missing_fields_rejected(tmp_path):
@@ -206,6 +282,45 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
         os.umask(old)
     assert (tmp_path / "r.json").stat().st_mode & 0o777 == mode
     assert (tmp_path / "plain.json").stat().st_mode & 0o777 == mode
+
+
+def test_atomic_write_never_sets_the_umask(tmp_path, monkeypatch):
+    # the umask belongs to the whole process: setting it, even to read it
+    # back, changes the mode of files other threads create meanwhile
+    def fail(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", fail)
+    atomic_write_json(str(tmp_path / "r.json"), {"mode": "general"})
+    assert json.loads((tmp_path / "r.json").read_text()) == {"mode": "general"}
+    assert [f.name for f in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_atomic_write_leaves_other_threads_files_alone(tmp_path):
+    # a writer thread loops while this thread creates files: every file
+    # must get 0o666 less the umask, the writer's too
+    old_mask, old_interval = os.umask(0o022), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    stop = threading.Event()
+
+    def writer():
+        while not stop.is_set():
+            atomic_write_text(str(tmp_path / "w.json"), "{}\n")
+
+    thread = threading.Thread(target=writer)
+    try:
+        thread.start()
+        for i in range(2000):
+            with open(tmp_path / f"plain{i}", "w"):
+                pass
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        sys.setswitchinterval(old_interval)
+        os.umask(old_mask)
+    assert not thread.is_alive()
+    modes = {f.name: f.stat().st_mode & 0o777 for f in tmp_path.iterdir()}
+    assert len(modes) == 2001 and set(modes.values()) == {0o644}
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -221,6 +221,18 @@ def test_diffusion_underflow_rejected():
         make_diffusion_filter(1023, 0.1)
 
 
+@pytest.mark.parametrize("d, decay, cause", [
+    (15, 1e-20, "rounds to 1, or to one value near 1, at neighbouring frequencies; "
+                "use a larger decay"),
+    (1023, 0.1, "underflows before the folding index; use a smaller decay"),
+], ids=["rounds-to-1", "underflows"])
+def test_diffusion_names_why_it_is_not_decreasing(d, decay, cause):
+    # exp(-1e-20 * k^2) is 1.0 in double precision for every k up to 7
+    with pytest.raises(ValueError, match=f"d={d}, decay={decay} is not strictly decreasing: "
+                                         rf"exp\(-decay\*k\^2\) {cause}$"):
+        make_diffusion_filter(d, decay)
+
+
 @pytest.mark.parametrize("decay", [float("nan"), float("inf"), 0.0, -1.0])
 def test_diffusion_rejects_nonfinite_or_nonpositive_decay(decay):
     with pytest.raises(ValueError, match="^decay must be finite and positive, got "):

@@ -51,6 +51,43 @@ def test_only_fileio_imports_json():
     assert importers == {"fileio.py"}
 
 
+def _modules():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(Path(dynspec.__file__).parent.glob("*.py"))}
+
+
+def test_only_fileio_names_the_file_format_helpers():
+    # the JSON layout of both files, and their schema version, are fileio's
+    helpers = {"pairs_to_complex", "complex_to_pairs", "SCHEMA_VERSION", "_load_json"}
+    namers = set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id in helpers
+                    or isinstance(node, ast.Attribute) and node.attr in helpers
+                    or isinstance(node, ast.alias) and node.name in helpers):
+                namers.add(name)
+    assert namers == {"fileio.py"}
+
+
+def test_modules_use_every_name_they_import():
+    # no linter runs on this package; __init__ imports names to export them
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                   if bound not in used]
+    assert unused == []
+
+
 def test_every_traced_layer_exists(monkeypatch):
     # a deleted function would otherwise turn its benchmark layer into "absent"
     spec = importlib.util.spec_from_file_location("perfbench_bench", BENCH)
