@@ -138,12 +138,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    if args.d < 1:
-        return _fail(f"d must be positive, got {args.d}", 2)
     if args.levels < 1:
         return _fail(f"levels must be positive, got {args.levels}", 2)
     if args.sparsity is not None and args.mode != "shift":
         return _fail("--sparsity only applies to shift mode", 2)
+    if args.filter_file is not None and (args.mode, args.filter) != ("circulant", "file"):
+        return _fail("--filter-file only applies to --filter file in circulant mode", 2)
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     sampler = Uniform(args.m) if args.m is not None else IndexSet(args.omega)

@@ -1,9 +1,16 @@
 """Default numerical tolerances.
 
-Every consistency decision in the library funnels through these values.
-``TAU_SOLVE`` and ``DEDUP_REL`` can be overridden per call (the CLI's
-``--tol`` and ``--dedup``); the others are fixed. The CLI records
+The recovery pipelines' consistency decisions funnel through these
+values. ``TAU_SOLVE`` and ``DEDUP_REL`` can be overridden per call (the
+CLI's ``--tol`` and ``--dedup``); the others are fixed. The CLI records
 ``TAU_SOLVE``, ``DEDUP_REL`` and ``TAU_ROOT`` as used in each report.
+
+Three levels live beside the one decision each makes, not here:
+``cli.VERIFY_TOL`` (1e-8), the ground-truth comparison of ``verify`` and
+of ``recover``'s verified block; the 1e-9 level in ``cli._truth_checks``
+below which a true transform entry is off the Prony support; and
+``invariant._REAL_TOL`` (1e-8), the imaginary part, relative to the
+spectral scale, that the symmetric ordering treats as rounding.
 """
 
 # A linear system counts as consistent below this relative residual.

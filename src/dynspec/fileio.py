@@ -12,9 +12,11 @@ rename, and leave the mode a plain ``open`` would.
 
 The text written is ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
 newline, byte for byte, but built by ``_dumps``: with ``indent`` set, json
-encodes in pure Python, and most of it goes on the [re, im] lists, which
-``_pair_list`` writes in one pass. ``tests/test_fileio.py`` checks the
-writer against ``json.dumps`` on random trees and on real CLI output.
+encodes in pure Python, and most of it goes on the [re, im] lists. The
+writers put the complex arrays themselves in the tree, and ``_dumps``
+writes each one in a single pass over its float reprs, with no list of
+pairs built first. ``tests/test_fileio.py`` checks the writer against
+``json.dumps`` on random trees, on arrays and on real CLI output.
 Reads use ``json.load`` on UTF-8 text.
 """
 
@@ -29,17 +31,12 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import DimensionError, FileFormatError
 from .model import IndexSet, SampleSet, Uniform
 
 SCHEMA_VERSION = "dynspec-1"
 _JSON_NUMBERS = frozenset({int, float})
 _PAIRS_EXPECTED = "expected a list of [re, im] pairs of numbers"
-
-
-def complex_to_pairs(values) -> list:
-    arr = np.asarray(values, dtype=np.complex128).ravel()
-    return arr.view(np.float64).reshape(-1, 2).tolist()
 
 
 def _flatten(rows, name: str) -> tuple[set, list]:
@@ -71,15 +68,28 @@ def pairs_to_complex(pairs, name: str = "value list") -> np.ndarray:
         raise FileFormatError(f"{name}: number out of range") from exc
 
 
+def _finite_pairs(pairs, name: str) -> np.ndarray:
+    """``pairs_to_complex`` for values that must be finite: ground truth
+    and filter taps. JSON parsing accepts NaN and Infinity, and a report
+    may hold them, so the check is not ``pairs_to_complex``'s."""
+    values = pairs_to_complex(pairs, name)
+    if not np.isfinite(values).all():
+        raise FileFormatError(f"{name}: entries must be finite")
+    return values
+
+
 def _dumps(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, character for
     character, for a tree of dicts with str keys, lists, str, int, float,
-    bool and None; ``indent`` is a newline plus the indentation of ``obj``.
+    bool and None, and complex128 ndarrays, which are written as the list
+    (of rows) of [re, im] pairs that ``json.dumps`` writes for them;
+    ``indent`` is a newline plus the indentation of ``obj``.
 
-    Any other type, a tuple or a non-str key included, raises TypeError
-    instead of being converted. json's own encoder runs in pure Python
-    once ``indent`` is set; this one spends its time in ``float.__repr__``
-    and ``str.join`` (see ``_pair_list``)."""
+    Any other type, a tuple, a non-str key, another array or a numpy
+    scalar included, raises TypeError instead of being converted. json's
+    own encoder runs in pure Python once ``indent`` is set; this one
+    spends its time in ``float.__repr__`` and ``str.join`` (see
+    ``_complex_array``)."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -98,8 +108,7 @@ def _dumps(obj, indent: str = "\n") -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        return _pair_list(obj, indent) or (
-            "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + indent + "]")
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -107,25 +116,28 @@ def _dumps(obj, indent: str = "\n") -> str:
         fields = [encode_basestring_ascii(key) + ": " + _dumps(value, inner)
                   for key, value in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(fields) + indent + "}"
+    if type(obj) is np.ndarray and obj.dtype == np.complex128 and obj.ndim:
+        return _complex_array(obj, indent)
     raise TypeError(f"cannot write {type(obj).__name__} to a JSON file")
 
 
-def _pair_list(items: list, indent: str) -> str | None:
-    """The text of a nonempty list of [re, im] lists of two finite floats,
-    in one pass over their reprs; None for any other list."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    flat = list(chain.from_iterable(items))
-    if set(map(type, flat)) != {float}:
-        return None
+def _complex_array(arr: np.ndarray, indent: str) -> str:
+    """The text of a complex128 array as its list of [re, im] pairs, or of
+    rows of them, in one pass over each row's float reprs. Strided rows
+    are copied, since only a contiguous row has a float64 view."""
+    if not len(arr):
+        return "[]"
     inner = indent + "  "
+    if arr.ndim > 1:
+        rows = [_complex_array(row, inner) for row in arr]
+        return "[" + inner + ("," + inner).join(rows) + indent + "]"
     entry = inner + "  "
-    it = map(float.__repr__, flat)
+    it = map(float.__repr__, np.ascontiguousarray(arr).view(np.float64).tolist())
     body = (inner + "]," + inner + "[" + entry).join(map(("," + entry).join, zip(it, it)))
     # finite reprs hold no "n"; "nan", "inf" and "-inf" do, and JSON
     # spells them NaN, Infinity and -Infinity
     if "n" in body:
-        return None
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
     return "[" + inner + "[" + entry + body + inner + "]" + indent + "]"
 
 
@@ -137,18 +149,25 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to a temp file beside ``path`` and rename it into
     place. The temp file is created with mode 0o666, which the kernel
     cuts by the umask as it does for a plain ``open(path, "w")``; reading
-    the umask would mean setting it, for every thread of the process."""
+    the umask would mean setting it, for every thread of the process.
+
+    An OSError is raised again, of the same type, with a message that
+    names ``path``: the temp file's random name would tell the user
+    nothing."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_json(path: str):
@@ -203,6 +222,8 @@ def _sampler_from_json(obj, path: str):
             return IndexSet(tuple(_json_int(i, path, "sampler.omega") for i in omega))
     except KeyError as exc:
         raise FileFormatError(f"{path}: {obj['type']} sampler is missing field {exc}") from exc
+    except DimensionError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     raise FileFormatError(f"{path}: unknown sampler type {obj['type']!r}")
 
 
@@ -238,13 +259,10 @@ def save_problem(path: str, samples: SampleSet,
         "d": samples.d,
         "sampler": _sampler_to_json(samples.sampler),
         "L_total": samples.L_total,
-        "samples": [complex_to_pairs(level) for level in samples.samples],
+        "samples": samples.samples,
     }
-    truth = {}
-    if truth_taps is not None:
-        truth["filter"] = complex_to_pairs(truth_taps)
-    if truth_signal is not None:
-        truth["signal"] = complex_to_pairs(truth_signal)
+    truth = {key: np.asarray(value, dtype=np.complex128)
+             for key, value in (("filter", truth_taps), ("signal", truth_signal)) if value is not None}
     if truth:
         payload["ground_truth"] = truth
     atomic_write_json(path, payload)
@@ -278,7 +296,7 @@ def load_problem(path: str) -> Problem:
     truth = obj.get("ground_truth", {})
     if not isinstance(truth, dict):
         raise FileFormatError(f"{path}: ground_truth must be an object")
-    taps, signal = (pairs_to_complex(truth[key], f"{path}: field 'ground_truth.{key}'")
+    taps, signal = (_finite_pairs(truth[key], f"{path}: field 'ground_truth.{key}'")
                     if key in truth else None for key in ("filter", "signal"))
     if taps is not None and taps.size != d:
         raise FileFormatError(f"{path}: ground-truth filter has length {taps.size}, expected {d}")
@@ -288,8 +306,9 @@ def load_problem(path: str) -> Problem:
 
 
 def load_taps(path: str) -> np.ndarray:
-    """A filter file: a JSON list of the taps as [re, im] pairs."""
-    return pairs_to_complex(_load_json(path), path)
+    """A filter file: a JSON list of the taps as [re, im] pairs of finite
+    numbers."""
+    return _finite_pairs(_load_json(path), path)
 
 
 def save_report(path: str, mode: str, tolerances: dict, estimate=None,
@@ -304,15 +323,15 @@ def save_report(path: str, mode: str, tolerances: dict, estimate=None,
               "diagnostics": {"tolerances": tolerances, "failures": failures}}
     if estimate is not None:
         report["source_kind"] = "residue_class" if mode == "invariant" else "index"
-        report["recovered_spectrum"] = complex_to_pairs(estimate.merged)
+        report["recovered_spectrum"] = estimate.merged
         if estimate.support is not None:
             report["recovered_support"] = [int(n) for n in estimate.support]
         for name, value in (("filter", estimate.taps), ("signal", estimate.signal)):
             if value is not None:
-                report[f"recovered_{name}"] = complex_to_pairs(value)
+                report[f"recovered_{name}"] = value
         per_source = report["per_source"] = {}
         for src, roots in estimate.per_source.items():
-            entry = per_source[str(src)] = {"degree": len(roots), "roots": complex_to_pairs(roots)}
+            entry = per_source[str(src)] = {"degree": len(roots), "roots": roots}
             if src in estimate.residuals:
                 entry["residual"] = float(estimate.residuals[src])
         if estimate.dedup_tol is not None:

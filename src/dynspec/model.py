@@ -28,6 +28,11 @@ _MAX_TRIES = 200
 _COND = 2.0
 
 
+def _check_dimension(d: int) -> None:
+    if d < 1:
+        raise DimensionError(f"d must be positive, got {d}")
+
+
 def _check_signal(x, d: int) -> np.ndarray:
     arr = as_vector(x, "signal")
     if arr.size != d:
@@ -93,6 +98,7 @@ EvolutionOperator = Circulant | Diagonalizable
 
 def shift_operator(d: int) -> Circulant:
     """The advancing cyclic shift (Bx)(n) = x(n + 1 mod d)."""
+    _check_dimension(d)
     taps = np.zeros(d, dtype=np.complex128)
     taps[d - 1] = 1.0
     return Circulant(taps)
@@ -191,8 +197,7 @@ def random_signal(d: int, seed) -> np.ndarray:
     ``seed`` may be an integer or a numpy Generator; identical seeds give
     identical signals.
     """
-    if d < 1:
-        raise DimensionError("d must be positive")
+    _check_dimension(d)
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2)
 
@@ -204,7 +209,8 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
     Built as exp(-decay * k^2) on frequencies 0..(d-1)/2 and mirrored onto
     the conjugate half; d must be odd so the mirroring is unambiguous.
     """
-    if d < 1 or d % 2 == 0:
+    _check_dimension(d)
+    if d % 2 == 0:
         raise DimensionError(f"diffusion filter requires odd d, got {d}")
     if not 0 < decay < float("inf"):
         raise ValueError(f"decay must be finite and positive, got {decay}")
@@ -226,6 +232,7 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
 def random_circulant(d: int, seed) -> Circulant:
     """Random complex filter with pairwise-distinct transfer values,
     normalized so the largest transfer modulus is 1."""
+    _check_dimension(d)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         a_hat = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2)
@@ -253,6 +260,7 @@ def random_diagonalizable(d: int, seed,
     could handle at the default consistency threshold. ``_MIN_GAP`` is
     still enforced by rejection as an absolute floor.
     """
+    _check_dimension(d)
     rng = np.random.default_rng(seed)
     U = _random_unitary(rng, d) @ np.diag(np.geomspace(1.0, _COND, d)) @ _random_unitary(rng, d)
     for _ in range(_MAX_TRIES):

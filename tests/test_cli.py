@@ -220,7 +220,13 @@ def test_recover_nonpositive_dimension_exits_2(tmp_path, capsys):
     ({"type": "uniform"}, "uniform sampler is missing field 'm'"),
     ({"type": "indices"}, "indices sampler is missing field 'omega'"),
     ({"type": "weird"}, "unknown sampler type 'weird'"),
-], ids=["uniform-without-m", "indices-without-omega", "unknown-type"])
+    ({"type": "indices", "omega": 3}, "field 'sampler.omega' must be a list"),
+    ({"type": "indices", "omega": [1, 1]}, "sampling indices must be distinct, got (1, 1)"),
+    ({"type": "indices", "omega": [-1, 2]}, "sampling indices must be nonnegative, got (-1, 2)"),
+    ({"type": "indices", "omega": []}, "sampling set must be nonempty"),
+    ({"type": "uniform", "m": 0}, "subsampling step must be positive, got 0"),
+], ids=["uniform-without-m", "indices-without-omega", "unknown-type", "omega-not-a-list",
+        "omega-duplicate", "omega-negative", "omega-empty", "m-0"])
 def test_recover_sampler_missing_parameter_exits_2(tmp_path, capsys, sampler, message):
     path = _simulate_diffusion(tmp_path)
     obj = json.loads(path.read_text())
@@ -375,7 +381,12 @@ def test_verify_requires_truth(tmp_path, capsys):
       "diagnostics": {"tolerances": []}}, "diagnostics and its tolerances must be objects"),
     ({"schema_version": "dynspec-1", "mode": "invariant"},
      "report has no fields comparable against the ground truth"),
-], ids=["wrong-schema", "diagnostics-not-object", "tolerances-not-object", "nothing-comparable"])
+    ([{"schema_version": "dynspec-1"}], "report file must be a JSON object"),
+    ({"schema_version": "dynspec-1", "recovered_spectrum": []}, "missing field 'mode'"),
+    ({"schema_version": "dynspec-1", "mode": "prony", "recovered_support": 5},
+     "field 'recovered_support' must be a list"),
+], ids=["wrong-schema", "diagnostics-not-object", "tolerances-not-object", "nothing-comparable",
+        "not-an-object", "without-mode", "support-not-a-list"])
 def test_verify_rejects_malformed_report(tmp_path, capsys, report, message):
     path = _simulate_diffusion(tmp_path)
     bad = tmp_path / "r.json"
@@ -661,12 +672,11 @@ def test_recover_report_is_deterministic(tmp_path, simulate_args, recover_args):
 
 
 def test_simulate_filter_from_file(tmp_path):
-    from dynspec.fileio import complex_to_pairs
     from dynspec.model import random_circulant
 
     op = random_circulant(9, 77)
     taps_file = tmp_path / "taps.json"
-    taps_file.write_text(json.dumps(complex_to_pairs(op.taps)))
+    taps_file.write_text(json.dumps(op.taps.view(np.float64).reshape(-1, 2).tolist()))
     out = tmp_path / "p.json"
     assert run("simulate", "--d", "9", "--mode", "circulant", "--filter", "file",
                "--filter-file", str(taps_file), "--m", "3", "--levels", "6",
@@ -687,3 +697,144 @@ def test_simulate_sparsity_outside_shift_mode_rejected(tmp_path, capsys):
                "--m", "3", "--levels", "6", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_filter_file_outside_file_filter_rejected(tmp_path, capsys):
+    # the taps would be ignored: the filter is drawn, or the operator is the shift
+    taps = tmp_path / "taps.json"
+    taps.write_text(json.dumps([[1.0, 0.0]] * 9))
+    out = tmp_path / "x.json"
+    for extra in (["--filter", "random"], ["--filter", "diffusion"], ["--mode", "shift"],
+                  ["--mode", "diagonalizable"]):
+        assert run("simulate", "--d", "9", "--m", "3", "--levels", "6", *extra,
+                   "--filter-file", str(taps), "--out", str(out)) == 2, extra
+        assert capsys.readouterr().err == ("error: --filter-file only applies to --filter file "
+                                           "in circulant mode\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------- errors name their file
+
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("case", ["simulate-out", "recover-out", "recover-plot", "out-is-a-dir"])
+def test_write_error_names_the_file_and_leaves_no_temp_file(tmp_path, capsys, case):
+    problem = _simulate_diffusion(tmp_path)
+    missing = tmp_path / "missing" / "f.json"
+    target = tmp_path if case == "out-is-a-dir" else missing
+    argv = {"simulate-out": ["simulate", "--d", "15", "--m", "3", "--levels", "6",
+                             "--out", str(target)],
+            "recover-out": ["recover", "--in", str(problem), "--mode", "invariant",
+                            "--out", str(target)],
+            "recover-plot": ["recover", "--in", str(problem), "--mode", "invariant",
+                             "--out", str(tmp_path / "r.json"), "--plot", str(target)],
+            "out-is-a-dir": ["recover", "--in", str(problem), "--mode", "invariant",
+                             "--out", str(target)]}[case]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = _single_error_line(capsys)
+    assert err.startswith(f"error: cannot write {target}: "), err
+    assert not missing.parent.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("filter", float("nan"), "field 'ground_truth.filter': entries must be finite"),
+    ("filter", float("inf"), "field 'ground_truth.filter': entries must be finite"),
+    ("signal", -float("inf"), "field 'ground_truth.signal': entries must be finite"),
+    ("signal", float("nan"), "field 'ground_truth.signal': entries must be finite"),
+    (None, [1, 2], "ground_truth must be an object"),
+    ("filter", 14, "ground-truth filter has length 14, expected 15"),
+    ("signal", 3, "ground-truth signal has length 3, expected 15"),
+], ids=["filter-nan", "filter-inf", "signal--inf", "signal-nan", "not-an-object",
+        "short-filter", "short-signal"])
+@pytest.mark.parametrize("command", ["recover", "verify"])
+def test_malformed_ground_truth_names_the_file(tmp_path, capsys, command, key, value, message):
+    path = _simulate_diffusion(tmp_path)
+    report = tmp_path / "r.json"
+    assert run("recover", "--in", str(path), "--mode", "invariant", "--out", str(report)) == 0
+    obj = json.loads(path.read_text())
+    if key is None:
+        obj["ground_truth"] = value
+    elif isinstance(value, int):  # keep the first ``value`` entries
+        del obj["ground_truth"][key][value:]
+    else:
+        obj["ground_truth"][key][2][1] = value
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "again.json"
+    capsys.readouterr()
+    argv = {"recover": ["recover", "--in", str(path), "--mode", "invariant", "--out", str(out)],
+            "verify": ["verify", "--in", str(path), "--report", str(report)]}[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=repr)
+def test_simulate_nonfinite_filter_file_names_the_file(tmp_path, capsys, value):
+    taps = tmp_path / "taps.json"
+    taps.write_text(json.dumps([[1.0, 0.0], [0.5, value], [0.0, 0.0]]))
+    out = tmp_path / "p.json"
+    assert run("simulate", "--d", "3", "--m", "1", "--levels", "2", "--filter", "file",
+               "--filter-file", str(taps), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {taps}: entries must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
+def test_recover_nonfinite_samples_names_the_file(tmp_path, capsys, value):
+    path = _simulate_diffusion(tmp_path)
+    obj = json.loads(path.read_text())
+    obj["samples"][4][1][0] = value
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert run("recover", "--in", str(path), "--mode", "invariant", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}: samples: entries must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["recover", "verify"])
+def test_problem_file_that_is_not_an_object_names_the_file(tmp_path, capsys, command):
+    good = _simulate_diffusion(tmp_path)
+    report = tmp_path / "r.json"
+    assert run("recover", "--in", str(good), "--mode", "invariant", "--out", str(report)) == 0
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([good.read_text()]))
+    out = tmp_path / "again.json"
+    capsys.readouterr()
+    argv = {"recover": ["recover", "--in", str(bad), "--mode", "invariant", "--out", str(out)],
+            "verify": ["verify", "--in", str(bad), "--report", str(report)]}[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: problem file must be a JSON object\n"
+    assert not out.exists()
+
+
+def test_recover_prony_on_uniform_sampler_exits_2(tmp_path, capsys):
+    path = _simulate_diffusion(tmp_path)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run("recover", "--in", str(path), "--mode", "prony", "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: prony mode requires an index sampler with "
+                                       "exactly one coordinate\n")
+    assert not out.exists()
+
+
+def test_simulate_empty_omega_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run("simulate", "--d", "9", "--omega", ",", "--levels", "6", "--out", str(out)) == 2
+    err = _single_error_line(capsys)
+    assert "argument --omega: expected at least one index" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_simulate_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("DYNSPEC_SEED", value)
+    out = tmp_path / "p.json"
+    assert run("simulate", "--d", "9", "--m", "3", "--levels", "6", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: DYNSPEC_SEED must be an integer, got {value!r}\n"
+    assert not out.exists()

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynspec import config
+from dynspec import config, fileio
 from dynspec.cli import main
 from dynspec.errors import FileFormatError, RecoveryError
-from dynspec.fileio import (_dumps, _pair_list, atomic_write_json, atomic_write_text,
-                            complex_to_pairs, load_problem, load_report, pairs_to_complex,
-                            save_problem, save_report)
+from dynspec.fileio import (_dumps, atomic_write_json, atomic_write_text, load_problem,
+                            load_report, pairs_to_complex, save_problem, save_report)
 from dynspec.invariant import recover_operator
 from dynspec.model import (IndexSet, Uniform, make_diffusion_filter, random_circulant,
                            random_diagonalizable, random_signal, shift_operator, simulate)
@@ -28,7 +27,7 @@ def test_complex_pairs_round_trip_is_bit_exact():
     values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     values[:3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     # through an actual JSON text pass, not just the converters
-    text = json.dumps(complex_to_pairs(values))
+    text = _dumps(values)
     back = pairs_to_complex(json.loads(text))
     assert back.dtype == np.complex128 and back.tobytes() == values.tobytes()
     # JSON integers, however large, load as the numbers float() gives
@@ -365,8 +364,9 @@ def test_writer_matches_json_dumps(obj):
     [[np.float64(1.0), 2.0]], [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]],
 ], ids=["int-im", "int-re", "bool", "nan", "inf", "-inf", "short", "long", "ragged",
         "bare-number", "float-subclass", "pairs-of-pairs"])
-def test_writer_sends_other_pair_lists_to_the_generic_path(items):
-    assert _pair_list(items, "\n") is None
+def test_writer_sends_other_pair_lists_to_the_generic_path(items, monkeypatch):
+    # only complex arrays take the one-pass path; lists never do
+    monkeypatch.setattr(fileio, "_complex_array", None)
     assert _dumps(items) == _oracle(items)
     assert _dumps({"a": [items]}) == _oracle({"a": [items]})
 
@@ -375,8 +375,56 @@ def test_writer_pair_list_path_is_byte_identical():
     values = np.random.default_rng(3).standard_normal(64) * 10.0 ** np.arange(-32, 32)
     values[:4] = [-0.0, 5e-324, 1e300, -1e-300]
     items = values.reshape(-1, 2).tolist()
-    assert _pair_list(items, "\n") == _oracle(items)
+    assert _dumps(values.view(np.complex128)) == _oracle(items)
     assert _dumps({"b": {"a": items}}) == _oracle({"b": {"a": items}})
+
+
+def _pairs(arr):
+    """The nested list of [re, im] pairs that a complex array stands for."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+_grid = (np.arange(24) - 11.5).reshape(4, 6) + 1j * (np.arange(24) * 1e-3).reshape(4, 6)
+_special = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -5e-324),
+                     complex(1e300, -1e-300), complex(-1e300, 1e-300), 2.5 + 0.1j])
+_nonfinite = np.array([complex(math.nan, 1.0), complex(1.0, math.inf),
+                       complex(-math.inf, math.nan), 0.5 - 0.25j])
+
+
+@pytest.mark.parametrize("arr", [
+    _grid[0], _grid, np.zeros(0, dtype=np.complex128), np.zeros((0, 3), dtype=np.complex128),
+    np.zeros((3, 0), dtype=np.complex128), _grid[:, 1], _grid[::2, ::-3],
+    np.asfortranarray(_grid), _grid.T, _special, _nonfinite, _nonfinite.reshape(2, 2),
+], ids=["1-D", "2-D", "empty", "no-rows", "empty-rows", "strided", "strided-2-D", "fortran",
+        "transposed", "zeros-subnormal-huge-tiny", "nan-inf", "nan-inf-2-D"])
+def test_writer_writes_a_complex_array_as_its_pair_list(arr):
+    assert _dumps(arr) == _oracle(_pairs(arr))
+    assert _dumps({"b": [arr, 1.0], "a": arr}) == _oracle({"b": [_pairs(arr), 1.0],
+                                                           "a": _pairs(arr)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_floats, max_size=24), rows=st.integers(1, 3))
+def test_writer_array_matches_json_dumps(values, rows):
+    arr = np.array(values[:len(values) // (2 * rows) * 2 * rows]).view(np.complex128)
+    assert _dumps(arr) == _oracle(_pairs(arr))
+    assert _dumps(arr.reshape(rows, -1)) == _oracle(_pairs(arr.reshape(rows, -1)))
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("arr", [
+    np.ones(3), np.ones(3, dtype=np.complex64), np.ones(3, dtype=">c16"), np.arange(3),
+    np.array([1j], dtype=object), np.array(1j), np.ones(3, dtype=np.complex128).view(_Subclass),
+    np.complex128(1j),
+], ids=["float64", "complex64", "big-endian", "int", "object", "0-d", "subclass", "scalar"])
+def test_writer_refuses_other_arrays(arr):
+    with pytest.raises(TypeError):
+        _dumps(arr)
+    with pytest.raises(TypeError):
+        _dumps({"a": [arr]})
 
 
 def test_writer_spells_true_false_none_as_json():

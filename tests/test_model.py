@@ -253,6 +253,17 @@ def test_diffusion_rejects_even_dimension():
         make_diffusion_filter(8, 0.1)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("factory", [
+    shift_operator, lambda d: random_circulant(d, 1), lambda d: random_diagonalizable(d, 1),
+    lambda d: make_diffusion_filter(d, 0.1), lambda d: random_signal(d, 1),
+], ids=["shift", "random-circulant", "random-diagonalizable", "diffusion", "signal"])
+def test_factories_reject_nonpositive_dimension(factory, d):
+    # the text the CLI prints for simulate --d 0
+    with pytest.raises(DimensionError, match=f"^d must be positive, got {d}$"):
+        factory(d)
+
+
 # ------------------------------------------------------------ samplers
 
 def test_index_set_validation():
