@@ -9,6 +9,9 @@ The files are ``fileio``'s: ``recover`` hands it the estimate to write,
 and ``verify`` gets back a typed ``Report``. The truth checks compare a
 ``Report`` whichever command builds it, and the SVG plot is written here.
 
+A mode-specific flag given outside the runs that read it is a usage
+error; ``_FLAG_SCOPE`` is the one table of which runs read which flag.
+
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error, 3 recovery failure. Failures print a single
 machine-greppable ``error: ...`` line on stderr. When --seed is absent
@@ -38,6 +41,36 @@ from .spectral import merge_roots, recover_observable_spectrum, recover_spectrum
 # Ground-truth comparisons (recover's verified block and the verify
 # command's default) run at the acceptance tolerance.
 VERIFY_TOL = 1e-8
+
+# What simulate uses when --filter or --decay is not given; the options
+# themselves default to None, so the flag table can see whether they were.
+DEFAULT_FILTER = "random"
+DEFAULT_DECAY = 0.1
+
+# The runs that read each mode-specific flag, by command: (argparse dest,
+# the values other options must hold for the flag to be read, the words
+# the refusal names those runs with). main() checks it once after parsing,
+# before any file is read or written, so a flag given where nothing reads
+# it exits 2 instead of being ignored.
+_FLAG_SCOPE = {
+    "simulate": (
+        ("filter", {"mode": {"circulant"}}, "circulant mode"),
+        ("decay", {"mode": {"circulant"}, "filter": {"diffusion"}}, "--filter diffusion"),
+        ("filter_file", {"mode": {"circulant"}, "filter": {"file"}},
+         "--filter file in circulant mode"),
+        ("sparsity", {"mode": {"shift"}}, "shift mode"),
+        ("include_truth", {"mode": {"circulant", "shift"}},
+         "circulant and shift modes: ground truth for diagonalizable operators is not "
+         "representable in the problem schema"),
+    ),
+    "recover": (
+        ("assume_symmetric", {"mode": {"invariant"}}, "invariant mode"),
+        ("window", {"mode": {"extrapolate"}}, "extrapolate mode"),
+        ("sparsity", {"mode": {"prony"}}, "prony mode"),
+        ("dedup", {"mode": {"invariant", "general", "extrapolate"}},
+         "invariant, general and extrapolate modes"),
+    ),
+}
 
 
 def _fail(message: str, code: int) -> int:
@@ -82,6 +115,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
+def _misplaced_flag(args) -> str | None:
+    """The refusal for the first flag given outside the runs that read it."""
+    for dest, runs, where in _FLAG_SCOPE.get(args.command, ()):
+        value = getattr(args, dest)
+        given = value is not None and value is not False
+        if given and not all(getattr(args, key) in allowed for key, allowed in runs.items()):
+            return f"--{dest.replace('_', '-')} only applies to {where}"
+    return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dynspec",
                      description="Spectrum and operator identification from dynamical samples.")
@@ -96,11 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--omega", type=_int_list, help="explicit sampling indices, e.g. 0,2,5")
     sim.add_argument("--levels", type=int, required=True, help="number of time levels")
     sim.add_argument("--seed", type=int, default=None, help="RNG seed (default: DYNSPEC_SEED or 0)")
-    sim.add_argument("--filter", choices=["diffusion", "random", "file"], default="random",
-                     help="filter source for circulant mode")
+    sim.add_argument("--filter", choices=["diffusion", "random", "file"], default=None,
+                     help=f"filter source for circulant mode (default: {DEFAULT_FILTER})")
     sim.add_argument("--filter-file", help="JSON file with filter taps as [re, im] pairs")
-    sim.add_argument("--decay", type=_positive_float, default=0.1,
-                     help="diffusion filter decay rate (finite, > 0)")
+    sim.add_argument("--decay", type=_positive_float, default=None,
+                     help=f"diffusion filter decay rate (finite, > 0; default {DEFAULT_DECAY:g})")
     sim.add_argument("--sparsity", type=int, default=None,
                      help="shift mode: give the signal an s-sparse Fourier transform")
     sim.add_argument("--include-truth", action="store_true",
@@ -140,28 +183,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     if args.levels < 1:
         return _fail(f"levels must be positive, got {args.levels}", 2)
-    if args.sparsity is not None and args.mode != "shift":
-        return _fail("--sparsity only applies to shift mode", 2)
-    if args.filter_file is not None and (args.mode, args.filter) != ("circulant", "file"):
-        return _fail("--filter-file only applies to --filter file in circulant mode", 2)
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     sampler = Uniform(args.m) if args.m is not None else IndexSet(args.omega)
     truth_taps = None
 
     if args.mode == "circulant":
-        if args.filter == "diffusion":
-            op = make_diffusion_filter(args.d, args.decay)
-        elif args.filter == "random":
+        source = DEFAULT_FILTER if args.filter is None else args.filter
+        if source == "diffusion":
+            op = make_diffusion_filter(args.d, DEFAULT_DECAY if args.decay is None else args.decay)
+        elif source == "random":
             op = random_circulant(args.d, rng)
-        else:
+        # the taps file takes nothing from rng, so the signal can be drawn
+        # first and check d before the file is read
+        x = random_signal(args.d, rng)
+        if source == "file":
             if not args.filter_file:
                 return _fail("--filter file requires --filter-file PATH", 2)
             taps = load_taps(args.filter_file)
             if taps.size != args.d:
                 return _fail(f"filter file has {taps.size} taps, expected {args.d}", 2)
             op = Circulant(taps)
-        x = random_signal(args.d, rng)
         truth_taps = op.taps
     elif args.mode == "shift":
         op = shift_operator(args.d)
@@ -171,9 +213,6 @@ def cmd_simulate(args) -> int:
         else:
             x = random_signal(args.d, rng)
     else:
-        if args.include_truth:
-            return _fail("ground truth for diagonalizable operators is not representable "
-                         "in the problem schema", 2)
         op = random_diagonalizable(args.d, rng)
         x = random_signal(args.d, rng)
 
@@ -297,6 +336,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
+    misplaced = _misplaced_flag(args)
+    if misplaced:
+        return _fail(misplaced, 2)
     try:
         return args.func(args)
     except (DynspecError, ValueError, TypeError, OSError) as exc:

@@ -5,8 +5,8 @@ roots are exactly the eigenvalues observable at i; the observable spectrum
 of a sampling set is the deduplicated union over its coordinates. The
 same per-source loop, ``search_sources``, serves the residue classes of
 the invariant pipeline. When samples are scarce, a window recurrence
-fitted to the first (|omega|+1)*L levels extrapolates the series to any
-horizon first.
+fitted to the first (|omega|+1)*L levels, and checked on the levels
+after them, extrapolates the series to any horizon first.
 """
 
 from __future__ import annotations
@@ -172,13 +172,16 @@ def fit_extrapolation(samples: SampleSet, L: int, levels: int,
     offsets k = 0..|omega|*L-1 is solved (minimum-norm when degenerate);
     a relative residual at or above ``tol`` means no length-L recurrence
     reproduces that coordinate, reported as SpanConditionViolated.
-    Retrying with a larger window helps; L = d always fits.
+    A square system fits any data, so the levels after the first
+    (|omega|+1)*L are held out: the recurrence, run from the first L
+    levels, must reproduce them to a relative residual below ``tol``, or
+    SpanConditionViolated is raised too. Retrying with a larger window
+    helps; L = d always fits.
     """
     omega = samples.omega
     n = omega.size
     if L < 1:
-        raise InsufficientDataError(
-            f"no usable window: {samples.L_total} levels for {n} sampled coordinates")
+        raise ValueError(f"window must be positive, got {L}")
     need = (n + 1) * L
     if samples.L_total < need:
         raise InsufficientDataError(
@@ -196,10 +199,19 @@ def fit_extrapolation(samples: SampleSet, L: int, levels: int,
                 f"no length-{L} recurrence reproduces coordinate {omega[pos]} "
                 f"(residual {residual:.3e}); retry with a larger window")
         weights[pos] = solution.reshape(L, n)
-    out = np.empty((max(levels, L), n), dtype=np.complex128)
+    total = max(levels, samples.L_total)
+    out = np.empty((total, n), dtype=np.complex128)
     out[:L] = S[:L]
-    for t in range(L, levels):
+    for t in range(L, total):
         out[t] = np.einsum("ilj,lj->i", weights, out[t - L:t])
+    held = S[need:]
+    if held.size:
+        miss = (np.linalg.norm(out[need:samples.L_total] - held)
+                / max(np.linalg.norm(held), np.finfo(float).tiny))
+        if miss >= tol:
+            raise SpanConditionViolated(
+                f"the length-{L} recurrence misses the {held.shape[0]} held-out levels "
+                f"(held-out residual {miss:.3e}); retry with a larger window")
     return out[:levels]
 
 
@@ -209,7 +221,11 @@ def recover_spectrum_via_extrapolation(samples: SampleSet, L: int | None = None,
     """Fit the window recurrence (L None: the largest that fits), extrapolate
     each coordinate out to 2d levels, then recover the observable spectrum
     with degree bound d."""
-    L = samples.L_total // (samples.omega.size + 1) if L is None else L
+    if L is None:
+        L = samples.L_total // (samples.omega.size + 1)
+        if L < 1:
+            raise InsufficientDataError(f"no usable window: {samples.L_total} levels for "
+                                        f"{samples.omega.size} sampled coordinates")
     extended = SampleSet(samples.d, samples.sampler,
                          fit_extrapolation(samples, L, levels=2 * samples.d, tol=tol))
     return recover_observable_spectrum(extended, r_max=samples.d, dedup_rel=dedup_rel, tol=tol)

@@ -468,6 +468,10 @@ def test_usage_error_exits_2(tmp_path, capsys):
     string_tap.write_text(json.dumps([["2", 0]]))
     from_file = ["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter", "file",
                  "--out", out, "--filter-file"]
+    problem = tmp_path / "p.json"
+    assert run("simulate", "--d", "9", "--omega", "2", "--levels", "27", "--seed", "3",
+               "--out", str(problem)) == 0
+    capsys.readouterr()
     for argv, message in (
             (["recover", "--mode", "invariant"], "required: --in, --out"),
             (["recover", "--tol", "nan"], "argument --tol: expected a finite number > 0"),
@@ -479,6 +483,13 @@ def test_usage_error_exits_2(tmp_path, capsys):
               for value in ("nan", "inf", "0")),
             (["simulate", "--d", "0", "--m", "1", "--levels", "2", "--out", out],
              "d must be positive, got 0"),
+            # d is checked before the taps file is read
+            (["simulate", "--d", "0", "--m", "1", "--levels", "2", "--filter", "file",
+              "--filter-file", str(taps), "--out", out], "d must be positive, got 0"),
+            (["recover", "--in", str(problem), "--mode", "extrapolate", "--window", "0",
+              "--out", out], "window must be positive, got 0"),
+            (["recover", "--in", str(problem), "--mode", "extrapolate", "--window", "-1",
+              "--out", out], "window must be positive, got -1"),
             (["simulate", "--d", "4", "--m", "1", "--levels", "0", "--out", out],
              "levels must be positive, got 0"),
             (["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter", "file",
@@ -711,6 +722,74 @@ def test_simulate_filter_file_outside_file_filter_rejected(tmp_path, capsys):
         assert capsys.readouterr().err == ("error: --filter-file only applies to --filter file "
                                            "in circulant mode\n")
     assert not out.exists()
+
+
+# One case per row of the flag table, each naming the runs that read the flag.
+_MISPLACED_FLAGS = [
+    (["simulate", "--mode", "shift", "--filter", "diffusion", "--decay", "5"],
+     ("simulate", "filter"), "--filter only applies to circulant mode"),
+    (["simulate", "--mode", "diagonalizable", "--filter", "diffusion"],
+     ("simulate", "filter"), "--filter only applies to circulant mode"),
+    (["simulate", "--filter", "random", "--decay", "0.3"],
+     ("simulate", "decay"), "--decay only applies to --filter diffusion"),
+    (["simulate", "--mode", "shift", "--decay", "0.3"],
+     ("simulate", "decay"), "--decay only applies to --filter diffusion"),
+    (["simulate", "--filter", "random", "--filter-file", "taps.json"],
+     ("simulate", "filter_file"), "--filter-file only applies to --filter file in circulant mode"),
+    (["simulate", "--sparsity", "2"], ("simulate", "sparsity"),
+     "--sparsity only applies to shift mode"),
+    (["simulate", "--mode", "diagonalizable", "--include-truth"], ("simulate", "include_truth"),
+     "--include-truth only applies to circulant and shift modes: ground truth for "
+     "diagonalizable operators is not representable in the problem schema"),
+    (["recover", "--mode", "general", "--assume-symmetric"], ("recover", "assume_symmetric"),
+     "--assume-symmetric only applies to invariant mode"),
+    (["recover", "--mode", "invariant", "--window", "3", "--sparsity", "2"],
+     ("recover", "window"), "--window only applies to extrapolate mode"),
+    (["recover", "--mode", "general", "--sparsity", "2"], ("recover", "sparsity"),
+     "--sparsity only applies to prony mode"),
+    (["recover", "--mode", "prony", "--dedup", "5"], ("recover", "dedup"),
+     "--dedup only applies to invariant, general and extrapolate modes"),
+]
+
+
+def test_misplaced_flag_cases_cover_the_flag_table():
+    rows = {(command, dest) for command, table in cli._FLAG_SCOPE.items()
+            for dest, *_ in table}
+    assert {row for _, row, _ in _MISPLACED_FLAGS} == rows
+
+
+@pytest.mark.parametrize("argv,row,message", _MISPLACED_FLAGS,
+                         ids=[" ".join(argv) for argv, *_ in _MISPLACED_FLAGS])
+def test_flag_outside_its_runs_is_refused(tmp_path, capsys, monkeypatch, argv, row, message):
+    # refused before any file is read: neither the problem nor the taps exist
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    where = (["--d", "15", "--m", "3", "--levels", "6"] if command == "simulate"
+             else ["--in", "missing.json"])
+    out = tmp_path / "out.json"
+    assert run(command, *where, *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("simulate_args,recover_args,held_out", [
+    (["--m", "3", "--levels", "6"], [], 2),
+    (["--omega", "2", "--levels", "27"], ["--window", "5"], 17),
+], ids=["default-window", "window-5"])
+def test_recover_extrapolate_refuses_a_recurrence_that_misses_held_out_levels(
+        tmp_path, capsys, simulate_args, recover_args, held_out):
+    # the window's square systems fit, but the recurrence does not reproduce
+    # the later levels; accepting it returned 3 and 5 of the 9 values
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "9", "--mode", "circulant", *simulate_args, "--seed", "3",
+               "--include-truth", "--out", str(problem)) == 0
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), "--mode", "extrapolate", *recover_args,
+               "--out", str(out)) == 3
+    err = _single_error_line(capsys)
+    assert f"misses the {held_out} held-out levels (held-out residual" in err
+    fatal = json.loads(out.read_text())["diagnostics"]["failures"]["fatal"]
+    assert err == f"error: {fatal}\n"
 
 
 # ---------------------------------------------- errors name their file

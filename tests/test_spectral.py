@@ -189,6 +189,20 @@ def test_span_condition_violation_detected():
         fit_extrapolation(samples, 1, 2)
 
 
+@pytest.mark.parametrize("L", [4, 5])
+def test_extrapolation_refuses_a_miss_on_held_out_levels(L):
+    # one coordinate of a d = 9 circulant: every window solves its square
+    # systems, so only the levels after the first 2L tell a short window
+    # from the full one
+    op = random_circulant(9, 16)
+    samples = simulate(op, random_signal(9, 17), IndexSet((0,)), 27)
+    with pytest.raises(SpanConditionViolated, match=f"misses the {27 - 2 * L} held-out levels"):
+        fit_extrapolation(samples, L, 18)
+    direct = simulate(op, random_signal(9, 17), IndexSet((0,)), 30).samples
+    got = fit_extrapolation(samples, 9, 30)
+    assert np.max(np.abs(got - direct)) < 1e-7 * np.max(np.abs(direct))
+
+
 # ---------------------------------------- recovery via extrapolation
 
 def test_via_extrapolation_identity():
