@@ -1,17 +1,22 @@
 """The annihilating-polynomial engine.
 
 Given the restricted power sequence seq[l] = (restriction of B^l x), the
-smallest monic polynomial annihilating the sequence is found by an
-ascending degree search: degree r is accepted as soon as the stacked
-block system
+smallest monic polynomial annihilating the sequence is the smallest
+degree r whose stacked block system
 
     seq[k + r] + sum_{l < r} alpha_l seq[k + l] = 0,   k = 0..rows-1
 
-is consistent, which guarantees minimality. Each block contributes one
-row per restricted coordinate, so the scalar form is a plain Hankel
-system. Extending the number of row blocks beyond the degree does not
-change the solution set, which is why one solver serves both the generic
-engine (rows = r_max) and the aliased per-class systems (rows = m).
+is consistent. Each block contributes one row per restricted coordinate,
+so the scalar form is a plain Hankel system. Consistency is monotone in
+r: the restricted Krylov space span{x, Bx, ..., B^(r-1) x} grows strictly
+until r reaches the minimal degree r* and then stops growing, so the
+system fails below r* and holds from r* on. The search therefore gallops
+and bisects on r (see ``annihilator_from_samples``) instead of trying
+every degree in turn.
+
+Extending the number of row blocks beyond the degree does not change the
+solution set, which is why one solver serves both the generic engine
+(rows = r_max) and the aliased per-class systems (rows = m).
 
 A search builds the (rows * q) x (r_max + 1) block-Hankel matrix H once,
 column l stacking seq[l], ..., seq[l + rows - 1]; degree r then solves
@@ -72,12 +77,33 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     modulus is at most ``zero_threshold(zero_scale)``. ``zero_scale``
     defaults to that peak itself, so only an all-zero sequence counts as
     zero, whatever the data's scale; the pipelines pass the largest
-    sample of all their sequences. Otherwise degrees 1..r_max are tried
-    in ascending order and the first one whose system reaches relative
-    residual < tol wins.
+    sample of all their sequences. Otherwise the result is the smallest
+    degree whose system reaches relative residual < tol, found by an
+    exponential search: degrees 1, 2, 4, 8, ..., capped at r_max, are
+    tried until one fits, then the range between the last degree that
+    failed and the first that fit is bisected. Each tried degree is the
+    same ``least_squares`` call that trying 1, 2, ..., r* in turn makes,
+    so the accepted degree, its coefficients and its residual are
+    bit-identical to that ascending search's. A search costs at most
+    2 * ceil(log2(r*)) + 1 solves instead of r*, and builds no system
+    wider than 2 * r* unless r_max caps it; with r_max <= 3 it tries
+    1, 2, 3 in order, exactly as the ascending search does.
 
-    Raises NoAnnihilator, carrying the best residual seen, when no degree
-    up to r_max is consistent (r_max too small, or degenerate data).
+    The bisection relies on consistency being monotone in r, which holds
+    for exact recurrences (see the module docstring). Data that break
+    their recurrence only in their last terms are not monotone: the
+    degree-(r+1) system reads one term more than the degree-r one, so a
+    lower degree may fit where a higher one does not. On such data the
+    gallop can settle on a larger degree than the ascending search, because
+    it reads more of the data. No problem written by ``simulate`` is of
+    that kind; telling such a degree apart is left to a degree
+    certificate, which this search does not give.
+
+    Raises NoAnnihilator, carrying the best residual over degrees
+    1..r_max, when no degree up to r_max is consistent (r_max too small,
+    or degenerate data); the search then solves the degrees it skipped,
+    in ascending order, and accepts the first of them that fits. With
+    r_max = 0 no degree is tried and the best residual is inf.
     """
     terms = np.asarray(seq, dtype=np.complex128)
     if terms.ndim == 1:
@@ -112,12 +138,32 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
         terms, shift = terms * 2.0 ** 64, shift - 64
     terms = terms * math.ldexp(1.0, shift)
     H = _block_hankel(terms, rows, r_max + 1)
+    solved = {}
+
+    def fits(r: int) -> bool:
+        solved[r] = least_squares(H[:, :r], -H[:, r])
+        return solved[r][1] < tol
+
+    # Gallop: degrees 1, 2, 4, ... capped at r_max, until one fits; ``lo``
+    # is the largest degree that failed, ``hi`` the first that fit.
+    lo, hi = 0, min(1, r_max)
+    while lo < r_max and not fits(hi):
+        lo, hi = hi, min(2 * hi, r_max)
+    if lo < r_max:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                hi = mid
+            else:
+                lo = mid
+        return AnnihilatorPolynomial(*solved[hi])
+    # Nothing up to r_max fit: try the degrees the gallop skipped in
+    # ascending order, so the best residual is the minimum over 1..r_max.
     best = float("inf")
     for r in range(1, r_max + 1):
-        alpha, residual = least_squares(H[:, :r], -H[:, r])
-        if residual < tol:
-            return AnnihilatorPolynomial(alpha, residual)
-        best = min(best, residual)
+        if r not in solved and fits(r):
+            return AnnihilatorPolynomial(*solved[r])
+        best = min(best, solved[r][1])
     raise NoAnnihilator(
         f"no annihilator of degree <= {r_max} fits the sequence (best residual {best:.3e})", best)
 

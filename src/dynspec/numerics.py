@@ -21,9 +21,11 @@ runs one batched eigensolve per count of zero roots, and
 ``set_match_error`` compares two spectra through a window of each
 point's real-order neighbours instead of a dense distance table. Both
 give the bits the per-row and dense forms give. The degree search itself
-still runs per source, one least-squares solve per tried degree: a
-batched screen would change the per-search solve counts that the
-benchmark's tests pin.
+still runs per source, one least-squares solve per tried degree, but it
+gallops and bisects on the degree, so a search of degree r* tries about
+2 log2(r*) degrees rather than r*. A batched screen across sources would
+change the last bits of the coefficients and the per-search solve counts
+that the benchmark's tests pin.
 """
 
 from __future__ import annotations

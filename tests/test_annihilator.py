@@ -10,8 +10,8 @@ from dynspec.annihilator import (_block_hankel, annihilator_from_samples,
 from dynspec.errors import DimensionError, NoAnnihilator
 from dynspec.model import (Circulant, Diagonalizable, IndexSet,
                            random_circulant, random_diagonalizable,
-                           random_signal, simulate)
-from dynspec.numerics import poly_roots
+                           random_signal, shift_operator, simulate)
+from dynspec.numerics import least_squares, poly_roots
 from helpers import assert_sets_close, coeffs_desc, division_remainder, roots_contained
 from oracles import (altered_minimal_polynomial_oracle,
                      minimal_polynomial_oracle, observable_spectrum_oracle)
@@ -227,6 +227,108 @@ def test_search_matches_per_degree_reference(ratios, width, r_max, extra_rows, k
     assert got.degree == degree
     assert np.array_equal(got.poly, low_coeffs)
     assert abs(got.relative_residual - residual) <= 1e-12
+
+
+_unit_root = st.integers(0, 47).map(lambda k: complex(np.exp(2j * np.pi * k / 48)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratios=st.lists(st.one_of(_ratio, _unit_root), max_size=30),
+       width=st.sampled_from([0, 1, 3]), r_max=st.integers(1, 40),
+       extra_rows=st.integers(-3, 3), kind=st.sampled_from(["modes", "noise", "zero"]),
+       seed=st.integers(0, 2**16))
+def test_deep_search_matches_per_degree_reference(ratios, width, r_max, extra_rows, kind, seed):
+    # r_max up to 40, so the gallop overshoots and the bisection runs
+    # several steps before it settles on the reference's degree
+    rows = max(1, r_max + extra_rows)
+    levels = rows + r_max
+    rng = np.random.default_rng(seed)
+    shape = (levels,) if width == 0 else (levels, width)
+    if kind == "zero":
+        seq = np.zeros(shape, dtype=np.complex128)
+    elif kind == "noise":
+        seq = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:
+        powers = np.array(ratios, dtype=np.complex128)[None, :] ** np.arange(levels)[:, None]
+        amps = rng.standard_normal((len(ratios), max(width, 1))) + 1j
+        seq = (powers @ amps).reshape(shape)
+    try:
+        expected = _annihilator_per_degree(seq, r_max, rows)
+    except NoAnnihilator as err:
+        with pytest.raises(NoAnnihilator) as info:
+            annihilator_from_samples(seq, r_max, rows=rows)
+        assert abs(info.value.best_residual - err.best_residual) <= 1e-12
+        return
+    got = annihilator_from_samples(seq, r_max, rows=rows)
+    degree, low_coeffs, residual = expected
+    assert got.degree == degree
+    assert np.array_equal(got.poly, low_coeffs)
+    assert abs(got.relative_residual - residual) <= 1e-12
+
+
+# ------------------------------------------------------ solves per search
+
+@pytest.fixture
+def solve_widths(monkeypatch):
+    """Column counts of the systems the degree search solves, in order."""
+    widths = []
+
+    def counted(M, rhs):
+        widths.append(M.shape[1])
+        return least_squares(M, rhs)
+
+    monkeypatch.setattr("dynspec.annihilator.least_squares", counted)
+    return widths
+
+
+def _modes(count, levels):
+    """Sum of ``count`` distinct 7th roots of unity raised to 0..levels-1."""
+    ratios = np.exp(2j * np.pi * np.arange(count) / 7)
+    return (ratios[None, :] ** np.arange(levels)[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("r_max", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_shallow_search_tries_every_degree(solve_widths, degree, r_max):
+    # with r_max <= 3 the gallop tries 1, 2, 3 in order, the solves of an
+    # ascending search; the benchmark's pin on solves per search rests on this
+    rows = 4
+    c = _modes(degree, rows + r_max)
+    if degree > r_max:
+        with pytest.raises(NoAnnihilator):
+            scalar_annihilator(c, r_max, rows=rows)
+    else:
+        assert scalar_annihilator(c, r_max, rows=rows).degree == degree
+    assert solve_widths == list(range(1, min(degree, r_max) + 1))
+
+
+@pytest.mark.parametrize("omega", [(3,), (3, 50)])
+def test_deep_shift_search_solves_logarithmically(solve_widths, omega):
+    # the shift on C^96 has all 96 roots of unity as eigenvalues, so a
+    # coordinate's search runs to r_max = rows = 96: 13 solves, not 96
+    seq = simulate(shift_operator(96), random_signal(96, 5), IndexSet(omega), 192).samples
+    ann = annihilator_from_samples(seq, 96)
+    assert ann.degree == 96
+    assert len(solve_widths) <= 15
+    degree, low_coeffs, _ = _annihilator_per_degree(seq, 96, 96)
+    assert degree == 96 and np.array_equal(ann.poly, low_coeffs)
+
+
+def test_shallow_sequence_never_builds_wide_systems(solve_widths):
+    # a degree-5 sequence under r_max = 96: the gallop stops at 8
+    ann = scalar_annihilator(_modes(5, 192), 96)
+    assert ann.degree == 5
+    assert max(solve_widths) <= 8
+
+
+def test_zero_degree_bound_finds_no_annihilator(solve_widths):
+    # r_max = 0 tries no degree at all: NoAnnihilator with best residual
+    # inf, not an error from reducing over an empty set of degrees
+    with pytest.raises(NoAnnihilator, match=r"^no annihilator of degree <= 0 fits the sequence "
+                                            r"\(best residual inf\)$") as info:
+        scalar_annihilator(np.ones(4), 0, rows=2)
+    assert info.value.best_residual == float("inf")
+    assert solve_widths == []
 
 
 # ------------------------------------------------------------- oracles
