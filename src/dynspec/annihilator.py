@@ -71,10 +71,11 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     """Smallest-degree monic annihilator of a restricted power sequence.
 
     ``seq`` is time-major: seq[l] is the restricted sample at time l (a
-    vector, or a scalar for the scalar form). ``rows`` defaults to r_max,
-    which needs 2 * r_max terms. Degree 0 (the constant polynomial 1) is
-    returned only when the whole sequence is numerically zero: its peak
-    modulus is at most ``zero_threshold(zero_scale)``. ``zero_scale``
+    vector, or a scalar for the scalar form). ``rows`` defaults to
+    max(r_max, 1), which needs 2 * r_max terms (one when r_max = 0).
+    Degree 0 (the constant polynomial 1) is returned only when the whole
+    sequence is numerically zero: its peak modulus is at most
+    ``zero_threshold(zero_scale)``. ``zero_scale``
     defaults to that peak itself, so only an all-zero sequence counts as
     zero, whatever the data's scale; the pipelines pass the largest
     sample of all their sequences. Otherwise the result is the smallest
@@ -117,7 +118,7 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
         raise DimensionError("sample sequence contains non-finite values")
     if r_max < 0:
         raise DimensionError(f"r_max must be nonnegative, got {r_max}")
-    rows = r_max if rows is None else rows
+    rows = max(r_max, 1) if rows is None else rows
     if rows < 1:
         raise DimensionError(f"need at least one row block, got {rows}")
     if terms.shape[0] < rows + r_max:

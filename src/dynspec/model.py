@@ -2,9 +2,14 @@
 
 A signal is a 1-D complex ndarray of length d. Evolution operators come in
 two representations: a circulant filter, applied by FFT, and a
-diagonalizable factorization U diag(eigs) U^{-1}. Only the forward
-direction lives here: the recovery pipelines read samples, never the
-operator.
+diagonalizable factorization U diag(eigs) U^{-1} that holds U^{-1} and is
+applied by two matrix-vector products. Only the forward direction lives
+here: the recovery pipelines read samples, never the operator.
+
+The random factories use no LAPACK factorization, only FFTs, elementwise
+arithmetic and matrix products, whose bits do not depend on the BLAS
+thread count; so identical seeds give identical operators and samples
+under any thread count.
 
 Conventions, fixed once for the whole library: the cyclic convolution is
 (a * x)(n) = sum_k a(k) x(n - k), and the "shift" operator advances the
@@ -67,18 +72,36 @@ class Circulant:
 
 @dataclass(frozen=True, eq=False)
 class Diagonalizable:
-    """Operator given by its eigenbasis: U diag(eigs) U^{-1}."""
+    """Operator given by its eigenbasis: U diag(eigs) U^{-1}.
+
+    ``U_inv`` is not an independent setting: it must equal U^{-1}. A
+    factory that builds U from factors already holds its inverse and
+    passes it in; when it is omitted, U is inverted once here. ``apply``
+    then costs two matrix-vector products and no factorization.
+    """
 
     U: np.ndarray
     eigs: np.ndarray
+    U_inv: np.ndarray | None = None
 
     def __post_init__(self):
         U = as_matrix(self.U, "eigenbasis")
         eigs = as_vector(self.eigs, "eigenvalues")
         if U.shape[0] != U.shape[1] or U.shape[0] != eigs.size:
             raise DimensionError(f"eigenbasis must be square of size {eigs.size}, got {U.shape}")
+        if self.U_inv is None:
+            try:
+                U_inv = np.linalg.inv(U)
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError(f"eigenbasis is singular: {exc}") from exc
+        else:
+            U_inv = as_matrix(self.U_inv, "inverse eigenbasis")
+            if U_inv.shape != U.shape:
+                raise DimensionError(f"inverse eigenbasis must be of shape {U.shape}, "
+                                     f"got {U_inv.shape}")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "eigs", eigs)
+        object.__setattr__(self, "U_inv", U_inv)
 
     @property
     def dim(self) -> int:
@@ -86,11 +109,7 @@ class Diagonalizable:
 
     def apply(self, x) -> np.ndarray:
         x = _check_signal(x, self.dim)
-        try:
-            coords = np.linalg.solve(self.U, x)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(f"eigenbasis is singular: {exc}") from exc
-        return self.U @ (self.eigs * coords)
+        return self.U @ (self.eigs * (self.U_inv @ x))
 
 
 EvolutionOperator = Circulant | Diagonalizable
@@ -243,15 +262,21 @@ def random_circulant(d: int, seed) -> Circulant:
 
 
 def _random_unitary(rng, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    """diag(a) F diag(b) for random phases a, b and the unitary DFT F,
+    built by FFT, so no LAPACK routine touches it."""
+    a, b = np.exp(2j * np.pi * rng.random((2, d)))
+    return a[:, None] * np.fft.fft(np.diag(b), axis=0, norm="ortho")
 
 
 def random_diagonalizable(d: int, seed,
                           modulus: tuple[float, float] = (0.9, 1.1)) -> Diagonalizable:
     """Random diagonalizable operator with controlled conditioning.
 
-    The eigenbasis has condition number exactly ``_COND`` = 2. Eigenvalue
+    The eigenbasis is U = Q1 diag(s) Q2 with s = geomspace(1, ``_COND``, d)
+    and Q1, Q2 random-phase unitary DFTs (``_random_unitary``), so its
+    condition number is exactly ``_COND`` = 2 and its inverse
+    Q2^H diag(1/s) Q1^H is exact; the operator carries that inverse, and
+    neither building nor applying it factorizes a matrix. Eigenvalue
     moduli are uniform in ``modulus``; phases are jittered around the
     equispaced grid and rotated by a random angle, which keeps pairwise
     gaps near 1/d. Eigenvalues packed much tighter than that are not
@@ -262,10 +287,12 @@ def random_diagonalizable(d: int, seed,
     """
     _check_dimension(d)
     rng = np.random.default_rng(seed)
-    U = _random_unitary(rng, d) @ np.diag(np.geomspace(1.0, _COND, d)) @ _random_unitary(rng, d)
+    q1, q2, s = _random_unitary(rng, d), _random_unitary(rng, d), np.geomspace(1.0, _COND, d)
+    U = (q1 * s) @ q2
+    U_inv = (q2.conj().T / s) @ q1.conj().T
     for _ in range(_MAX_TRIES):
         phases = (np.arange(d) + rng.uniform(-0.25, 0.25, d)) * 2 * np.pi / d
         eigs = rng.uniform(*modulus, d) * np.exp(1j * (phases + rng.uniform(0, 2 * np.pi)))
         if d == 1 or min_pairwise_gap(eigs) > _MIN_GAP:
-            return Diagonalizable(U, eigs)
+            return Diagonalizable(U, eigs, U_inv)
     raise ConditioningError(f"could not draw eigenvalues with gaps above {_MIN_GAP}")

@@ -328,6 +328,13 @@ def test_zero_degree_bound_finds_no_annihilator(solve_widths):
                                             r"\(best residual inf\)$") as info:
         scalar_annihilator(np.ones(4), 0, rows=2)
     assert info.value.best_residual == float("inf")
+    # with rows omitted too: the default row count is never 0
+    with pytest.raises(NoAnnihilator, match=r"\(best residual inf\)$") as info:
+        scalar_annihilator(np.ones(4), 0)
+    assert info.value.best_residual == float("inf")
+    with pytest.raises(NoAnnihilator, match=r"\(best residual inf\)$"):
+        annihilator_from_samples(np.ones((1, 2)), 0)
+    assert scalar_annihilator(np.zeros(4), 0).degree == 0
     assert solve_widths == []
 
 

@@ -432,6 +432,23 @@ def test_module_entry_point_subprocess(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_diagonalizable_problem_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at d = 192 a LAPACK factorization already gives different bits under
+    # one and two OpenBLAS threads; the diagonalizable factory uses none
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dynspec.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "dynspec", "simulate", "--mode",
+                               "diagonalizable", "--d", "192", "--omega", "0,3,7",
+                               "--levels", "40", "--seed", "5", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def _readme_walkthroughs():
     """README's bash blocks that start with a dynspec command, each as a
     list of argument lists (backslash continuations joined)."""

@@ -65,6 +65,49 @@ def test_apply_dimension_mismatch():
         shift_operator(4).apply([1, 2, 3])
 
 
+_FACTORIZATIONS = ("cholesky", "det", "eig", "eigh", "eigvals", "inv", "lstsq", "pinv", "qr",
+                   "slogdet", "solve", "svd")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_diagonalizable_factorizes_nothing(monkeypatch, seed):
+    # LAPACK factorizations give different bits under different BLAS thread
+    # counts; FFTs and matrix products do not, so the factory and simulate
+    # use only those
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg factorization called")
+
+    with monkeypatch.context() as patched:
+        for name in _FACTORIZATIONS:
+            patched.setattr(np.linalg, name, refuse)
+        B = random_diagonalizable(64, seed)
+        simulate(B, random_signal(64, seed + 10), IndexSet((0, 3, 7)), 128)
+    assert abs(np.linalg.cond(B.U) - 2.0) < 1e-12
+    assert np.max(np.abs(B.U @ B.U_inv - np.eye(64))) < 1e-12
+
+
+def test_diagonalizable_keeps_the_inverse_it_is_given():
+    B = random_diagonalizable(5, 1)
+    given = Diagonalizable(B.U, B.eigs, B.U_inv)
+    assert given.U_inv is B.U_inv
+    x = _rand_vec(5, 2)
+    assert np.array_equal(given.apply(x), B.U @ (B.eigs * (B.U_inv @ x)))
+    inverted = Diagonalizable(B.U, B.eigs)
+    assert np.max(np.abs(inverted.U_inv - B.U_inv)) < 1e-12
+
+
+def test_diagonalizable_singular_basis_rejected_at_construction():
+    U = np.eye(3)
+    U[2, 2] = 0.0
+    with pytest.raises(ConditioningError, match="eigenbasis is singular"):
+        Diagonalizable(U, [1, 2, 3])
+
+
+def test_diagonalizable_inverse_shape_checked():
+    with pytest.raises(DimensionError, match="inverse eigenbasis"):
+        Diagonalizable(np.eye(3), [1, 2, 3], np.eye(2))
+
+
 # ----------------------------------------------------------- simulate
 
 def test_simulate_identity_repeats():
