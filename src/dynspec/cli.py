@@ -231,7 +231,6 @@ def cmd_recover(args) -> int:
     samples = problem.sample_set
     tol = config.TAU_SOLVE if args.tol is None else args.tol
     dedup_rel = config.DEDUP_REL if args.dedup is None else args.dedup
-    tolerances = {"tau_solve": tol, "dedup_rel": dedup_rel, "tau_root": config.TAU_ROOT}
     try:
         if args.mode == "invariant":
             estimate = recover_operator(samples, args.assume_symmetric, dedup_rel, tol)
@@ -242,7 +241,7 @@ def cmd_recover(args) -> int:
         else:
             estimate = prony_support(samples, args.sparsity, tol)
     except RecoveryError as exc:
-        save_report(args.out, args.mode, tolerances, exc.partial, fatal=str(exc))
+        save_report(args.out, args.mode, tol, dedup_rel, exc.partial, fatal=str(exc))
         return _fail(str(exc), 3)
 
     verified = None
@@ -250,7 +249,7 @@ def cmd_recover(args) -> int:
         found = Report(args.mode, estimate.merged, estimate.support, estimate.taps,
                        estimate.signal)
         verified = {name: err for name, err, *_ in _truth_checks(problem, found, VERIFY_TOL)}
-    save_report(args.out, args.mode, tolerances, estimate, verified=verified)
+    save_report(args.out, args.mode, tol, dedup_rel, estimate, verified=verified)
     if args.plot:
         _write_spectrum_svg(args.plot, estimate.merged)
     print(f"wrote {args.out}: {estimate.merged.size} spectral values (mode={args.mode})")

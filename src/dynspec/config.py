@@ -2,8 +2,9 @@
 
 The recovery pipelines' consistency decisions funnel through these
 values. ``TAU_SOLVE`` and ``DEDUP_REL`` can be overridden per call (the
-CLI's ``--tol`` and ``--dedup``); the others are fixed. The CLI records
-``TAU_SOLVE``, ``DEDUP_REL`` and ``TAU_ROOT`` as used in each report.
+CLI's ``--tol`` and ``--dedup``); the others are fixed. Each report
+(``fileio.save_report``) records ``TAU_SOLVE``, ``DEDUP_REL`` and
+``TAU_ROOT`` as used.
 
 Three levels live beside the one decision each makes, not here:
 ``cli.VERIFY_TOL`` (1e-8), the ground-truth comparison of ``verify`` and

@@ -31,6 +31,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import config
 from .errors import DimensionError, FileFormatError
 from .model import IndexSet, SampleSet, Uniform
 
@@ -311,13 +312,15 @@ def load_taps(path: str) -> np.ndarray:
     return _finite_pairs(_load_json(path), path)
 
 
-def save_report(path: str, mode: str, tolerances: dict, estimate=None,
+def save_report(path: str, mode: str, tau_solve: float, dedup_rel: float, estimate=None,
                 fatal: str | None = None, verified: dict | None = None) -> None:
-    """Write the report of a ``mode`` run: the ``tolerances`` it used,
-    its ``estimate`` (a ``SpectrumEstimate``; for a failed run the partial
-    one, or None), the ``fatal`` message of a failed run, and ``verified``,
-    the error of each ground-truth check by check name."""
-    tolerances = dict(tolerances)
+    """Write the report of a ``mode`` run: the tolerances it used
+    (``tau_solve``, ``dedup_rel``, ``config.TAU_ROOT`` and the estimate's
+    absolute ``dedup_tol``), its ``estimate`` (a ``SpectrumEstimate``; for
+    a failed run the partial one, or None), the ``fatal`` message of a
+    failed run, and ``verified``, the error of each ground-truth check by
+    check name."""
+    tolerances = {"tau_solve": tau_solve, "dedup_rel": dedup_rel, "tau_root": config.TAU_ROOT}
     failures = {} if fatal is None else {"fatal": fatal}
     report = {"schema_version": SCHEMA_VERSION, "mode": mode,
               "diagnostics": {"tolerances": tolerances, "failures": failures}}

@@ -27,7 +27,7 @@ from .errors import (AmbiguousOrdering, DimensionError, InsufficientDataError,
                      NoAnnihilator, NotSymmetricReal, RecoveryError,
                      UnderDetermined)
 from .model import Circulant, SampleSet, Uniform
-from .numerics import as_vector, dft, least_squares, min_pairwise_gap
+from .numerics import as_vector, dft, distinct_points, least_squares
 from .spectral import SpectrumEstimate, search_sources
 
 # Largest imaginary part, relative to the spectral scale, that the
@@ -141,7 +141,7 @@ def recover_signal(samples: SampleSet, a_hat,
     for j in range(J):
         freqs = np.arange(j, d, J)
         nodes = a_hat[freqs]
-        if m > 1 and min_pairwise_gap(nodes) <= min_gap:
+        if distinct_points(nodes, min_gap).size < m:
             raise UnderDetermined(
                 f"class {j} has repeated transfer values; its aliased signal "
                 "components cannot be separated", class_id=j)

@@ -9,7 +9,10 @@ here: the recovery pipelines read samples, never the operator.
 The random factories use no LAPACK factorization, only FFTs, elementwise
 arithmetic and matrix products, whose bits do not depend on the BLAS
 thread count; so identical seeds give identical operators and samples
-under any thread count.
+under any thread count. ``random_circulant`` redraws until its transfer
+values are pairwise more than ``_MIN_GAP`` apart and gives up after
+``_MAX_TRIES`` draws; ``random_diagonalizable`` separates its
+eigenvalues by construction, so its one draw cannot fail.
 
 Conventions, fixed once for the whole library: the cyclic convolution is
 (a * x)(n) = sum_k a(k) x(n - k), and the "shift" operator advances the
@@ -24,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DimensionError
-from .numerics import as_matrix, as_vector, dft, min_pairwise_gap
+from .numerics import as_matrix, as_vector, dft, distinct_points
 
-# Random operators: smallest accepted gap between two eigenvalues, draws
-# tried before giving up, and the eigenbasis condition number.
+# Random operators: smallest accepted gap between two eigenvalues, filter
+# draws tried before giving up, and the eigenbasis condition number.
 _MIN_GAP = 1e-3
 _MAX_TRIES = 200
 _COND = 2.0
@@ -249,14 +252,15 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
 
 
 def random_circulant(d: int, seed) -> Circulant:
-    """Random complex filter with pairwise-distinct transfer values,
-    normalized so the largest transfer modulus is 1."""
+    """Random complex filter with transfer values pairwise more than
+    ``_MIN_GAP`` apart, normalized so the largest transfer modulus is 1.
+    Raises ConditioningError when ``_MAX_TRIES`` draws all fall short."""
     _check_dimension(d)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         a_hat = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2)
         a_hat /= np.max(np.abs(a_hat))
-        if d == 1 or min_pairwise_gap(a_hat) > _MIN_GAP:
+        if distinct_points(a_hat, _MIN_GAP).size == d:
             return Circulant(dft(a_hat, inverse=True))
     raise ConditioningError(f"could not draw a filter with transfer gaps above {_MIN_GAP}")
 
@@ -268,8 +272,7 @@ def _random_unitary(rng, d: int) -> np.ndarray:
     return a[:, None] * np.fft.fft(np.diag(b), axis=0, norm="ortho")
 
 
-def random_diagonalizable(d: int, seed,
-                          modulus: tuple[float, float] = (0.9, 1.1)) -> Diagonalizable:
+def random_diagonalizable(d: int, seed) -> Diagonalizable:
     """Random diagonalizable operator with controlled conditioning.
 
     The eigenbasis is U = Q1 diag(s) Q2 with s = geomspace(1, ``_COND``, d)
@@ -277,22 +280,22 @@ def random_diagonalizable(d: int, seed,
     condition number is exactly ``_COND`` = 2 and its inverse
     Q2^H diag(1/s) Q1^H is exact; the operator carries that inverse, and
     neither building nor applying it factorizes a matrix. Eigenvalue
-    moduli are uniform in ``modulus``; phases are jittered around the
-    equispaced grid and rotated by a random angle, which keeps pairwise
-    gaps near 1/d. Eigenvalues packed much tighter than that are not
-    resolvable from the 2d-sample horizon the recovery pipelines use, so
-    a uniform-phase draw would routinely produce instances no method
-    could handle at the default consistency threshold. ``_MIN_GAP`` is
-    still enforced by rejection as an absolute floor.
+    moduli are uniform in [0.9, 1.1]; phases are jittered by at most a
+    quarter step around the equispaced grid and rotated by a random
+    angle. Eigenvalues packed much tighter than 1/d are not resolvable
+    from the 2d-sample horizon the recovery pipelines use, so a
+    uniform-phase draw would routinely produce instances no method could
+    handle at the default consistency threshold.
+
+    Any two phases are at least pi/d apart, so any two eigenvalues are at
+    least 2 * 0.9 * sin(pi/2d) apart: the draw needs no rejection and
+    cannot fail, at any d.
     """
     _check_dimension(d)
     rng = np.random.default_rng(seed)
     q1, q2, s = _random_unitary(rng, d), _random_unitary(rng, d), np.geomspace(1.0, _COND, d)
     U = (q1 * s) @ q2
     U_inv = (q2.conj().T / s) @ q1.conj().T
-    for _ in range(_MAX_TRIES):
-        phases = (np.arange(d) + rng.uniform(-0.25, 0.25, d)) * 2 * np.pi / d
-        eigs = rng.uniform(*modulus, d) * np.exp(1j * (phases + rng.uniform(0, 2 * np.pi)))
-        if d == 1 or min_pairwise_gap(eigs) > _MIN_GAP:
-            return Diagonalizable(U, eigs, U_inv)
-    raise ConditioningError(f"could not draw eigenvalues with gaps above {_MIN_GAP}")
+    phases = (np.arange(d) + rng.uniform(-0.25, 0.25, d)) * 2 * np.pi / d
+    eigs = rng.uniform(0.9, 1.1, d) * np.exp(1j * (phases + rng.uniform(0, 2 * np.pi)))
+    return Diagonalizable(U, eigs, U_inv)

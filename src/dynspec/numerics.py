@@ -3,8 +3,9 @@
 Everything here is a pure function of its inputs: the DFT in both
 directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
 least squares, the roots of monic polynomials given by their low-order
-coefficients, the distance between two point sets, and the shared zero
-and separation tests. Vectors and matrices are plain complex ndarrays;
+coefficients, the distance between two point sets, the shared zero
+test, and ``distinct_points``, the one sweep that both tests separation
+and deduplicates roots. Vectors and matrices are plain complex ndarrays;
 ``as_vector`` and ``as_matrix`` check their shape and finiteness.
 
 The degree search solves many tiny systems (the invariant pipeline
@@ -74,11 +75,39 @@ def zero_threshold(scale: float) -> float:
     return config.ZERO_REL * scale
 
 
-def min_pairwise_gap(values: np.ndarray) -> float:
-    """Smallest |values[i] - values[j]| over i != j (needs two entries)."""
-    dist = np.abs(values[:, None] - values[None, :])
-    dist[np.diag_indices_from(dist)] = np.inf
-    return float(dist.min())
+def distinct_points(points, tol: float) -> np.ndarray:
+    """The points that survive a greedy sweep: visited in ascending
+    (real, imag) order, a point is dropped when it lies within ``tol`` of
+    an earlier survivor. Survivors are input points, come out in that
+    order, and are pairwise more than ``tol`` apart.
+
+    A point is dropped exactly when some pair of points is within
+    ``tol``, so ``distinct_points(v, tol).size == v.size`` tests that
+    every pairwise distance exceeds ``tol``: one sweep serves both that
+    separation test and root deduplication. Since survivors are in
+    ascending real order, only the trailing ones whose real part lies
+    within ``tol`` of a point can be its duplicate: a sweep line,
+    quadratic only when every real part is that close, with no dense
+    distance table.
+    """
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    order = np.lexsort((pts.imag, pts.real))
+    reps: list[complex] = []
+    for z in pts[order].tolist():
+        if _is_new(z, reps, tol):
+            reps.append(z)
+    return np.array(reps, dtype=np.complex128)
+
+
+def _is_new(z: complex, reps: list, tol: float) -> bool:
+    """Whether z is farther than tol from every survivor in reps, which
+    are in ascending real order with real parts at most z.real."""
+    for rep in reversed(reps):
+        if z.real - rep.real > tol:
+            return True
+        if not abs(z - rep) > tol:
+            return False
+    return True
 
 
 def dft(v, inverse: bool = False) -> np.ndarray:

@@ -20,7 +20,7 @@ from .annihilator import _block_hankel, scalar_annihilator
 from .errors import (InsufficientDataError, NoAnnihilator, RecoveryError,
                      SpanConditionViolated)
 from .model import SampleSet
-from .numerics import least_squares, poly_roots
+from .numerics import distinct_points, least_squares, poly_roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,44 +47,18 @@ class SpectrumEstimate:
     signal: np.ndarray | None = None
 
 
-def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL,
-                dedup_tol: float | None = None):
-    """Deduplicate roots across sources.
-
-    Greedy in a deterministic order; survivors are actual roots, and any
-    two survivors are separated by more than the tolerance (``dedup_rel``
-    times the largest modulus unless an absolute ``dedup_tol`` is given).
-    Returns (merged, tolerance_used).
-
-    Roots are visited in ascending (real, imag) order, so survivors come
-    out in ascending real order and only the trailing ones whose real
-    part lies within the tolerance of a root can be its duplicate: a
-    sweep line, quadratic only when every real part is that close.
+def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL):
+    """Deduplicate roots across sources with ``numerics.distinct_points``
+    at the tolerance ``dedup_rel`` times the largest modulus (times 1 when
+    every root is zero). Survivors are actual roots, in ascending
+    (real, imag) order, and any two are separated by more than the
+    tolerance. Returns (merged, tolerance_used).
     """
-    chunks = [np.asarray(r, dtype=np.complex128).ravel() for r in root_lists]
-    roots = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.complex128)
-    if dedup_tol is None:
-        scale = float(np.max(np.abs(roots))) if roots.size else 0.0
-        dedup_tol = dedup_rel * (scale if scale > 0 else 1.0)
-    if roots.size == 0:
-        return roots, dedup_tol
-    order = np.lexsort((roots.imag, roots.real))
-    reps: list[complex] = []
-    for z in roots[order].tolist():
-        if _is_new(z, reps, dedup_tol):
-            reps.append(z)
-    return np.array(reps, dtype=np.complex128), dedup_tol
-
-
-def _is_new(z: complex, reps: list, tol: float) -> bool:
-    """Whether z is farther than tol from every survivor in reps, which
-    are in ascending real order with real parts at most z.real."""
-    for rep in reversed(reps):
-        if z.real - rep.real > tol:
-            return True
-        if not abs(z - rep) > tol:
-            return False
-    return True
+    roots = np.concatenate([np.zeros(0, dtype=np.complex128)]
+                           + [np.asarray(r, dtype=np.complex128).ravel() for r in root_lists])
+    scale = float(np.max(np.abs(roots), initial=0.0))
+    tol = dedup_rel * (scale if scale > 0 else 1.0)
+    return distinct_points(roots, tol), tol
 
 
 def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,

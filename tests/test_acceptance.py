@@ -47,14 +47,14 @@ def _resolvable_filter(d, m, seed, min_gap=1e-3, lo=0.35, prod_floor=3e-2):
     by any coefficient-based method.
     """
     from dynspec.model import Circulant
-    from dynspec.numerics import min_pairwise_gap as _min_pairwise_gap
+    from dynspec.numerics import distinct_points
 
     rng = np.random.default_rng(seed)
     J = d // m
     while True:
         a_hat = rng.uniform(lo, 1.0, d) * np.exp(2j * np.pi * rng.random(d))
         a_hat /= np.max(np.abs(a_hat))
-        if _min_pairwise_gap(a_hat) <= min_gap:
+        if distinct_points(a_hat, min_gap).size < d:
             continue
         prods = (np.prod(np.abs(np.delete(a_hat[j::J], i) - a_hat[j::J][i]))
                  for j in range(J) for i in range(m))

@@ -78,10 +78,8 @@ def _estimate(case):
 def test_report_round_trip_is_bit_exact(tmp_path, case):
     mode, estimate = _estimate(case)
     path = tmp_path / "r.json"
-    tolerances = {"tau_solve": config.TAU_SOLVE, "dedup_rel": config.DEDUP_REL,
-                  "tau_root": config.TAU_ROOT}
     fatal = "ordering failed" if case == "partial" else None
-    save_report(str(path), mode, tolerances, estimate, fatal=fatal)
+    save_report(str(path), mode, config.TAU_SOLVE, config.DEDUP_REL, estimate, fatal=fatal)
     report = load_report(str(path))
     assert report.mode == mode
     assert report.spectrum.dtype == np.complex128
@@ -98,7 +96,7 @@ def test_report_round_trip_is_bit_exact(tmp_path, case):
 
 def test_report_without_estimate_has_no_recovered_fields(tmp_path):
     path = tmp_path / "r.json"
-    save_report(str(path), "general", {"tau_solve": 1e-8}, fatal="no samples")
+    save_report(str(path), "general", 1e-8, config.DEDUP_REL, fatal="no samples")
     report = load_report(str(path))
     assert (report.mode, report.spectrum, report.support, report.taps, report.signal) == (
         "general", None, None, None, None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,35 @@ def test_random_diagonalizable_factorizes_nothing(monkeypatch, seed):
     assert np.max(np.abs(B.U @ B.U_inv - np.eye(64))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 8, 64, 255, 1024])
+def test_random_diagonalizable_eigenvalues_are_separated_by_construction(d):
+    # phases at least pi/d apart and moduli at least 0.9 put any two
+    # eigenvalues 1.8 sin(pi/2d) apart, so the one draw needs no rejection
+    bound = 1.8 * np.sin(np.pi / (2 * d))
+    for seed in range(5):
+        eigs = random_diagonalizable(d, seed).eigs
+        dist = np.abs(eigs[:, None] - eigs[None, :])
+        dist[np.diag_indices_from(dist)] = np.inf
+        assert dist.min() >= bound
+
+
+def test_random_circulant_builds_no_distance_table():
+    # a dense 1023 x 1023 gap table alone takes 16 MiB
+    tracemalloc.start()
+    try:
+        random_circulant(1023, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_random_circulant_refuses_when_every_draw_is_crowded():
+    with pytest.raises(ConditioningError, match="could not draw a filter with transfer gaps "
+                                                "above 0.001"):
+        random_circulant(1536, 1)
+
+
 def test_diagonalizable_keeps_the_inverse_it_is_given():
     B = random_diagonalizable(5, 1)
     given = Diagonalizable(B.U, B.eigs, B.U_inv)
@@ -145,7 +176,7 @@ def test_simulate_matches_dense_power_oracle(d, sampler):
 
 @pytest.mark.parametrize("d,seed", [(8, 0), (17, 1), (32, 2)])
 def test_simulate_power_consistency_property(d, seed):
-    B = random_diagonalizable(d, seed, modulus=(0.5, 1.1))
+    B = random_diagonalizable(d, seed)
     x = _rand_vec(d, seed + 10)
     omega = IndexSet((0, d // 2, d - 1))
     out = simulate(B, x, omega, 20)

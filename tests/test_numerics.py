@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from dynspec import numerics
 from dynspec.errors import DimensionError
-from dynspec.numerics import dft, least_squares, poly_roots, set_match_error
+from dynspec.numerics import (dft, distinct_points, least_squares, poly_roots,
+                              set_match_error)
 from helpers import assert_sets_close, coeffs_desc, division_remainder
 
 
@@ -371,3 +372,47 @@ def test_set_match_error_blocks_at_module_block_size(sizes):
     rng = np.random.default_rng(sum(sizes))
     got, expected = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in sizes)
     assert set_match_error(got, expected) == _set_match_error_dense(got, expected)
+
+
+# ------------------------------------------------------ distinct points
+
+def _min_pairwise_gap_dense(points):
+    """Smallest |p - q| over pairs of distinct indices, from the full
+    distance table (inf with fewer than two points)."""
+    v = np.asarray(points, dtype=np.complex128).ravel()
+    if v.size < 2:
+        return float("inf")
+    dist = np.abs(v[:, None] - v[None, :])
+    dist[np.diag_indices_from(dist)] = np.inf
+    return float(dist.min())
+
+
+# Integer grid points scaled by a power of two: real parts tie, points
+# repeat, and distances such as |3 + 4i| = 5 land exactly on the tolerance.
+_grid_point = st.builds(complex, st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=st.lists(_grid_point, max_size=40), tol=st.sampled_from([1, 2, 5]),
+       scale=st.sampled_from([1.0, 0.25]))
+def test_distinct_points_keeps_all_exactly_when_dense_gap_exceeds_tol(points, tol, scale):
+    v = np.array(points, dtype=np.complex128) * scale
+    kept = distinct_points(v, tol * scale)
+    assert (kept.size == v.size) == (_min_pairwise_gap_dense(v) > tol * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_point_set(), tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-3, 1.0, 50.0]))
+def test_distinct_points_separation_matches_dense_gap_on_hard_sets(points, tol):
+    v = np.array([z for z in points if np.isfinite(z)], dtype=np.complex128)
+    kept = distinct_points(v, tol)
+    assert (kept.size == v.size) == (_min_pairwise_gap_dense(v) > tol)
+    # survivors are input points, in (real, imag) order, pairwise farther than tol
+    assert set(kept.tolist()) <= set(v.tolist())
+    assert list(kept) == sorted(kept.tolist(), key=lambda z: (z.real, z.imag))
+    assert _min_pairwise_gap_dense(kept) > tol
+
+
+def test_distinct_points_of_nothing_is_empty():
+    kept = distinct_points([], 1.0)
+    assert kept.shape == (0,) and kept.dtype == np.complex128

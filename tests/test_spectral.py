@@ -9,7 +9,7 @@ from dynspec.errors import SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
                            random_circulant, random_diagonalizable,
                            random_signal, shift_operator, simulate)
-from dynspec.numerics import poly_roots
+from dynspec.numerics import distinct_points, poly_roots
 from dynspec.prony import prony_support, random_sparse_signal
 from dynspec.spectral import (fit_extrapolation, merge_roots,
                               recover_observable_spectrum,
@@ -130,9 +130,11 @@ def test_merge_roots_matches_quadratic_greedy(lists, conjugate, tol, scale):
     if conjugate:
         lists = lists + [[z.conjugate() for z in chunk] for chunk in lists]
     lists = [[z * scale for z in chunk] for chunk in lists]
-    merged, tol_used = merge_roots(lists, dedup_tol=tol * scale)
-    assert tol_used == tol * scale
-    assert np.array_equal(merged, _merge_roots_quadratic(lists, tol * scale))
+    roots = np.array([z for chunk in lists for z in chunk], dtype=np.complex128)
+    assert np.array_equal(distinct_points(roots, tol * scale),
+                          _merge_roots_quadratic(lists, tol * scale))
+    merged, tol_used = merge_roots(lists, dedup_rel=tol / 8)
+    assert np.array_equal(merged, _merge_roots_quadratic(lists, tol_used))
 
 
 # -------------------------------------------------------- extrapolation
