@@ -28,8 +28,8 @@ import numpy as np
 
 from . import config
 from .errors import DynspecError, RecoveryError
-from .fileio import (Report, atomic_write_text, load_problem, load_report, load_taps,
-                     save_problem, save_report)
+from .fileio import (RECOVER_MODES, Report, atomic_write_text, load_problem, load_report,
+                     load_taps, save_problem, save_report)
 from .invariant import recover_operator
 from .model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
                     random_circulant, random_diagonalizable, random_signal,
@@ -96,15 +96,16 @@ def _positive_float(text: str) -> float:
 
 
 def _resolve_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("DYNSPEC_SEED")
-    if env is not None:
+    name = "--seed"
+    if value is None:
+        name, value = "DYNSPEC_SEED", os.environ.get("DYNSPEC_SEED", "0")
         try:
-            return int(env)
+            value = int(value)
         except ValueError:
-            raise ValueError(f"DYNSPEC_SEED must be an integer, got {env!r}")
-    return 0
+            raise ValueError(f"DYNSPEC_SEED must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,8 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("recover", help="run a recovery pipeline on a problem file")
     rec.add_argument("--in", dest="infile", required=True, help="input problem file")
-    rec.add_argument("--mode", choices=["invariant", "general", "extrapolate", "prony"],
-                     required=True, help="recovery pipeline")
+    rec.add_argument("--mode", choices=RECOVER_MODES, required=True, help="recovery pipeline")
     rec.add_argument("--assume-symmetric", action="store_true",
                      help="invariant mode: order the spectrum assuming a real, symmetric, "
                           "decreasing transfer function and recover the operator")

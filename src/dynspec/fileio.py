@@ -36,6 +36,8 @@ from .errors import DimensionError, FileFormatError
 from .model import IndexSet, SampleSet, Uniform
 
 SCHEMA_VERSION = "dynspec-1"
+# The recovery pipelines, as a report's "mode" names them.
+RECOVER_MODES = ("invariant", "general", "extrapolate", "prony")
 _JSON_NUMBERS = frozenset({int, float})
 _PAIRS_EXPECTED = "expected a list of [re, im] pairs of numbers"
 
@@ -350,6 +352,9 @@ def load_report(path: str) -> Report:
     obj = _load_document(path, "report")
     if "mode" not in obj:
         raise FileFormatError(f"{path}: missing field 'mode'")
+    if obj["mode"] not in RECOVER_MODES:
+        raise FileFormatError(f"{path}: field 'mode' must be one of {', '.join(RECOVER_MODES)}, "
+                              f"got {json.dumps(obj['mode'])}")
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict) or not isinstance(diagnostics.get("tolerances", {}), dict):
         raise FileFormatError(f"{path}: diagnostics and its tolerances must be objects")

@@ -9,10 +9,9 @@ here: the recovery pipelines read samples, never the operator.
 The random factories use no LAPACK factorization, only FFTs, elementwise
 arithmetic and matrix products, whose bits do not depend on the BLAS
 thread count; so identical seeds give identical operators and samples
-under any thread count. ``random_circulant`` redraws until its transfer
-values are pairwise more than ``_MIN_GAP`` apart and gives up after
-``_MAX_TRIES`` draws; ``random_diagonalizable`` separates its
-eigenvalues by construction, so its one draw cannot fail.
+under any thread count. Both draw their eigenvalues from one
+``_separated_spectrum``, which separates them by construction, so each
+factory draws once and cannot fail, at any d.
 
 Conventions, fixed once for the whole library: the cyclic convolution is
 (a * x)(n) = sum_k a(k) x(n - k), and the "shift" operator advances the
@@ -27,12 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DimensionError
-from .numerics import as_matrix, as_vector, dft, distinct_points
+from .numerics import as_matrix, as_vector, dft
 
-# Random operators: smallest accepted gap between two eigenvalues, filter
-# draws tried before giving up, and the eigenbasis condition number.
-_MIN_GAP = 1e-3
-_MAX_TRIES = 200
+# Condition number of the random diagonalizable eigenbasis.
 _COND = 2.0
 
 
@@ -251,18 +247,28 @@ def make_diffusion_filter(d: int, decay: float) -> Circulant:
     return Circulant(dft(a_hat, inverse=True))
 
 
+def _separated_spectrum(rng, d: int) -> np.ndarray:
+    """d values with moduli uniform in [0.9, 1.1] and phases jittered by at
+    most a quarter step around the equispaced grid, rotated by a random
+    angle. Any two phases are at least pi/d apart, so any two values are
+    at least 2 * 0.9 * sin(pi/2d) apart: no rejection is needed."""
+    phases = (np.arange(d) + rng.uniform(-0.25, 0.25, d)) * 2 * np.pi / d
+    return rng.uniform(0.9, 1.1, d) * np.exp(1j * (phases + rng.uniform(0, 2 * np.pi)))
+
+
 def random_circulant(d: int, seed) -> Circulant:
-    """Random complex filter with transfer values pairwise more than
-    ``_MIN_GAP`` apart, normalized so the largest transfer modulus is 1.
-    Raises ConditioningError when ``_MAX_TRIES`` draws all fall short."""
+    """Random complex filter whose transfer values are a ``_separated_spectrum``
+    in random order, normalized so the largest modulus is 1.
+
+    Any two transfer values are at least (1.8 / 1.1) * sin(pi/2d) apart,
+    so the one draw cannot fail, at any d. The permutation matters: in
+    grid order each residue class mod m would hold m equispaced phases,
+    and the filter would be a jittered shift.
+    """
     _check_dimension(d)
     rng = np.random.default_rng(seed)
-    for _ in range(_MAX_TRIES):
-        a_hat = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2)
-        a_hat /= np.max(np.abs(a_hat))
-        if distinct_points(a_hat, _MIN_GAP).size == d:
-            return Circulant(dft(a_hat, inverse=True))
-    raise ConditioningError(f"could not draw a filter with transfer gaps above {_MIN_GAP}")
+    a_hat = rng.permutation(_separated_spectrum(rng, d))
+    return Circulant(dft(a_hat / np.max(np.abs(a_hat)), inverse=True))
 
 
 def _random_unitary(rng, d: int) -> np.ndarray:
@@ -279,23 +285,16 @@ def random_diagonalizable(d: int, seed) -> Diagonalizable:
     and Q1, Q2 random-phase unitary DFTs (``_random_unitary``), so its
     condition number is exactly ``_COND`` = 2 and its inverse
     Q2^H diag(1/s) Q1^H is exact; the operator carries that inverse, and
-    neither building nor applying it factorizes a matrix. Eigenvalue
-    moduli are uniform in [0.9, 1.1]; phases are jittered by at most a
-    quarter step around the equispaced grid and rotated by a random
-    angle. Eigenvalues packed much tighter than 1/d are not resolvable
-    from the 2d-sample horizon the recovery pipelines use, so a
-    uniform-phase draw would routinely produce instances no method could
-    handle at the default consistency threshold.
-
-    Any two phases are at least pi/d apart, so any two eigenvalues are at
-    least 2 * 0.9 * sin(pi/2d) apart: the draw needs no rejection and
-    cannot fail, at any d.
+    neither building nor applying it factorizes a matrix. The
+    eigenvalues are a ``_separated_spectrum``: eigenvalues packed much
+    tighter than 1/d are not resolvable from the 2d-sample horizon the
+    recovery pipelines use, so a uniform-phase draw would routinely
+    produce instances no method could handle at the default consistency
+    threshold.
     """
     _check_dimension(d)
     rng = np.random.default_rng(seed)
     q1, q2, s = _random_unitary(rng, d), _random_unitary(rng, d), np.geomspace(1.0, _COND, d)
     U = (q1 * s) @ q2
     U_inv = (q2.conj().T / s) @ q1.conj().T
-    phases = (np.arange(d) + rng.uniform(-0.25, 0.25, d)) * 2 * np.pi / d
-    eigs = rng.uniform(0.9, 1.1, d) * np.exp(1j * (phases + rng.uniform(0, 2 * np.pi)))
-    return Diagonalizable(U, eigs, U_inv)
+    return Diagonalizable(U, _separated_spectrum(rng, d), U_inv)

@@ -14,6 +14,7 @@ from dynspec import cli
 from dynspec.cli import main
 from dynspec.fileio import load_problem, pairs_to_complex
 from dynspec.model import Uniform, make_diffusion_filter, random_signal, simulate
+from dynspec.numerics import dft
 
 
 def run(*argv):
@@ -414,6 +415,26 @@ def test_verify_rejects_non_integer_support(tmp_path, capsys):
     assert f"error: {out}: field 'recovered_support' must be an integer" in captured.err
 
 
+@pytest.mark.parametrize("mode", [5, None, "PRONY", ["prony"], "circulant"],
+                         ids=["number", "null", "upper-case", "list", "operator-family"])
+def test_verify_rejects_unknown_report_mode(tmp_path, capsys, mode):
+    # read as a non-prony report, a prony report would fail its spectrum
+    # check and exit 1; a mode outside the recover modes is malformed input
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "64", "--mode", "shift", "--sparsity", "5", "--omega", "17",
+               "--levels", "10", "--seed", "2", "--include-truth", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "prony", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    report["mode"] = mode
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out}: field 'mode' must be one of invariant, general, "
+                            f"extrapolate, prony, got {json.dumps(mode)}\n")
+
+
 # ----------------------------------------------------- process-level
 
 def test_module_entry_point_subprocess(tmp_path):
@@ -509,6 +530,8 @@ def test_usage_error_exits_2(tmp_path, capsys):
               "--out", out], "window must be positive, got -1"),
             (["simulate", "--d", "4", "--m", "1", "--levels", "0", "--out", out],
              "levels must be positive, got 0"),
+            (["simulate", "--d", "4", "--m", "1", "--levels", "2", "--seed", "-1", "--out", out],
+             "--seed must be non-negative, got -1"),
             (["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter", "file",
               "--filter-file", str(taps), "--out", out], "filter file has 3 taps, expected 4"),
             ([*from_file, str(unclosed)], f"{unclosed} is not valid JSON"),
@@ -648,10 +671,23 @@ def test_recover_invariant_m1_recovers_filter_and_signal(tmp_path, capsys):
     assert rows == {"spectrum": "PASS", "filter": "PASS", "signal": "PASS"}
 
 
+def _gaussian_filter_file(tmp_path, d, seed=1):
+    """Taps whose transfer values are i.i.d. complex Gaussian, scaled to
+    largest modulus 1: unlike the random draw, nothing keeps them apart."""
+    rng = np.random.default_rng(seed)
+    a_hat = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    taps = dft(a_hat / np.max(np.abs(a_hat)), inverse=True)
+    path = tmp_path / "gaussian-taps.json"
+    path.write_text(json.dumps(taps.view(np.float64).reshape(-1, 2).tolist()))
+    return path
+
+
 def test_recover_general_merging_more_values_than_d_exits_3(tmp_path, capsys):
     problem = tmp_path / "p.json"
     out = tmp_path / "r.json"
+    taps = _gaussian_filter_file(tmp_path, 16)
     assert run("simulate", "--mode", "circulant", "--d", "16", "--omega", "0,5",
+               "--filter", "file", "--filter-file", str(taps),
                "--levels", "32", "--include-truth", "--seed", "1", "--out", str(problem)) == 0
     assert run("recover", "--in", str(problem), "--mode", "general", "--out", str(out)) == 3
     assert "error:" in capsys.readouterr().err
@@ -933,4 +969,12 @@ def test_simulate_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch, va
     out = tmp_path / "p.json"
     assert run("simulate", "--d", "9", "--m", "3", "--levels", "6", "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: DYNSPEC_SEED must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_simulate_negative_env_seed_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DYNSPEC_SEED", "-1")
+    out = tmp_path / "p.json"
+    assert run("simulate", "--d", "9", "--m", "3", "--levels", "6", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: DYNSPEC_SEED must be non-negative, got -1\n"
     assert not out.exists()

@@ -8,7 +8,7 @@ from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
                            Uniform, make_diffusion_filter, random_circulant,
                            random_diagonalizable, random_signal,
                            shift_operator, simulate)
-from dynspec.numerics import dft
+from dynspec.numerics import dft, distinct_points
 from helpers import assert_sets_close
 from oracles import (as_diagonalizable, group_eigenvalues,
                      observable_spectrum_oracle, spectral_projectors)
@@ -88,16 +88,38 @@ def test_random_diagonalizable_factorizes_nothing(monkeypatch, seed):
     assert np.max(np.abs(B.U @ B.U_inv - np.eye(64))) < 1e-12
 
 
+def _assert_separated(spectrum, bound):
+    # distinct_points tests the gap without a d x d table (268 MB at d = 4095)
+    gap = bound * np.sin(np.pi / (2 * spectrum.size))
+    assert distinct_points(spectrum, gap).size == spectrum.size
+
+
 @pytest.mark.parametrize("d", [2, 3, 8, 64, 255, 1024])
 def test_random_diagonalizable_eigenvalues_are_separated_by_construction(d):
     # phases at least pi/d apart and moduli at least 0.9 put any two
     # eigenvalues 1.8 sin(pi/2d) apart, so the one draw needs no rejection
-    bound = 1.8 * np.sin(np.pi / (2 * d))
     for seed in range(5):
-        eigs = random_diagonalizable(d, seed).eigs
-        dist = np.abs(eigs[:, None] - eigs[None, :])
-        dist[np.diag_indices_from(dist)] = np.inf
-        assert dist.min() >= bound
+        _assert_separated(random_diagonalizable(d, seed).eigs, 1.8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64, 255, 1024, 1536, 4095])
+def test_random_circulant_transfer_values_are_separated_by_construction(d):
+    # the same spectrum as the diagonalizable draw, permuted and divided by
+    # its largest modulus, at most 1.1
+    for seed in range(5):
+        a_hat = random_circulant(d, seed).transfer()
+        assert abs(np.max(np.abs(a_hat)) - 1) < 1e-12
+        _assert_separated(a_hat, 1.8 / 1.1)
+
+
+@pytest.mark.parametrize("d", [8, 255])
+def test_random_circulant_transfer_values_are_not_in_phase_order(d):
+    # in grid order every residue class would hold equispaced phases and the
+    # filter would be a jittered shift; the draw permutes them
+    for seed in range(5):
+        order = np.argsort(np.angle(random_circulant(d, seed).transfer()))
+        rotations = [np.roll(np.arange(d), k) for k in range(d)]
+        assert not any(np.array_equal(order, r) for r in rotations)
 
 
 def test_random_circulant_builds_no_distance_table():
@@ -109,12 +131,6 @@ def test_random_circulant_builds_no_distance_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_random_circulant_refuses_when_every_draw_is_crowded():
-    with pytest.raises(ConditioningError, match="could not draw a filter with transfer gaps "
-                                                "above 0.001"):
-        random_circulant(1536, 1)
 
 
 def test_diagonalizable_keeps_the_inverse_it_is_given():
