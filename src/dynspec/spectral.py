@@ -4,9 +4,11 @@ Each sampled coordinate i yields a scalar time series whose annihilator
 roots are exactly the eigenvalues observable at i; the observable spectrum
 of a sampling set is the deduplicated union over its coordinates. The
 same per-source loop, ``search_sources``, serves the residue classes of
-the invariant pipeline. When samples are scarce, a window recurrence
-fitted to the first (|omega|+1)*L levels, and checked on the levels
-after them, extrapolates the series to any horizon first.
+the invariant pipeline. When samples are scarce, the block sequence
+{B^l x(i) : i in omega} is taken as one: its minimal annihilator, the lcm
+of the per-coordinate ones, is one recurrence fitted on the first
+(|omega|+1)*L levels and checked on the rest. Its roots are the observable
+spectrum, and running it forward extrapolates the samples.
 """
 
 from __future__ import annotations
@@ -16,19 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .annihilator import _block_hankel, scalar_annihilator
-from .errors import (InsufficientDataError, NoAnnihilator, RecoveryError,
-                     SpanConditionViolated)
+from .annihilator import annihilator_from_samples, scalar_annihilator
+from .errors import (DimensionError, InsufficientDataError, NoAnnihilator,
+                     RecoveryError, SpanConditionViolated)
 from .model import SampleSet
-from .numerics import distinct_points, least_squares, poly_roots
+from .numerics import distinct_points, poly_roots
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """Recovered eigenvalues, per source and merged.
 
-    ``per_source`` maps a source id (a sampled coordinate, or a residue
-    class id for the aliased pipeline) to its recovered root list; every
+    ``per_source`` maps a source id (a sampled coordinate, a residue
+    class id for the aliased pipeline, or the comma-joined sampled
+    coordinates for extrapolation) to its recovered root list; every
     merged value is one of those roots, and merged values are pairwise
     separated by more than ``dedup_tol`` (None for Prony, whose merged
     values are grid points). ``residuals`` holds the per-source
@@ -135,25 +138,26 @@ def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
     return estimate
 
 
-def fit_extrapolation(samples: SampleSet, L: int, levels: int,
-                      tol: float = config.TAU_SOLVE) -> np.ndarray:
-    """Fit the length-L recurrence from the first (|omega|+1)*L levels and
-    run it out to ``levels``; returns the (levels, |omega|) array whose
-    first L rows are the samples verbatim.
+def window_recurrence(samples: SampleSet, L: int, levels: int = 0,
+                      tol: float = config.TAU_SOLVE):
+    """Fit one recurrence, shared by all sampled coordinates, on the first
+    (|omega|+1)*L levels, check it on the rest, and run it out; returns
+    the annihilator and the (max(levels, L_total), |omega|) array whose
+    first ``degree`` rows are the samples verbatim.
 
-    The restricted sample at time k >= L is a fixed linear combination of
-    the L preceding ones. For each coordinate the square system over row
-    offsets k = 0..|omega|*L-1 is solved (minimum-norm when degenerate);
-    a relative residual at or above ``tol`` means no length-L recurrence
-    reproduces that coordinate, reported as SpanConditionViolated.
-    A square system fits any data, so the levels after the first
-    (|omega|+1)*L are held out: the recurrence, run from the first L
-    levels, must reproduce them to a relative residual below ``tol``, or
+    The recurrence is the minimal annihilator of the block sequence
+    {B^l x(i) : i in omega}: the degree search over L row blocks with
+    degree bound min(|omega|*L, d), which reads exactly the first
+    (|omega|+1)*L levels. A search that no degree fits is reported as
+    SpanConditionViolated. At degree |omega|*L the system is square and
+    fits any data, so the levels after the first (|omega|+1)*L are held
+    out: the recurrence, run from its first ``degree`` levels, must
+    reproduce them to a relative residual below ``tol``, or
     SpanConditionViolated is raised too. Retrying with a larger window
-    helps; L = d always fits.
+    helps; L = d fits exact data, but a mode that decays below ``tol``
+    within the fitted levels can still make the held-out levels miss.
     """
-    omega = samples.omega
-    n = omega.size
+    n = samples.omega.size
     if L < 1:
         raise ValueError(f"window must be positive, got {L}")
     need = (n + 1) * L
@@ -161,23 +165,16 @@ def fit_extrapolation(samples: SampleSet, L: int, levels: int,
         raise InsufficientDataError(
             f"window L={L} with {n} coordinates needs {need} time levels, have {samples.L_total}")
     S = samples.samples
-    nL = n * L
-    M = _block_hankel(S, L, nL).T
-    # weights[i, l, j] multiplies coordinate omega[j] at lag L - l in the
-    # recurrence of coordinate omega[i]
-    weights = np.empty((n, L, n), dtype=np.complex128)
-    for pos in range(n):
-        solution, residual = least_squares(M, S[L:L + nL, pos])
-        if residual >= tol:
-            raise SpanConditionViolated(
-                f"no length-{L} recurrence reproduces coordinate {omega[pos]} "
-                f"(residual {residual:.3e}); retry with a larger window")
-        weights[pos] = solution.reshape(L, n)
-    total = max(levels, samples.L_total)
-    out = np.empty((total, n), dtype=np.complex128)
-    out[:L] = S[:L]
-    for t in range(L, total):
-        out[t] = np.einsum("ilj,lj->i", weights, out[t - L:t])
+    try:
+        ann = annihilator_from_samples(S[:need], min(n * L, samples.d), rows=L, tol=tol,
+                                       zero_scale=float(np.max(np.abs(S))))
+    except NoAnnihilator as exc:
+        raise SpanConditionViolated(f"no length-{L} recurrence reproduces the samples (residual "
+                                    f"{exc.best_residual:.3e}); retry with a larger window") from exc
+    out = np.empty((max(levels, samples.L_total), n), dtype=np.complex128)
+    out[:ann.degree] = S[:ann.degree]
+    for t in range(ann.degree, out.shape[0]):
+        out[t] = -(ann.poly @ out[t - ann.degree:t])
     held = S[need:]
     if held.size:
         miss = (np.linalg.norm(out[need:samples.L_total] - held)
@@ -186,20 +183,31 @@ def fit_extrapolation(samples: SampleSet, L: int, levels: int,
             raise SpanConditionViolated(
                 f"the length-{L} recurrence misses the {held.shape[0]} held-out levels "
                 f"(held-out residual {miss:.3e}); retry with a larger window")
-    return out[:levels]
+    return ann, out
+
+
+def fit_extrapolation(samples: SampleSet, L: int, levels: int,
+                      tol: float = config.TAU_SOLVE) -> np.ndarray:
+    """The samples run out to ``levels`` by ``window_recurrence``: the
+    (levels, |omega|) array whose first rows are the samples verbatim."""
+    if levels < 1:
+        raise DimensionError("need at least one time level")
+    return window_recurrence(samples, L, levels=levels, tol=tol)[1][:levels]
 
 
 def recover_spectrum_via_extrapolation(samples: SampleSet, L: int | None = None,
                                        dedup_rel: float = config.DEDUP_REL,
                                        tol: float = config.TAU_SOLVE) -> SpectrumEstimate:
-    """Fit the window recurrence (L None: the largest that fits), extrapolate
-    each coordinate out to 2d levels, then recover the observable spectrum
-    with degree bound d."""
+    """The roots of the window recurrence (L None: the largest window that
+    fits), deduplicated by ``merge_roots``: one source, keyed by the
+    comma-joined sampled coordinates."""
     if L is None:
         L = samples.L_total // (samples.omega.size + 1)
         if L < 1:
             raise InsufficientDataError(f"no usable window: {samples.L_total} levels for "
                                         f"{samples.omega.size} sampled coordinates")
-    extended = SampleSet(samples.d, samples.sampler,
-                         fit_extrapolation(samples, L, levels=2 * samples.d, tol=tol))
-    return recover_observable_spectrum(extended, r_max=samples.d, dedup_rel=dedup_rel, tol=tol)
+    ann, _ = window_recurrence(samples, L, tol=tol)
+    roots = poly_roots(ann.poly)
+    key = ",".join(str(int(i)) for i in samples.omega)
+    return SpectrumEstimate({key: roots}, *merge_roots([roots], dedup_rel),
+                            {key: ann.relative_residual})

@@ -845,6 +845,21 @@ def test_recover_extrapolate_refuses_a_recurrence_that_misses_held_out_levels(
     assert err == f"error: {fatal}\n"
 
 
+def test_recover_extrapolate_refuses_the_gaussian_case_it_answered_short(tmp_path, capsys):
+    # i.i.d. Gaussian transfer values, one coordinate, window 9 = d: the
+    # recurrence has 8 of the 9 values and misses the 9 held-out levels, so
+    # the run is refused rather than answered short
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    taps = _gaussian_filter_file(tmp_path, 9)
+    assert run("simulate", "--mode", "circulant", "--d", "9", "--omega", "2",
+               "--filter", "file", "--filter-file", str(taps), "--levels", "27",
+               "--include-truth", "--seed", "1", "--out", str(problem)) == 0
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), "--mode", "extrapolate", "--window", "9",
+               "--out", str(out)) == 3
+    assert "misses the 9 held-out levels (held-out residual" in _single_error_line(capsys)
+
+
 # ---------------------------------------------- errors name their file
 
 def _single_error_line(capsys):

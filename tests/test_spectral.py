@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dynspec import config
 from dynspec.annihilator import scalar_annihilator
-from dynspec.errors import SpanConditionViolated
+from dynspec.errors import DimensionError, SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
                            random_circulant, random_diagonalizable,
                            random_signal, shift_operator, simulate)
@@ -205,6 +205,15 @@ def test_extrapolation_refuses_a_miss_on_held_out_levels(L):
     assert np.max(np.abs(got - direct)) < 1e-7 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_extrapolation_needs_a_positive_level_count(levels):
+    # slicing to a count below 1 wraps around: -1 returned all rows but one
+    B = random_diagonalizable(6, 7)
+    samples = simulate(B, random_signal(6, 8), IndexSet((0, 3)), 18)
+    with pytest.raises(DimensionError, match="need at least one time level"):
+        fit_extrapolation(samples, 6, levels)
+
+
 # ---------------------------------------- recovery via extrapolation
 
 def test_via_extrapolation_identity():
@@ -236,11 +245,53 @@ def test_via_extrapolation_matches_oracle(seed):
     assert_sets_close(est.merged, oracle, 1e-7)
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+def test_via_extrapolation_recovers_a_wide_diagonalizable_spectrum(seed):
+    # d = 96 from three coordinates over 2d levels, window 32: the block
+    # recurrence is fitted on the first 128 levels and checked on the other
+    # 64, and its roots are all 96 eigenvalues with none to merge away
+    d = 96
+    rng = np.random.default_rng(seed)
+    B = random_diagonalizable(d, rng)
+    samples = simulate(B, random_signal(d, rng), IndexSet((0, 3, 7)), 2 * d)
+    assert_sets_close(recover_spectrum_via_extrapolation(samples, 32).merged, B.eigs, 1e-8)
+
+
+def test_via_extrapolation_runs_one_degree_search(monkeypatch):
+    # one search over the block sequence of all sampled coordinates, and
+    # one source in the estimate, keyed by those coordinates
+    import dynspec.annihilator as annihilator_mod
+    import dynspec.numerics as numerics_mod
+    import dynspec.spectral as spectral_mod
+
+    calls = dict.fromkeys(["annihilator_from_samples", "scalar_annihilator", "least_squares"], 0)
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    engine = counted("annihilator_from_samples", annihilator_mod.annihilator_from_samples)
+    monkeypatch.setattr(annihilator_mod, "annihilator_from_samples", engine)
+    monkeypatch.setattr(spectral_mod, "annihilator_from_samples", engine, raising=False)
+    monkeypatch.setattr(spectral_mod, "scalar_annihilator",
+                        counted("scalar_annihilator", spectral_mod.scalar_annihilator))
+    monkeypatch.setattr(spectral_mod, "least_squares",
+                        counted("least_squares", numerics_mod.least_squares), raising=False)
+    B = random_diagonalizable(10, 71)
+    samples = simulate(B, random_signal(10, 91), IndexSet((0, 3)), 30)
+    est = recover_spectrum_via_extrapolation(samples, 10)
+    assert calls == {"annihilator_from_samples": 1, "scalar_annihilator": 0, "least_squares": 0}
+    assert list(est.per_source) == ["0,3"] and list(est.residuals) == ["0,3"]
+    assert_sets_close(est.merged, observable_spectrum_oracle(B, (0, 3)), 1e-8)
+
+
 # ---------------------------------------------------- pipeline defaults
 
 @pytest.mark.parametrize("pipeline,omega,levels,spied,expected", [
     (recover_observable_spectrum, (0, 3), 12, "scalar_annihilator", 6),  # min(d, levels // 2)
-    (recover_spectrum_via_extrapolation, (0, 3), 13, "fit_extrapolation", 4),  # 13 // (2 + 1)
+    (recover_spectrum_via_extrapolation, (0, 3), 13, "window_recurrence", 4),  # 13 // (2 + 1)
     (prony_support, (5,), 10, "scalar_annihilator", 5),  # levels // 2
 ], ids=["general-r_max", "extrapolate-window", "prony-sparsity"])
 def test_pipeline_defaults_from_samples_alone(monkeypatch, pipeline, omega, levels, spied,
