@@ -246,8 +246,7 @@ def cmd_recover(args) -> int:
 
     verified = None
     if problem.has_truth:
-        found = Report(args.mode, estimate.merged, estimate.support, estimate.taps,
-                       estimate.signal)
+        found = Report(args.mode, estimate.merged, estimate.support, estimate.taps, estimate.signal)
         verified = {name: err for name, err, *_ in _truth_checks(problem, found, VERIFY_TOL)}
     save_report(args.out, args.mode, tol, dedup_rel, estimate, verified=verified)
     if args.plot:
@@ -260,11 +259,13 @@ def _truth_checks(problem, report: Report, tol: float) -> list:
     """Compare a report against the problem's ground truth.
 
     Returns (name, error, tol, passed, note) rows; which rows appear
-    depends on the report's mode and fields. The true spectrum is merged
-    on its own scale, so a report cannot pass by collapsing its spectrum;
-    in prony mode it is the grid points of the true signal's support.
+    depends on the report's mode and fields. The fatal message of a failed
+    run is a failing ``recovery`` row, whatever its partial fields hold.
+    The true spectrum is merged on its own scale, so a report cannot pass
+    by collapsing its spectrum; in prony mode it is the grid points of the
+    true signal's support.
     """
-    checks = []
+    checks = [] if report.fatal is None else [("recovery", float("inf"), tol, False, report.fatal)]
     prony = report.mode == "prony"
     expected = None
     if prony and problem.truth_signal is not None:

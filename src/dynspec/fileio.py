@@ -246,13 +246,15 @@ class Problem:
 @dataclass(frozen=True, eq=False)
 class Report:
     """The recovered fields of a report, each None when it has none: the
-    merged spectrum, the Prony support, and the filter and signal."""
+    merged spectrum, the Prony support, and the filter and signal; and the
+    fatal message of a failed run."""
 
     mode: str
     spectrum: np.ndarray | None = None
     support: tuple[int, ...] | None = None
     taps: np.ndarray | None = None
     signal: np.ndarray | None = None
+    fatal: str | None = None
 
 
 def save_problem(path: str, samples: SampleSet,
@@ -358,6 +360,9 @@ def load_report(path: str) -> Report:
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict) or not isinstance(diagnostics.get("tolerances", {}), dict):
         raise FileFormatError(f"{path}: diagnostics and its tolerances must be objects")
+    failures = diagnostics.get("failures", {})
+    if not isinstance(failures, dict) or not isinstance(failures.get("fatal", ""), str):
+        raise FileFormatError(f"{path}: diagnostics.failures must be an object, its 'fatal' a string")
     support = obj.get("recovered_support")
     if "recovered_support" in obj:
         if not isinstance(support, list):
@@ -366,4 +371,4 @@ def load_report(path: str) -> Report:
     spectrum, taps, signal = (
         pairs_to_complex(obj[key], f"{path}: field {key!r}") if key in obj else None
         for key in ("recovered_spectrum", "recovered_filter", "recovered_signal"))
-    return Report(obj["mode"], spectrum, support, taps, signal)
+    return Report(obj["mode"], spectrum, support, taps, signal, failures.get("fatal"))

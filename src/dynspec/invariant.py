@@ -75,8 +75,7 @@ def recover_spectrum_invariant(samples: SampleSet,
     """
     m = _require_uniform(samples).m
     series = fourier_classes(samples)
-    sources = ((j, series[:2 * m, j]) for j in range(series.shape[1]))
-    estimate, worst = search_sources(samples, sources, m, dedup_rel, tol)
+    estimate, worst = search_sources(samples, range(series.shape[1]), series, m, dedup_rel, tol)
     if estimate.failures:
         raise NoAnnihilator(
             f"classes {list(estimate.failures)} produced no annihilator of degree <= {m}", worst,

@@ -3,12 +3,20 @@
 Each sampled coordinate i yields a scalar time series whose annihilator
 roots are exactly the eigenvalues observable at i; the observable spectrum
 of a sampling set is the deduplicated union over its coordinates. The
-same per-source loop, ``search_sources``, serves the residue classes of
-the invariant pipeline. When samples are scarce, the block sequence
-{B^l x(i) : i in omega} is taken as one: its minimal annihilator, the lcm
-of the per-coordinate ones, is one recurrence fitted on the first
-(|omega|+1)*L levels and checked on the rest. Its roots are the observable
-spectrum, and running it forward extrapolates the samples.
+same search, ``search_sources``, takes the coordinates' series or the
+invariant pipeline's residue classes as the columns of one array. When
+samples are scarce, the block sequence {B^l x(i) : i in omega} is taken
+as one: its minimal annihilator, the lcm of the per-coordinate ones, is
+one recurrence fitted on the first (|omega|+1)*L levels and checked on
+the rest. Its roots are the observable spectrum, and running it forward
+extrapolates the samples.
+
+One square-fit rule holds for every degree search: at its cap the
+system is square and fits any data (a scalar search capped at r reads
+2r levels; the block search over L row blocks, capped at |omega|*L,
+reads (|omega|+1)*L). Reaching the cap is evidence only when the cap is
+the a-priori bound (d, or m per residue class) or when levels held out
+of the fit check it; otherwise the source, or the window, is refused.
 """
 
 from __future__ import annotations
@@ -64,31 +72,31 @@ def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL):
     return distinct_points(roots, tol), tol
 
 
-def search_sources(samples: SampleSet, sources, r_max: int, dedup_rel: float,
-                   tol: float, bounded: bool = True) -> tuple[SpectrumEstimate, float]:
-    """Run the degree search on each (source id, sequence) pair drawn from
-    ``samples`` and merge the roots; zero tests are relative to the
-    largest sample, so rescaling the data leaves every degree unchanged.
+def search_sources(samples: SampleSet, ids, series: np.ndarray, bound: int, dedup_rel: float,
+                   tol: float) -> tuple[SpectrumEstimate, float]:
+    """Run the degree search on each column of ``series``, a (levels, k)
+    array whose column j is the sequence of source ``ids[j]``, and merge
+    the roots; zero tests are relative to the largest sample of
+    ``samples``, so rescaling the data leaves every degree unchanged.
 
-    A source whose search finds no annihilator is recorded in
-    ``failures``; the others contribute their roots and residuals.
-    ``bounded`` False says that r_max is no a-priori bound on the degree:
-    degree r_max then solves a square system, which fits any data, so a
-    source that reaches it is recorded as a failure too. Returns the
-    estimate and the best residual of the worst failing source (0.0 when
-    none failed); each caller decides which failures are fatal. A
-    merged spectrum with more than d values cannot belong to a d x d
-    operator, so it raises RecoveryError with the estimate attached.
+    ``bound`` is the a-priori degree bound. The search cap is
+    r_max = min(bound, levels // 2), read from the first 2 * r_max
+    levels. A degree-r_max system is square and fits any data, so a
+    source that reaches r_max < bound is refused like one whose search
+    finds no annihilator: both are recorded in ``failures``, and the
+    others contribute their roots and residuals. Returns the estimate and
+    the best residual of the worst failing source (0.0 when none failed);
+    each caller decides which failures are fatal. A merged spectrum with
+    more than d values cannot belong to a d x d operator, so it raises
+    RecoveryError with the estimate attached.
     """
+    r_max = min(bound, series.shape[0] // 2)
     zero_scale = float(np.max(np.abs(samples.samples)))
-    polys: dict = {}
-    residuals: dict = {}
-    failures: dict = {}
-    worst = 0.0
-    for src, seq in sources:
+    polys, residuals, failures, worst = {}, {}, {}, 0.0
+    for src, seq in zip(ids, series[:2 * r_max].T):
         try:
             ann = scalar_annihilator(seq, r_max, tol=tol, zero_scale=zero_scale)
-            if not bounded and ann.degree == r_max:
+            if ann.degree == r_max < bound:
                 raise NoAnnihilator(f"degree {r_max} fills a square system, which fits any "
                                     "data; 2d levels would bound it", ann.relative_residual)
         except NoAnnihilator as exc:
@@ -117,20 +125,18 @@ def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
     merged with dedup.
 
     ``r_max`` is an a-priori degree bound, needing 2 * r_max levels; None
-    means min(d, L_total // 2), which below d bounds nothing, so a
-    coordinate reaching it fails. The call fails only when every
-    coordinate fails, with the estimate attached.
+    takes d as the bound, which ``search_sources`` caps at L_total // 2,
+    so with fewer than 2d levels a coordinate reaching the cap fails. The
+    call fails only when every coordinate fails, with the estimate
+    attached.
     """
     if samples.L_total < 2:
         raise InsufficientDataError("need at least 2 time levels for spectral recovery")
-    bounded = r_max is not None or samples.L_total >= 2 * samples.d
-    r_max = min(samples.d, samples.L_total // 2) if r_max is None else r_max
-    need = 2 * r_max
-    if samples.L_total < need:
+    if r_max is not None and samples.L_total < 2 * r_max:
         raise InsufficientDataError(
-            f"r_max={r_max} needs {need} time levels, have {samples.L_total}")
-    sources = ((int(i), samples.samples[:need, pos]) for pos, i in enumerate(samples.omega))
-    estimate, worst = search_sources(samples, sources, r_max, dedup_rel, tol, bounded)
+            f"r_max={r_max} needs {2 * r_max} time levels, have {samples.L_total}")
+    estimate, worst = search_sources(samples, samples.omega.tolist(), samples.samples,
+                                     samples.d if r_max is None else r_max, dedup_rel, tol)
     if not estimate.per_source:
         raise NoAnnihilator(
             f"all {samples.omega.size} sampled coordinates failed the degree search", worst,
@@ -150,12 +156,14 @@ def window_recurrence(samples: SampleSet, L: int, levels: int = 0,
     degree bound min(|omega|*L, d), which reads exactly the first
     (|omega|+1)*L levels. A search that no degree fits is reported as
     SpanConditionViolated. At degree |omega|*L the system is square and
-    fits any data, so the levels after the first (|omega|+1)*L are held
-    out: the recurrence, run from its first ``degree`` levels, must
-    reproduce them to a relative residual below ``tol``, or
-    SpanConditionViolated is raised too. Retrying with a larger window
-    helps; L = d fits exact data, but a mode that decays below ``tol``
-    within the fitted levels can still make the held-out levels miss.
+    fits any data, so, by the module's square-fit rule, a degree
+    |omega|*L < d with no level after the first (|omega|+1)*L is refused
+    as SpanConditionViolated too. Levels after those are held out: the
+    recurrence, run from its first ``degree`` levels, must reproduce them
+    to a relative residual below ``tol``, or SpanConditionViolated is
+    raised. Retrying with a larger window helps; L = d fits exact data,
+    but a mode that decays below ``tol`` within the fitted levels can
+    still make the held-out levels miss.
     """
     n = samples.omega.size
     if L < 1:
@@ -171,11 +179,14 @@ def window_recurrence(samples: SampleSet, L: int, levels: int = 0,
     except NoAnnihilator as exc:
         raise SpanConditionViolated(f"no length-{L} recurrence reproduces the samples (residual "
                                     f"{exc.best_residual:.3e}); retry with a larger window") from exc
+    held = S[need:]
+    if not held.size and ann.degree == n * L < samples.d:
+        raise SpanConditionViolated(f"degree {ann.degree} fills a square system, which fits any "
+                                    f"data; a level after the first {need} would check it")
     out = np.empty((max(levels, samples.L_total), n), dtype=np.complex128)
     out[:ann.degree] = S[:ann.degree]
     for t in range(ann.degree, out.shape[0]):
         out[t] = -(ann.poly @ out[t - ann.degree:t])
-    held = S[need:]
     if held.size:
         miss = (np.linalg.norm(out[need:samples.L_total] - held)
                 / max(np.linalg.norm(held), np.finfo(float).tiny))

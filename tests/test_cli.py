@@ -386,8 +386,14 @@ def test_verify_requires_truth(tmp_path, capsys):
     ({"schema_version": "dynspec-1", "recovered_spectrum": []}, "missing field 'mode'"),
     ({"schema_version": "dynspec-1", "mode": "prony", "recovered_support": 5},
      "field 'recovered_support' must be a list"),
+    ({"schema_version": "dynspec-1", "mode": "general", "diagnostics": {"failures": []}},
+     "diagnostics.failures must be an object, its 'fatal' a string"),
+    ({"schema_version": "dynspec-1", "mode": "general",
+      "diagnostics": {"failures": {"fatal": 3}}},
+     "diagnostics.failures must be an object, its 'fatal' a string"),
 ], ids=["wrong-schema", "diagnostics-not-object", "tolerances-not-object", "nothing-comparable",
-        "not-an-object", "without-mode", "support-not-a-list"])
+        "not-an-object", "without-mode", "support-not-a-list", "failures-not-object",
+        "fatal-not-a-string"])
 def test_verify_rejects_malformed_report(tmp_path, capsys, report, message):
     path = _simulate_diffusion(tmp_path)
     bad = tmp_path / "r.json"
@@ -622,7 +628,11 @@ def test_recover_invariant_ordering_failure_keeps_per_source_records(tmp_path, c
     report = json.loads(out.read_text())
     assert set(report["per_source"]) == {"0", "1", "2", "3", "4"}
     assert len(report["recovered_spectrum"]) == 15
-    assert run("verify", "--in", str(problem), "--report", str(out)) == 0
+    # the partial spectrum passes its check; the refusal alone fails verify
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 1
+    rows = {line.split()[0]: line.split()[3]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows == {"recovery": "FAIL", "spectrum": "PASS"}
 
 
 def test_recover_assume_symmetric_even_d_refuses_before_searching(tmp_path, capsys,
@@ -858,6 +868,42 @@ def test_recover_extrapolate_refuses_the_gaussian_case_it_answered_short(tmp_pat
     assert run("recover", "--in", str(problem), "--mode", "extrapolate", "--window", "9",
                "--out", str(out)) == 3
     assert "misses the 9 held-out levels (held-out residual" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recover_extrapolate_refuses_an_unchecked_square_fit(tmp_path, capsys, seed):
+    # one coordinate, 16 levels, default window 8: degree 8 < d fills the
+    # square system and no level is held out to check it; accepting it
+    # answered 8 of the 16 values with exit 0
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--mode", "circulant", "--d", "16", "--omega", "0", "--levels", "16",
+               "--include-truth", "--seed", str(seed), "--out", str(problem)) == 0
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), "--mode", "extrapolate", "--out", str(out)) == 3
+    err = _single_error_line(capsys)
+    fatal = json.loads(out.read_text())["diagnostics"]["failures"]["fatal"]
+    assert "square system" in fatal and err == f"error: {fatal}\n"
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 1
+
+
+@pytest.mark.parametrize("mode,window", [("general", None), ("extrapolate", None),
+                                         ("extrapolate", "4")],
+                         ids=["general", "extrapolate-square-fit", "extrapolate-held-out-miss"])
+def test_verify_fails_a_refused_report_by_its_fatal_message(tmp_path, capsys, mode, window):
+    # README's sparse-signal problem: every refusal fails verify with exit 1
+    # and a FAIL row naming the message, whether or not the pipeline wrote
+    # a partial estimate
+    problem, out = tmp_path / "prony.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "64", "--mode", "shift", "--sparsity", "5", "--omega", "17",
+               "--levels", "10", "--seed", "2", "--include-truth", "--out", str(problem)) == 0
+    flags = [] if window is None else ["--window", window]
+    assert run("recover", "--in", str(problem), "--mode", mode, *flags, "--out", str(out)) == 3
+    fatal = json.loads(out.read_text())["diagnostics"]["failures"]["fatal"]
+    capsys.readouterr()
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[0].split()[:4] == ["recovery", "inf", "1.0e-08", "FAIL"]
+    assert rows[0].endswith(f"FAIL  ({fatal})")
 
 
 # ---------------------------------------------- errors name their file

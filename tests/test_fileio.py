@@ -103,6 +103,13 @@ def test_report_without_estimate_has_no_recovered_fields(tmp_path):
     assert json.loads(path.read_text())["diagnostics"]["failures"] == {"fatal": "no samples"}
 
 
+@pytest.mark.parametrize("fatal", [None, "no samples"])
+def test_report_fatal_message_round_trips(tmp_path, fatal):
+    path = tmp_path / "r.json"
+    save_report(str(path), "extrapolate", 1e-8, config.DEDUP_REL, fatal=fatal)
+    assert load_report(str(path)).fatal == fatal
+
+
 @pytest.mark.parametrize("field", ["recovered_spectrum", "recovered_filter", "recovered_signal"])
 def test_report_non_number_value_rejected(tmp_path, field):
     # float("1e0") would load the string as a number

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dynspec import config
 from dynspec.annihilator import scalar_annihilator
-from dynspec.errors import DimensionError, SpanConditionViolated
+from dynspec.errors import DimensionError, RecoveryError, SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
                            random_circulant, random_diagonalizable,
                            random_signal, shift_operator, simulate)
@@ -322,8 +322,9 @@ def test_pipeline_defaults_from_samples_alone(monkeypatch, pipeline, omega, leve
 def test_search_sources_roots_match_per_source_calls(degrees, noisy, seed):
     # sources of mixed degree, zero series (degree 0) among them, under
     # shuffled ids, one of them noise that only the square system fits (a
-    # failure when the bound is not a-priori): the roots found per degree
-    # stack keep each source's bits, and per_source its insertion order
+    # failure, since 8 levels cap the search at degree 4, below the bound
+    # d): the roots found per degree stack keep each source's bits, and
+    # per_source its insertion order
     rng = np.random.default_rng(seed)
     series = np.zeros((8, len(degrees)), dtype=np.complex128)
     for pos, degree in enumerate(degrees):
@@ -339,13 +340,40 @@ def test_search_sources_roots_match_per_source_calls(degrees, noisy, seed):
         ann = scalar_annihilator(seq, 4, zero_scale=zero_scale)
         if ann.degree < 4:
             expected[src] = poly_roots(ann.poly)
-    estimate, _worst = search_sources(samples, zip(ids, series.T), 4, config.DEDUP_REL,
-                                      config.TAU_SOLVE, bounded=False)
+    estimate, _worst = search_sources(samples, ids, series, samples.d, config.DEDUP_REL,
+                                      config.TAU_SOLVE)
     assert list(estimate.per_source) == list(expected)
     assert set(estimate.failures) == set(ids) - set(expected)
     for src, roots in expected.items():
         got = estimate.per_source[src]
         assert got.dtype == roots.dtype and got.tobytes() == roots.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(6, 16), n=st.integers(1, 2), diagonalizable=st.booleans(),
+       data=st.data(), seed=st.integers(0, 2**16))
+def test_recovery_accepts_a_degree_at_its_cap_only_at_the_bound_or_checked(
+        d, n, diagonalizable, data, seed):
+    # a degree at the search cap solves a square system, which fits any
+    # data: with fewer than 2d levels, general and extrapolate recovery may
+    # return it only when the cap is the bound d or levels held out of the
+    # fit checked it
+    rng = np.random.default_rng(seed)
+    levels = data.draw(st.integers(n + 1, 2 * d - 1), label="levels")
+    window = data.draw(st.integers(1, levels // (n + 1)), label="window")
+    op = random_diagonalizable(d, rng) if diagonalizable else random_circulant(d, rng)
+    omega = IndexSet(tuple(sorted(rng.choice(d, n, replace=False).tolist())))
+    samples = simulate(op, random_signal(d, rng), omega, levels)
+    runs = ((recover_observable_spectrum, (), min(d, levels // 2), False),
+            (recover_spectrum_via_extrapolation, (window,), min(n * window, d),
+             levels > (n + 1) * window))
+    for pipeline, args, cap, held_out in runs:
+        try:
+            estimate = pipeline(samples, *args)
+        except RecoveryError:
+            continue
+        for roots in estimate.per_source.values():
+            assert roots.size < cap or cap == d or held_out, (pipeline.__name__, roots.size)
 
 
 # ------------------------------------------------- failure accounting
