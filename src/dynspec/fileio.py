@@ -125,23 +125,33 @@ def _dumps(obj, indent: str = "\n") -> str:
 
 
 def _complex_array(arr: np.ndarray, indent: str) -> str:
-    """The text of a complex128 array as its list of [re, im] pairs, or of
-    rows of them, in one pass over each row's float reprs. Strided rows
-    are copied, since only a contiguous row has a float64 view."""
-    if not len(arr):
-        return "[]"
-    inner = indent + "  "
-    if arr.ndim > 1:
-        rows = [_complex_array(row, inner) for row in arr]
-        return "[" + inner + ("," + inner).join(rows) + indent + "]"
-    entry = inner + "  "
-    it = map(float.__repr__, np.ascontiguousarray(arr).view(np.float64).tolist())
-    body = (inner + "]," + inner + "[" + entry).join(map(("," + entry).join, zip(it, it)))
+    """The text of a complex128 array as its nested list of [re, im]
+    pairs, from one ``tolist`` and one pass of float reprs over all its
+    values; each nesting level then joins the texts of its children in
+    groups of its length. A strided array is copied once, since only a
+    contiguous one has a float64 view."""
+    pad = [indent + "  " * k for k in range(arr.ndim + 2)]
+    entry = pad[-1]
+    it = map(float.__repr__, np.ascontiguousarray(arr).view(np.float64).ravel().tolist())
+    texts = list(map(("," + entry).join, zip(it, it)))
+    for axis in reversed(range(arr.ndim)):
+        inner, outer, n = pad[axis + 1], pad[axis], arr.shape[axis]
+        if not n:
+            texts = ["[]"] * math.prod(arr.shape[:axis])
+            continue
+        if axis == arr.ndim - 1:
+            # a row's pairs are joined in one step, their brackets included
+            sep = inner + "]," + inner + "[" + entry
+            head, tail = "[" + inner + "[" + entry, inner + "]" + outer + "]"
+        else:
+            sep, head, tail = "," + inner, "[" + inner, outer + "]"
+        texts = [head + sep.join(texts[i:i + n]) + tail for i in range(0, len(texts), n)]
+    text = texts[0]
     # finite reprs hold no "n"; "nan", "inf" and "-inf" do, and JSON
     # spells them NaN, Infinity and -Infinity
-    if "n" in body:
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return "[" + inner + "[" + entry + body + inner + "]" + indent + "]"
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def atomic_write_json(path: str, payload) -> None:

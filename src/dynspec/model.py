@@ -1,15 +1,24 @@
 """Signals, evolution operators, samplers, and forward simulation.
 
 A signal is a 1-D complex ndarray of length d. Evolution operators come in
-two representations: a circulant filter, applied by FFT, and a
-diagonalizable factorization U diag(eigs) U^{-1} that holds U^{-1} and is
-applied by two matrix-vector products. Only the forward direction lives
-here: the recovery pipelines read samples, never the operator.
+two representations: a circulant filter, whose eigenbasis is the Fourier
+basis, and a diagonalizable factorization U diag(eigs) U^{-1} that holds
+U^{-1}. Both advance a state the same way: analysis into eigenbasis
+coordinates (an FFT, or the product with U^{-1}), an elementwise product
+with the eigenvalues, and synthesis (an inverse FFT, or the product with
+U). ``apply`` is one level of that; ``simulate`` analyses the initial
+state once, steps the coordinates level by level, and synthesizes only
+the sampled rows. Only the forward direction lives here: the recovery
+pipelines read samples, never the operator.
 
-The random factories use no LAPACK factorization, only FFTs, elementwise
-arithmetic and matrix products, whose bits do not depend on the BLAS
-thread count; so identical seeds give identical operators and samples
-under any thread count. Both draw their eigenvalues from one
+The random factories use no LAPACK factorization, and ``simulate`` none
+either: only FFTs, elementwise arithmetic and matrix-vector products,
+whose bits do not depend on the BLAS thread count; so identical seeds
+give identical operators and samples under any thread count. (One
+sampled coordinate makes each synthesis product a dot product, which
+OpenBLAS splits across threads above about 10000 entries: d = 4096 gave
+the same bits under one and two threads, d = 12000 did not. U and U^{-1}
+alone take 3.2 GB at d = 10000.) Both draw their eigenvalues from one
 ``_separated_spectrum``, which separates them by construction, so each
 factory draws once and cannot fail, at any d.
 
@@ -30,6 +39,9 @@ from .numerics import as_matrix, as_vector, dft
 
 # Condition number of the random diagonalizable eigenbasis.
 _COND = 2.0
+# Entries of the block of eigenbasis coordinates ``simulate`` synthesizes
+# at once; its working memory does not grow with the level count.
+_SIMULATE_BLOCK_ENTRIES = 1 << 16
 
 
 def _check_dimension(d: int) -> None:
@@ -65,8 +77,17 @@ class Circulant:
         return self._a_hat.copy()
 
     def apply(self, x) -> np.ndarray:
-        x = _check_signal(x, self.dim)
-        return dft(self._a_hat * dft(x), inverse=True)
+        return self._synthesize(self._a_hat * self._analyze(_check_signal(x, self.dim)))
+
+    def _analyze(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of a checked signal in the Fourier basis."""
+        return np.fft.fft(x)
+
+    def _synthesize(self, z: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """Entries ``idx`` of the signal with Fourier coordinates ``z``, or
+        of each row of a (levels, d) block of them: one inverse FFT per
+        row, the same bits row by row as ``dft(row, inverse=True)``."""
+        return np.fft.ifft(z)[..., idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +97,9 @@ class Diagonalizable:
     ``U_inv`` is not an independent setting: it must equal U^{-1}. A
     factory that builds U from factors already holds its inverse and
     passes it in; when it is omitted, U is inverted once here. ``apply``
-    then costs two matrix-vector products and no factorization.
+    then costs two matrix-vector products and no factorization;
+    ``simulate`` takes the product with U^{-1} once and then, per level,
+    an elementwise product and the product with the sampled rows of U.
     """
 
     U: np.ndarray
@@ -107,8 +130,20 @@ class Diagonalizable:
         return self.eigs.size
 
     def apply(self, x) -> np.ndarray:
-        x = _check_signal(x, self.dim)
-        return self.U @ (self.eigs * (self.U_inv @ x))
+        return self._synthesize(self.eigs * self._analyze(_check_signal(x, self.dim)))
+
+    def _analyze(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of a checked signal in the eigenbasis."""
+        return self.U_inv @ x
+
+    def _synthesize(self, z: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """Entries ``idx`` of the signal with eigenbasis coordinates ``z``,
+        or of each row of a (levels, d) block of them: the product of rows
+        ``idx`` of U with each level's column, one matrix-vector product
+        per level, so a level's bits do not depend on the block around it
+        (one matrix-matrix product would: BLAS kernels treat edge columns
+        apart)."""
+        return (self.U[idx] @ z[..., None])[..., 0]
 
 
 EvolutionOperator = Circulant | Diagonalizable
@@ -195,17 +230,38 @@ class SampleSet:
 
 
 def simulate(op: EvolutionOperator, x, sampler: Sampler, L_total: int) -> SampleSet:
-    """Generate dynamical samples by iterated application of the operator,
-    restricted to the sampler. No operator powers are formed."""
+    """Generate the dynamical samples (B^l x)[omega], l < L_total, in the
+    operator's eigenbasis: B^l x = U (eigs^l * U^{-1} x), with U the
+    Fourier basis for a circulant.
+
+    The initial state is analysed once. The coordinates of each level are
+    the previous level's times the eigenvalues, one elementwise product,
+    so every entry has the same bits however the levels are grouped. They
+    are synthesized a block of levels at a time, at the sampled rows only
+    for a diagonalizable operator (O(|omega| d) per level against O(d^2)
+    for advancing the whole state), and by one inverse FFT per level for
+    a circulant. A block holds at most ``_SIMULATE_BLOCK_ENTRIES``
+    coordinates, so working memory does not grow with ``L_total``. No
+    operator powers are formed.
+    """
     if L_total < 1:
         raise DimensionError("need at least one time level")
-    state = _check_signal(x, op.dim)
+    x = _check_signal(x, op.dim)
     idx = sampler.indices(op.dim)
+    z = op._analyze(x)
+    eigs = op.transfer() if isinstance(op, Circulant) else op.eigs
+    rows = min(L_total, max(1, _SIMULATE_BLOCK_ENTRIES // op.dim))
+    block = np.empty((rows, op.dim), dtype=np.complex128)
     out = np.empty((L_total, idx.size), dtype=np.complex128)
-    for ell in range(L_total):
-        out[ell] = state[idx]
-        if ell + 1 < L_total:
-            state = op.apply(state)
+    # a state that overflows gives non-finite samples, which SampleSet refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, L_total, rows):
+            n = min(rows, L_total - start)
+            block[0] = z
+            for j in range(1, n):
+                np.multiply(eigs, block[j - 1], out=block[j])
+            out[start:start + n] = op._synthesize(block[:n], idx)
+            z = eigs * block[n - 1]
     return SampleSet(op.dim, sampler, out)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dynspec import model
 from dynspec.errors import ConditioningError, DimensionError
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
                            Uniform, make_diffusion_filter, random_circulant,
@@ -190,17 +191,75 @@ def test_simulate_matches_dense_power_oracle(d, sampler):
         assert np.max(np.abs(out.samples[ell] - expected[idx])) < 1e-10
 
 
-@pytest.mark.parametrize("d,seed", [(8, 0), (17, 1), (32, 2)])
-def test_simulate_power_consistency_property(d, seed):
+@pytest.mark.parametrize("d,seed,levels", [
+    pytest.param(8, 0, 20, id="8-0"), pytest.param(17, 1, 20, id="17-1"),
+    pytest.param(32, 2, 20, id="32-2"), pytest.param(32, 3, 64, id="32-3-2d-levels"),
+])
+def test_simulate_power_consistency_property(d, seed, levels):
     B = random_diagonalizable(d, seed)
     x = _rand_vec(d, seed + 10)
     omega = IndexSet((0, d // 2, d - 1))
-    out = simulate(B, x, omega, 20)
+    out = simulate(B, x, omega, levels)
     M = (B.U * B.eigs) @ np.linalg.inv(B.U)
     scale = np.max(np.abs(out.samples))
-    for ell in range(20):
+    for ell in range(levels):
         expected = (np.linalg.matrix_power(M, ell) @ x)[[0, d // 2, d - 1]]
         assert np.max(np.abs(out.samples[ell] - expected)) < 1e-9 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("d,levels,sampler", [
+    (96, 192, IndexSet((3, 50))),
+    (3072, 16, IndexSet((7,))),
+    (1536, 6, Uniform(3)),
+], ids=["general-deep", "prony-long", "invariant-wide"])
+def test_simulate_shift_matches_exact_oracle(d, levels, sampler):
+    # (B^l x)(i) = x((i + l) mod d) exactly, at any level count
+    x = random_signal(d, 4)
+    idx = sampler.indices(d)
+    out = simulate(shift_operator(d), x, sampler, levels).samples
+    expected = x[(idx[None, :] + np.arange(levels)[:, None]) % d]
+    assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(x))
+
+
+def _unit_spectrum(B):
+    """B with its eigenvalues moved to the unit circle, so long runs stay finite."""
+    return Diagonalizable(B.U, B.eigs / np.abs(B.eigs), B.U_inv)
+
+
+_BLOCK_CASES = {
+    "random-circulant": (random_circulant(255, 3), Uniform(5), 700),
+    "shift": (shift_operator(96), IndexSet((3, 50)), 400),
+    "diagonalizable-1": (random_diagonalizable(64, 2), IndexSet((5,)), 3000),
+    "diagonalizable-3": (random_diagonalizable(65, 2), IndexSet((0, 5, 9)), 3000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_simulate_levels_do_not_depend_on_their_block(case, monkeypatch):
+    op, sampler, levels = _BLOCK_CASES[case]
+    x = random_signal(op.dim, 4)
+    full = simulate(op, x, sampler, levels).samples
+    # a shorter run is a prefix, bit for bit, though its blocks end elsewhere
+    for shorter in (1, 37, levels - 37):
+        assert np.array_equal(simulate(op, x, sampler, shorter).samples, full[:shorter])
+    monkeypatch.setattr(model, "_SIMULATE_BLOCK_ENTRIES", 1)
+    assert np.array_equal(simulate(op, x, sampler, levels).samples, full)
+
+
+@pytest.mark.parametrize("op", [random_circulant(512, 1),
+                                _unit_spectrum(random_diagonalizable(512, 1))],
+                         ids=["circulant", "diagonalizable"])
+def test_simulate_memory_does_not_grow_with_the_level_count(op):
+    # every level's state at once would take 8192 * 512 * 16 B = 64 MiB
+    x = random_signal(512, 2)
+    tracemalloc.start()
+    try:
+        out = simulate(op, x, IndexSet((3, 200)), 8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.samples.shape == (8192, 2)
+    assert peak < 8 << 20
 
 
 def test_simulate_needs_positive_horizon():
