@@ -12,7 +12,11 @@ r: the restricted Krylov space span{x, Bx, ..., B^(r-1) x} grows strictly
 until r reaches the minimal degree r* and then stops growing, so the
 system fails below r* and holds from r* on. The search therefore gallops
 and bisects on r (see ``annihilator_from_samples``) instead of trying
-every degree in turn.
+every degree in turn. A generic state has one root per observable
+eigenvalue, so r* is almost surely the a-priori bound r_max itself (d,
+or the sparsity). When the cap is the first degree that fits, the search
+tries r_max - 1 before it bisects: at r* = r_max = 96 it solves degrees
+1, 2, 4, ..., 64, 96 and 95, 9 solves instead of the bisection's 13.
 
 Extending the number of row blocks beyond the degree does not change the
 solution set, which is why one solver serves both the generic engine
@@ -82,13 +86,22 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     degree whose system reaches relative residual < tol, found by an
     exponential search: degrees 1, 2, 4, 8, ..., capped at r_max, are
     tried until one fits, then the range between the last degree that
-    failed and the first that fit is bisected. Each tried degree is the
-    same ``least_squares`` call that trying 1, 2, ..., r* in turn makes,
-    so the accepted degree, its coefficients and its residual are
+    failed and the first that fit is bisected. When the first degree
+    that fits is the cap r_max, which is the generic case (see the
+    module docstring), degree r_max - 1 is tried first: if it fails,
+    r_max is the degree, settled by one solve below the cap; if it fits,
+    the range up to r_max - 1 is bisected. Over the degrees below the
+    cap that costs at most one solve more than bisecting up to r_max
+    (a single degree may take two more: r* = 12 under r_max = 14 takes
+    9 solves against 7). Each tried degree is the same
+    ``least_squares`` call that trying 1, 2, ..., r* in turn makes, so
+    the accepted degree, its coefficients and its residual are
     bit-identical to that ascending search's. A search costs at most
-    2 * ceil(log2(r*)) + 1 solves instead of r*, and builds no system
-    wider than 2 * r* unless r_max caps it; with r_max <= 3 it tries
-    1, 2, 3 in order, exactly as the ascending search does.
+    2 * ceil(log2(r*)) + 1 solves instead of r*, and
+    ceil(log2(r_max)) + 2 at r* = r_max (9 at r_max = 96, where the
+    bisection took 13); it builds no system wider than 2 * r* unless
+    r_max caps it. With r_max <= 3 it tries 1, 2, 3 in order, exactly
+    as the ascending search does.
 
     The bisection relies on consistency being monotone in r, which holds
     for exact recurrences (see the module docstring). Data that break
@@ -151,6 +164,13 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     while lo < r_max and not fits(hi):
         lo, hi = hi, min(2 * hi, r_max)
     if lo < r_max:
+        # The cap fit: it is the generic degree, so settle it by one solve
+        # below it before bisecting.
+        if hi == r_max and lo < r_max - 1:
+            if fits(r_max - 1):
+                hi = r_max - 1
+            else:
+                lo = r_max - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if fits(mid):

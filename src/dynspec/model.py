@@ -242,7 +242,9 @@ def simulate(op: EvolutionOperator, x, sampler: Sampler, L_total: int) -> Sample
     for advancing the whole state), and by one inverse FFT per level for
     a circulant. A block holds at most ``_SIMULATE_BLOCK_ENTRIES``
     coordinates, so working memory does not grow with ``L_total``. No
-    operator powers are formed.
+    operator powers are formed. A state that overflows raises
+    DimensionError naming the first level with a non-finite sample and
+    the operator's largest eigenvalue modulus.
     """
     if L_total < 1:
         raise DimensionError("need at least one time level")
@@ -253,7 +255,7 @@ def simulate(op: EvolutionOperator, x, sampler: Sampler, L_total: int) -> Sample
     rows = min(L_total, max(1, _SIMULATE_BLOCK_ENTRIES // op.dim))
     block = np.empty((rows, op.dim), dtype=np.complex128)
     out = np.empty((L_total, idx.size), dtype=np.complex128)
-    # a state that overflows gives non-finite samples, which SampleSet refuses
+    # a state that overflows gives non-finite samples, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, L_total, rows):
             n = min(rows, L_total - start)
@@ -262,6 +264,12 @@ def simulate(op: EvolutionOperator, x, sampler: Sampler, L_total: int) -> Sample
                 np.multiply(eigs, block[j - 1], out=block[j])
             out[start:start + n] = op._synthesize(block[:n], idx)
             z = eigs * block[n - 1]
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise DimensionError(
+            f"the state overflows at level {int(np.argmin(finite))}, the first with a "
+            f"non-finite sample; the operator's largest eigenvalue modulus is "
+            f"{float(np.max(np.abs(eigs))):.6g}")
     return SampleSet(op.dim, sampler, out)
 
 

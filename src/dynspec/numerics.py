@@ -23,10 +23,13 @@ runs one batched eigensolve per count of zero roots, and
 point's real-order neighbours instead of a dense distance table. Both
 give the bits the per-row and dense forms give. The degree search itself
 still runs per source, one least-squares solve per tried degree, but it
-gallops and bisects on the degree, so a search of degree r* tries about
-2 log2(r*) degrees rather than r*. A batched screen across sources would
-change the last bits of the coefficients and the per-search solve counts
-that the benchmark's tests pin.
+gallops and bisects on the degree, so a search of degree r* tries at
+most 2 ceil(log2(r*)) + 1 degrees rather than r*. A generic state's
+degree is the a-priori bound itself, one root per observable eigenvalue,
+and a search that fits at that cap is settled by one solve just below
+it: ceil(log2(r_max)) + 2 solves, 9 at r_max = 96. A batched screen
+across sources would change the last bits of the coefficients and the
+per-search solve counts that the benchmark's tests pin.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from dynspec.model import (Circulant, Diagonalizable, IndexSet,
                            random_circulant, random_diagonalizable,
                            random_signal, shift_operator, simulate)
 from dynspec.numerics import least_squares, poly_roots
+from dynspec.spectral import window_recurrence
 from helpers import assert_sets_close, coeffs_desc, division_remainder, roots_contained
 from oracles import (altered_minimal_polynomial_oracle,
                      minimal_polynomial_oracle, observable_spectrum_oracle)
@@ -266,6 +267,27 @@ def test_deep_search_matches_per_degree_reference(ratios, width, r_max, extra_ro
     assert abs(got.relative_residual - residual) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(r_max=st.integers(3, 40), deficit=st.integers(0, 2), width=st.sampled_from([0, 1, 3]),
+       extra_rows=st.integers(-1, 1), seed=st.integers(0, 2**16))
+def test_search_at_the_cap_matches_per_degree_reference(r_max, deficit, width, extra_rows, seed):
+    # r_max, r_max - 1 or r_max - 2 distinct modes: the cap, the first
+    # degree the gallop tries that fits, is the degree or just above it,
+    # which the deep property above seldom draws
+    rows = r_max + extra_rows
+    levels = rows + r_max
+    rng = np.random.default_rng(seed)
+    ratios = np.exp(2j * np.pi * rng.choice(48, r_max - deficit, replace=False) / 48)
+    amps = rng.standard_normal((ratios.size, max(width, 1))) + 1j
+    seq = (ratios[None, :] ** np.arange(levels)[:, None]) @ amps
+    seq = seq[:, 0] if width == 0 else seq
+    degree, low_coeffs, residual = _annihilator_per_degree(seq, r_max, rows)
+    got = annihilator_from_samples(seq, r_max, rows=rows)
+    assert got.degree == degree
+    assert np.array_equal(got.poly, low_coeffs)
+    assert abs(got.relative_residual - residual) <= 1e-12
+
+
 # ------------------------------------------------------ solves per search
 
 @pytest.fixture
@@ -281,9 +303,10 @@ def solve_widths(monkeypatch):
     return widths
 
 
-def _modes(count, levels):
-    """Sum of ``count`` distinct 7th roots of unity raised to 0..levels-1."""
-    ratios = np.exp(2j * np.pi * np.arange(count) / 7)
+def _modes(count, levels, order=7):
+    """Sum of ``count`` distinct ``order``-th roots of unity raised to
+    0..levels-1."""
+    ratios = np.exp(2j * np.pi * np.arange(count) / order)
     return (ratios[None, :] ** np.arange(levels)[:, None]).sum(axis=1)
 
 
@@ -302,16 +325,41 @@ def test_shallow_search_tries_every_degree(solve_widths, degree, r_max):
     assert solve_widths == list(range(1, min(degree, r_max) + 1))
 
 
+# the gallop to the cap r_max = 96, then the one solve below it
+_DEEP_SHIFT_WIDTHS = [1, 2, 4, 8, 16, 32, 64, 96, 95]
+
+
 @pytest.mark.parametrize("omega", [(3,), (3, 50)])
 def test_deep_shift_search_solves_logarithmically(solve_widths, omega):
     # the shift on C^96 has all 96 roots of unity as eigenvalues, so a
-    # coordinate's search runs to r_max = rows = 96: 13 solves, not 96
+    # coordinate's search runs to r_max = rows = 96: 9 solves, not 96
     seq = simulate(shift_operator(96), random_signal(96, 5), IndexSet(omega), 192).samples
     ann = annihilator_from_samples(seq, 96)
     assert ann.degree == 96
-    assert len(solve_widths) <= 15
+    assert solve_widths == _DEEP_SHIFT_WIDTHS
     degree, low_coeffs, _ = _annihilator_per_degree(seq, 96, 96)
     assert degree == 96 and np.array_equal(ann.poly, low_coeffs)
+
+
+def test_deep_shift_window_recurrence_settles_at_the_cap(solve_widths):
+    # extrapolate mode's shared recurrence: Omega = {3, 50} and L = 64 give
+    # r_max = min(2 * 64, 96) = 96 over 64 row blocks, the same 9 solves
+    samples = simulate(shift_operator(96), random_signal(96, 5), IndexSet((3, 50)), 192)
+    ann, _ = window_recurrence(samples, 64)
+    assert ann.degree == 96
+    assert solve_widths == _DEEP_SHIFT_WIDTHS
+
+
+def test_search_below_a_fitting_cap_bisects(solve_widths):
+    # 12 modes under r_max = rows = 15: the square degree-15 system fits, so
+    # does degree 14, and the bisection runs on [8, 14] instead of [8, 15]
+    c = _modes(12, 30, order=13)
+    ann = scalar_annihilator(c, 15)
+    assert solve_widths == [1, 2, 4, 8, 15, 14, 11, 12]
+    degree, low_coeffs, _ = _annihilator_per_degree(c, 15, 15)
+    assert ann.degree == degree == 12 and np.array_equal(ann.poly, low_coeffs)
+    bisection_on_8_to_15 = [1, 2, 4, 8, 15, 11, 13, 12]
+    assert len(solve_widths) <= len(bisection_on_8_to_15) + 1
 
 
 def test_shallow_sequence_never_builds_wide_systems(solve_widths):

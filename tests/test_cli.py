@@ -978,6 +978,19 @@ def test_simulate_nonfinite_filter_file_names_the_file(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_simulate_overflow_names_the_level_and_exits_2(tmp_path, capsys):
+    # gain 2: 2^l times a standard normal signal overflows near level 1024
+    taps = tmp_path / "taps.json"
+    taps.write_text(json.dumps([[0, 0], [2, 0], [0, 0], [0, 0], [0, 0]]))
+    out = tmp_path / "p.json"
+    assert run("simulate", "--mode", "circulant", "--d", "5", "--m", "1", "--filter", "file",
+               "--filter-file", str(taps), "--levels", "1200", "--out", str(out)) == 2
+    assert re.fullmatch(r"error: the state overflows at level 10\d\d, the first with a non-finite "
+                        r"sample; the operator's largest eigenvalue modulus is 2\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
 def test_recover_nonfinite_samples_names_the_file(tmp_path, capsys, value):
     path = _simulate_diffusion(tmp_path)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,30 @@ def test_simulate_memory_does_not_grow_with_the_level_count(op):
         tracemalloc.stop()
     assert out.samples.shape == (8192, 2)
     assert peak < 8 << 20
+
+
+def _gain(B, gain):
+    """B with every eigenvalue of modulus ``gain``."""
+    B = _unit_spectrum(B)
+    return Diagonalizable(B.U, gain * B.eigs, B.U_inv)
+
+
+@pytest.mark.parametrize("op, rho", [(Circulant([0, 2, 0, 0, 0]), "2"),
+                                     (_gain(random_diagonalizable(64, 3), 8), "8")],
+                         ids=["circulant-gain-2", "diagonalizable-gain-8"])
+def test_simulate_overflow_names_the_level_and_the_largest_eigenvalue(op, rho):
+    # the named level is the first a run cannot reach: one level fewer is
+    # finite, and the message does not depend on the run's length
+    x = random_signal(op.dim, 1)
+    with pytest.raises(DimensionError) as info:
+        simulate(op, x, IndexSet((0,)), 1200)
+    match = re.fullmatch(r"the state overflows at level (\d+), the first with a non-finite sample; "
+                         r"the operator's largest eigenvalue modulus is (\S+)", str(info.value))
+    assert match and match[2] == rho
+    level = int(match[1])
+    assert np.isfinite(simulate(op, x, IndexSet((0,)), level).samples).all()
+    with pytest.raises(DimensionError, match=f"at level {level},"):
+        simulate(op, x, IndexSet((0,)), level + 1)
 
 
 def test_simulate_needs_positive_horizon():
