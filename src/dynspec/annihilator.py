@@ -127,7 +127,7 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     # One reduction serves the finiteness check (a NaN or inf makes the
     # peak non-finite) and the zero test below.
     peak = float(np.abs(terms).max())
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise DimensionError("sample sequence contains non-finite values")
     if r_max < 0:
         raise DimensionError(f"r_max must be nonnegative, got {r_max}")

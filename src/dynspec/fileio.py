@@ -14,9 +14,12 @@ The text written is ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
 newline, byte for byte, but built by ``_dumps``: with ``indent`` set, json
 encodes in pure Python, and most of it goes on the [re, im] lists. The
 writers put the complex arrays themselves in the tree, and ``_dumps``
-writes each one in a single pass over its float reprs, with no list of
-pairs built first. ``tests/test_fileio.py`` checks the writer against
-``json.dumps`` on random trees, on arrays and on real CLI output.
+writes each one by filling a template of its nesting with its float
+reprs in one ``%``, with no list of pairs built first. The fixed cost per
+array and per node matters as much as the reprs: an invariant report
+holds one small record per residue class, 512 at d = 1536.
+``tests/test_fileio.py`` checks the writer against ``json.dumps`` on
+random trees, on arrays, on per-source records and on real CLI output.
 Reads use ``json.load`` on UTF-8 text.
 """
 
@@ -92,61 +95,52 @@ def _dumps(obj, indent: str = "\n") -> str:
     scalar included, raises TypeError instead of being converted. json's
     own encoder runs in pure Python once ``indent`` is set; this one
     spends its time in ``float.__repr__`` and ``str.join`` (see
-    ``_complex_array``)."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    inner = indent + "  "
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + indent + "]"
+    ``_complex_array``). The types are tested in the order a report's
+    per-source records need them, dicts and arrays first; no two tests
+    accept the same object, bool being tested inside the int branch."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        inner = indent + "  "
         # encode_basestring_ascii raises TypeError on a non-str key
         fields = [encode_basestring_ascii(key) + ": " + _dumps(value, inner)
                   for key, value in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(fields) + indent + "}"
     if type(obj) is np.ndarray and obj.dtype == np.complex128 and obj.ndim:
         return _complex_array(obj, indent)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, int):
+        return "true" if obj is True else "false" if obj is False else int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + indent + "]"
+    if obj is None:
+        return "null"
     raise TypeError(f"cannot write {type(obj).__name__} to a JSON file")
 
 
 def _complex_array(arr: np.ndarray, indent: str) -> str:
     """The text of a complex128 array as its nested list of [re, im]
-    pairs, from one ``tolist`` and one pass of float reprs over all its
-    values; each nesting level then joins the texts of its children in
-    groups of its length. A strided array is copied once, since only a
-    contiguous one has a float64 view."""
-    pad = [indent + "  " * k for k in range(arr.ndim + 2)]
-    entry = pad[-1]
-    it = map(float.__repr__, np.ascontiguousarray(arr).view(np.float64).ravel().tolist())
-    texts = list(map(("," + entry).join, zip(it, it)))
-    for axis in reversed(range(arr.ndim)):
-        inner, outer, n = pad[axis + 1], pad[axis], arr.shape[axis]
-        if not n:
-            texts = ["[]"] * math.prod(arr.shape[:axis])
-            continue
-        if axis == arr.ndim - 1:
-            # a row's pairs are joined in one step, their brackets included
-            sep = inner + "]," + inner + "[" + entry
-            head, tail = "[" + inner + "[" + entry, inner + "]" + outer + "]"
-        else:
-            sep, head, tail = "," + inner, "[" + inner, outer + "]"
-        texts = [head + sep.join(texts[i:i + n]) + tail for i in range(0, len(texts), n)]
-    text = texts[0]
+    pairs. The layout is built first as a %-template, from a pair's
+    ``[%r, %r]`` out to the whole array, each level joining copies of the
+    level below; then one ``%`` fills in the float reprs of all its
+    values (``%r`` of a float is ``float.__repr__``), read by one
+    ``tolist`` of the array's C-order real and imaginary parts."""
+    pad = indent + "  " * arr.ndim
+    text = "[" + pad + "  %r," + pad + "  %r" + pad + "]"
+    for axis in range(arr.ndim - 1, -1, -1):
+        outer = indent + "  " * axis
+        inner = outer + "  "
+        n = arr.shape[axis]
+        text = "[" + inner + ("," + inner).join([text] * n) + outer + "]" if n else "[]"
+    text %= tuple(arr.ravel().view(np.float64).tolist())
     # finite reprs hold no "n"; "nan", "inf" and "-inf" do, and JSON
     # spells them NaN, Infinity and -Infinity
     if "n" in text:

@@ -15,6 +15,18 @@ On such systems ``scipy.linalg.lstsq`` spent several times the LAPACK
 call on its generic checks, and ``np.roots`` a smaller share; the direct
 calls pass the same arguments and give bit-identical results.
 
+Inputs are checked for finiteness once, where they enter: a degree
+search's sequence is proved finite as a whole by
+``annihilator_from_samples``, so ``least_squares`` does not rescan every
+slice of it. It keeps its O(1) shape and row-count checks and, after the
+solve, tests only that its relative residual is finite, which a NaN or
+inf anywhere in its inputs always breaks; only then does it scan them,
+to raise the checks' own message. On a 2-vCPU machine with one BLAS
+thread, a 3 x 3 solve of the invariant pipeline costs about 12 us: 4 us
+in zgelsy, 5-6 us forming the residual (the einsum product and two
+norms, kept for their bits) and 2 us of conversion, workspace query and
+slicing. Scanning both inputs for finiteness would add another 4-5 us.
+
 The work per source and per point is done over whole arrays. The
 invariant pipeline has one residue class per d/m frequencies, 512 at
 d = 1536: ``poly_roots`` takes the stack of all their polynomials and
@@ -140,11 +152,21 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     ``cond`` = machine epsilon, all columns free to pivot, and the rhs
     zero-padded to n entries when there are fewer rows than columns. On
     the 3 x k systems of the invariant pipeline the ``lstsq`` wrapper
-    cost several times the LAPACK call (about 19 us against 5 us per
-    solve on a 2-vCPU machine); the solutions are bit-identical. The workspace query costs
-    under a microsecond, so it runs on every call. Inputs are checked
-    finite by ``as_matrix`` and ``as_vector``, so no finiteness scan is
-    repeated.
+    cost several times the LAPACK call; the solutions are bit-identical.
+    The workspace query costs under a microsecond, so it runs on every
+    call.
+
+    Inputs are not scanned for finiteness up front: ``M`` must be a
+    nonempty 2-D array and ``rhs`` a 1-D array with one entry per row,
+    which costs O(1) to check, and a NaN or inf anywhere in either always
+    makes the relative residual non-finite. So one ``math.isfinite``
+    test runs after the solve, and only when it fails are the inputs
+    scanned by ``as_matrix`` and ``as_vector``, which raise DimensionError
+    with the message a scan before the solve would give ("coefficient
+    matrix: entries must be finite", or the right-hand side's). Finite
+    data so large that the norms overflow passes the scans, and its
+    non-finite residual is returned. A 3 x 3 solve costs about 12 us (see
+    the module docstring); scanning both inputs would add 4-5 us.
 
     The residual is formed by numpy's own einsum loop, not the BLAS
     product ``A @ sol``: OpenBLAS runs a complex mat-vec multi-threaded
@@ -153,9 +175,10 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     single-threaded; the einsum loop takes 20-60 us at 96 rows. Both
     norms are ``np.linalg.norm``'s, computed by ``_norm``.
     """
-    A = as_matrix(M, "coefficient matrix")
-    b = as_vector(rhs, "right-hand side")
-    if A.shape[0] != b.size:
+    A = np.asarray(M, dtype=np.complex128)
+    b = np.asarray(rhs, dtype=np.complex128)
+    if A.ndim != 2 or A.size == 0 or b.ndim != 1 or A.shape[0] != b.size:
+        _check_inputs(A, b)
         raise DimensionError(f"matrix has {A.shape[0]} rows but rhs has {b.size} entries")
     m, n = A.shape
     work, _ = zgelsy_lwork(m, n, 1, _EPS)
@@ -169,7 +192,18 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     sol = x[:n]
     residual = _norm(np.einsum("ij,j->i", A, sol) - b)
     rel = residual / max(_norm(b), _RESIDUAL_FLOOR)
+    if not math.isfinite(rel):
+        # a non-finite entry anywhere in A or b makes rel non-finite; finite
+        # data whose norms overflow passes the scans
+        _check_inputs(A, b)
     return sol, rel
+
+
+def _check_inputs(A: np.ndarray, b: np.ndarray) -> None:
+    """Raise the first of ``least_squares``' shape and finiteness errors,
+    in the order ``as_matrix`` and ``as_vector`` find them."""
+    as_matrix(A, "coefficient matrix")
+    as_vector(b, "right-hand side")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -202,7 +236,11 @@ def poly_roots(low_coeffs) -> np.ndarray:
     has the bits that row alone would give; a vector is a stack of one.
     Pass a whole stack in one call: each call has a fixed cost, so 512
     degree-3 rows take several times longer one call per row than as
-    one stack.
+    one stack. From n = 76 on, LAPACK's zhseqr takes its multishift path,
+    where a companion matrix costs more than a random one of its size:
+    on one BLAS thread its eigensolve took about 3-4 ms at n = 75, 9 ms
+    at n = 76 and 14-18 ms at n = 96, the largest layer of a deep general
+    recovery.
     """
     low = np.asarray(low_coeffs, dtype=np.complex128)
     if low.ndim < 2:

@@ -416,6 +416,38 @@ def test_writer_array_matches_json_dumps(values, rows):
     assert _dumps(arr.reshape(rows, -1)) == _oracle(_pairs(arr.reshape(rows, -1)))
 
 
+_roots = st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+                  max_size=8).map(lambda v: np.array(v[:len(v) // 2 * 2]).view(np.complex128))
+_layout = st.sampled_from(["contiguous", "every-other", "reversed"])
+
+
+def _laid_out(arr, layout):
+    """``arr`` itself, or a strided view holding the same values."""
+    if layout == "contiguous":
+        return arr
+    if layout == "reversed":
+        return arr[::-1].copy()[::-1]
+    wide = np.zeros(2 * arr.size, dtype=np.complex128)
+    wide[::2] = arr
+    return wide[::2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.tuples(_roots, _layout, _floats), max_size=40))
+def test_writer_per_source_records_match_json_dumps(records):
+    # the shape of a report's per_source block: one small record per
+    # source, each a degree, a residual and a 1-D array of 0-4 roots
+    tree, expected = {}, {}
+    for src, (roots, layout, residual) in enumerate(records):
+        view = _laid_out(roots, layout)
+        assert np.array_equal(view, roots, equal_nan=True)
+        tree[str(src)] = {"degree": roots.size, "roots": view, "residual": residual}
+        expected[str(src)] = {"degree": roots.size, "roots": _pairs(roots),
+                              "residual": residual}
+    report = {"mode": "invariant", "per_source": tree}
+    assert _dumps(report) == _oracle({"mode": "invariant", "per_source": expected})
+
+
 class _Subclass(np.ndarray):
     pass
 

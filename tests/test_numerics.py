@@ -122,6 +122,16 @@ def _same_bits(got, expected):
             and got.tobytes() == expected.tobytes())
 
 
+def _system(rows, cols, repeated, seed):
+    """A random complex system; its last ``repeated`` columns (at most half
+    of them) repeat the first, which makes it rank-deficient."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    repeated = min(repeated, cols // 2)
+    M[:, cols - repeated:] = M[:, :repeated]
+    return M, rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 12), cols=st.integers(1, 12), repeated=st.integers(0, 2),
        seed=st.integers(0, 2**16))
@@ -130,14 +140,61 @@ def test_lstsq_matches_scipy_gelsy_bit_for_bit(rows, cols, repeated, seed):
     # the direct zgelsy call passes the arguments it passed. Covers rows <
     # cols (rhs padding) and rank-deficient systems whose last columns
     # repeat the first.
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    repeated = min(repeated, cols // 2)
-    M[:, cols - repeated:] = M[:, :repeated]
-    rhs = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    M, rhs = _system(rows, cols, repeated, seed)
     expected = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")[0]
     solution, _ = least_squares(M, rhs)
     assert _same_bits(solution, expected)
+
+
+_NONFINITE = [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), repeated=st.integers(0, 2),
+       seed=st.integers(0, 2**16), bad=st.sampled_from(_NONFINITE),
+       where=st.sampled_from(["matrix", "rhs", "both"]), at=st.integers(0, 63),
+       extra_row=st.booleans())
+@pytest.mark.filterwarnings("error")
+def test_lstsq_nonfinite_input_raises_the_checks_message(rows, cols, repeated, seed, bad,
+                                                          where, at, extra_row):
+    # the message is the first one the shape and finiteness checks give,
+    # in their order: the matrix's entries, the rhs's, then the row count
+    # (``extra_row`` gives the rhs one entry too many). Covers rows < cols
+    # (the padded rhs) and rank-deficient matrices; no warning escapes.
+    M, rhs = _system(rows, cols, repeated, seed)
+    if extra_row:
+        rhs = np.append(rhs, 1.0)
+    if where != "rhs":
+        M.flat[at % M.size] = bad
+    if where != "matrix":
+        rhs[at % rhs.size] = bad
+    name = "coefficient matrix" if where != "rhs" else "right-hand side"
+    with pytest.raises(DimensionError, match=f"^{name}: entries must be finite$"):
+        least_squares(M, rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), repeated=st.integers(0, 2),
+       seed=st.integers(0, 2**16), huge=st.sampled_from([1.5e308, -1.5e308, 1.5e308j,
+                                                          complex(1.5e308, 1.5e308)]),
+       where=st.sampled_from(["matrix", "rhs", "both"]), at=st.integers(0, 63))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lstsq_huge_finite_input_is_solved_unchecked(rows, cols, repeated, seed, huge, where,
+                                                      at):
+    # finite entries whose norms overflow are not refused: the solution is
+    # gelsy's and the relative residual is whatever the overflow makes of
+    # the formula, inf or NaN included
+    M, rhs = _system(rows, cols, repeated, seed)
+    if where != "rhs":
+        M.flat[at % M.size] = huge
+    if where != "matrix":
+        rhs[at % rhs.size] = huge
+    solution, rel = least_squares(M, rhs)
+    expected = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")[0]
+    assert _same_bits(solution, expected)
+    residual = float(np.linalg.norm(np.einsum("ij,j->i", M, expected) - rhs))
+    expected_rel = residual / max(float(np.linalg.norm(rhs)), np.finfo(np.float64).tiny)
+    assert type(rel) is float and repr(rel) == repr(expected_rel)
 
 
 def test_lstsq_illegal_lapack_argument_raises():
