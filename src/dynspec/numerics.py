@@ -13,19 +13,30 @@ solves 3 x k systems, thousands per recovery), so least squares calls
 LAPACK's zgelsy and the root finder numpy's eigenvalue routine directly.
 On such systems ``scipy.linalg.lstsq`` spent several times the LAPACK
 call on its generic checks, and ``np.roots`` a smaller share; the direct
-calls pass the same arguments and give bit-identical results.
+calls pass the same solver arguments and give bit-identical solutions.
+scipy is imported at the first solve, so the commands that never solve
+(``simulate`` and ``verify``) do not load it, which takes about 0.3 s
+off each of them.
+
+A solve's residual is the one the paper's Krylov step asks for: the
+distance of the rhs from the span of the columns, read from the
+orthogonal factorization gelsy already made (the entries of Q^H b past
+column n) rather than from a product formed again. It is exactly 0 for a
+square system of full rank. Only a system that gelsy finds
+rank-deficient still forms the einsum product M x - b.
 
 Inputs are checked for finiteness once, where they enter: a degree
 search's sequence is proved finite as a whole by
 ``annihilator_from_samples``, so ``least_squares`` does not rescan every
 slice of it. It keeps its O(1) shape and row-count checks and, after the
-solve, tests only that its relative residual is finite, which a NaN or
-inf anywhere in its inputs always breaks; only then does it scan them,
-to raise the checks' own message. On a 2-vCPU machine with one BLAS
-thread, a 3 x 3 solve of the invariant pipeline costs about 12 us: 4 us
-in zgelsy, 5-6 us forming the residual (the einsum product and two
-norms, kept for their bits) and 2 us of conversion, workspace query and
-slicing. Scanning both inputs for finiteness would add another 4-5 us.
+solve, tests only that its residual and its solution are finite, which
+a NaN or inf anywhere in its inputs always breaks; only then does it
+scan them, to raise the checks' own message. On a 2-vCPU machine with
+one BLAS thread, a solve of the invariant pipeline (3 x 1 to 3 x 3)
+costs about 8-9 us: 3-4 us in zgelsy, 2-3 us for the two norms and the
+solution's finiteness test, and 2 us of conversion, workspace query and
+slicing. The product that every solve used to form took another 4 us,
+and scanning both inputs for finiteness would add 4-5 us.
 
 The work per source and per point is done over whole arrays. The
 invariant pipeline has one residue class per d/m frequencies, 512 at
@@ -46,17 +57,23 @@ per-search solve counts that the benchmark's tests pin.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.lapack import zgelsy, zgelsy_lwork
 
 from . import config
 from .errors import DimensionError
 
 _RESIDUAL_FLOOR = float(np.finfo(np.float64).tiny)
 _EPS = float(np.finfo(np.float64).eps)
+# zgelsy leaves an rhs unscaled when its largest entry is within
+# [tiny/eps, eps/tiny]; a norm inside these bounds (the lower one times
+# sqrt(rows)) proves that, with a factor 2 for the norm's rounding.
+_GELSY_SMALL = 2 * _RESIDUAL_FLOOR / _EPS
+_GELSY_BIG = _EPS / _RESIDUAL_FLOOR / 2
 _MATCH_BLOCK_ENTRIES = 1 << 16
 # Real-order neighbours on each side whose distance bounds a point's
 # nearest-neighbour search in set_match_error.
@@ -140,9 +157,10 @@ def dft(v, inverse: bool = False) -> np.ndarray:
 def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     """Minimum-norm least squares via a column-pivoted orthogonal
     factorization (LAPACK gelsy), never normal equations. Returns
-    (solution, relative_residual); the residual is relative to the
-    right-hand-side norm with a tiny floor, so an exactly reproduced (or
-    all-zero) rhs gives 0.
+    (solution, relative_residual): the distance of the rhs from the span
+    of the columns gelsy kept, relative to the rhs norm with a tiny
+    floor, so an exactly reproduced (or all-zero) rhs gives 0, and so
+    does every square system of full rank.
 
     Deterministic for identical inputs. The stacked systems this solves
     can be ill-conditioned Hankel blocks, hence the rank-revealing driver.
@@ -154,26 +172,49 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     the 3 x k systems of the invariant pipeline the ``lstsq`` wrapper
     cost several times the LAPACK call; the solutions are bit-identical.
     The workspace query costs under a microsecond, so it runs on every
-    call.
+    call. scipy is imported at the first solve (``_gelsy``), not with
+    the package: ``simulate`` and ``verify`` never solve.
+
+    gelsy factors A P = Q R and overwrites the rhs with Q^H b before it
+    solves. When it finds full rank (``rank == n``), entries n..m-1 of
+    that vector are the part of b outside the column span, so their norm
+    is the residual, with no product formed: empty, so exactly 0, for a
+    square system. gelsy scales an rhs whose largest entry lies outside
+    [tiny/eps, eps/tiny] and unscales only the solution rows, so an rhs
+    whose norm does not place it inside that range (``_GELSY_SMALL``,
+    ``_GELSY_BIG``) takes the product instead, as does every system that
+    gelsy finds rank-deficient. The two residuals agree to rounding
+    except where gelsy misjudges the rank, since its cutoff is machine
+    epsilon: the product of random complex 96 x 41 and 41 x 43 factors,
+    of rank 41, is reported as rank 43 and solved with a solution of
+    norm 3e13 to 1e14, and against a random rhs the tail reads 0.70 to
+    0.79 where the product reads 0.72 to 0.84 (six seeds), both far
+    above ``config.TAU_SOLVE``. Exactly repeated columns are missed as
+    well on some draws; a square system then reads 0 where the product
+    reads rounding noise times the solution's norm.
 
     Inputs are not scanned for finiteness up front: ``M`` must be a
     nonempty 2-D array and ``rhs`` a 1-D array with one entry per row,
-    which costs O(1) to check, and a NaN or inf anywhere in either always
-    makes the relative residual non-finite. So one ``math.isfinite``
-    test runs after the solve, and only when it fails are the inputs
-    scanned by ``as_matrix`` and ``as_vector``, which raise DimensionError
-    with the message a scan before the solve would give ("coefficient
-    matrix: entries must be finite", or the right-hand side's). Finite
-    data so large that the norms overflow passes the scans, and its
-    non-finite residual is returned. A 3 x 3 solve costs about 12 us (see
-    the module docstring); scanning both inputs would add 4-5 us.
+    which costs O(1) to check. A NaN or inf anywhere in either always
+    makes the product's residual non-finite; on the tail path it makes
+    the tail or the solution non-finite (a NaN in A with zeros below it
+    leaves gelsy's reflector the identity and reaches only the
+    solution), so the sum of the solution's squared entries is tested
+    too. Only when a test fails are the inputs scanned by ``as_matrix``
+    and ``as_vector``, which raise DimensionError with the message a
+    scan before the solve would give ("coefficient matrix: entries must
+    be finite", or the right-hand side's). Finite data so large that the
+    norms overflow passes the scans, and its non-finite residual is
+    returned. A 3 x 3 solve costs about 8-9 us (see the
+    module docstring); scanning both inputs would add 4-5 us.
 
-    The residual is formed by numpy's own einsum loop, not the BLAS
-    product ``A @ sol``: OpenBLAS runs a complex mat-vec multi-threaded
-    once rows * cols >= 4096. On a 2-vCPU machine with two BLAS threads,
-    such a product after a solve took about 4-7 ms, against about 4-13 us
-    single-threaded; the einsum loop takes 20-60 us at 96 rows. Both
-    norms are ``np.linalg.norm``'s, computed by ``_norm``.
+    The product, where it is still formed, is numpy's own einsum loop,
+    not the BLAS product ``A @ sol``: OpenBLAS runs a complex mat-vec
+    multi-threaded once rows * cols >= 4096. On a 2-vCPU machine with
+    two BLAS threads, such a product after a solve took about 4-7 ms,
+    against about 4-13 us single-threaded; the einsum loop takes 20-60 us
+    at 96 rows. Every norm is ``np.linalg.norm``'s, computed by
+    ``_norm``.
     """
     A = np.asarray(M, dtype=np.complex128)
     b = np.asarray(rhs, dtype=np.complex128)
@@ -181,22 +222,36 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
         _check_inputs(A, b)
         raise DimensionError(f"matrix has {A.shape[0]} rows but rhs has {b.size} entries")
     m, n = A.shape
+    zgelsy, zgelsy_lwork = _gelsy()
     work, _ = zgelsy_lwork(m, n, 1, _EPS)
     padded = b
     if m < n:
         padded = np.zeros(n, dtype=np.complex128)
         padded[:m] = b
-    _, x, _, _, info = zgelsy(A, padded, np.zeros(n, dtype=np.int32), _EPS, int(work.real))
+    _, x, _, rank, info = zgelsy(A, padded, np.zeros(n, dtype=np.int32), _EPS, int(work.real))
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK zgelsy")
     sol = x[:n]
-    residual = _norm(np.einsum("ij,j->i", A, sol) - b)
-    rel = residual / max(_norm(b), _RESIDUAL_FLOOR)
-    if not math.isfinite(rel):
-        # a non-finite entry anywhere in A or b makes rel non-finite; finite
-        # data whose norms overflow passes the scans
+    b_norm = _norm(b)
+    if rank == n and _GELSY_SMALL * math.sqrt(m) <= b_norm <= _GELSY_BIG:
+        rel = _norm(x[n:]) / b_norm
+        finite = math.isfinite(rel) and cmath.isfinite(sol.dot(sol))
+    else:
+        rel = _norm(np.einsum("ij,j->i", A, sol) - b) / max(b_norm, _RESIDUAL_FLOOR)
+        finite = math.isfinite(rel)
+    if not finite:
+        # a non-finite entry anywhere in A or b lands here; finite data
+        # whose norms overflow passes the scans
         _check_inputs(A, b)
     return sol, rel
+
+
+@functools.cache
+def _gelsy():
+    """scipy's zgelsy and its workspace query, imported once, at the first
+    solve: scipy.linalg is most of the package's import time."""
+    from scipy.linalg.lapack import zgelsy, zgelsy_lwork
+    return zgelsy, zgelsy_lwork
 
 
 def _check_inputs(A: np.ndarray, b: np.ndarray) -> None:

@@ -459,6 +459,26 @@ def test_module_entry_point_subprocess(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_simulate_and_verify_never_load_scipy(tmp_path):
+    # scipy is most of the import time, and only least squares needs it
+    p = tmp_path / "p.json"
+    r = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(dynspec.__file__).resolve().parents[1]))
+    steps = [
+        ["simulate", "--d", "96", "--mode", "shift", "--omega", "3,50", "--levels", "192",
+         "--seed", "1", "--include-truth", "--out", str(p)],
+        ["verify", "--in", str(p), "--report", str(r)],
+    ]
+    for step in steps:
+        if step[0] == "verify":
+            assert main(["recover", "--in", str(p), "--mode", "general", "--out", str(r)]) == 0
+        code = ("import sys; from dynspec.cli import main; code = main(sys.argv[1:]); "
+                "sys.exit(3 + code if 'scipy' in sys.modules else code)")
+        proc = subprocess.run([sys.executable, "-c", code, *step], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (step[0], proc.returncode, proc.stderr)
+
+
 def test_diagonalizable_problem_bytes_do_not_depend_on_blas_threads(tmp_path):
     # at d = 192 a LAPACK factorization already gives different bits under
     # one and two OpenBLAS threads; the diagonalizable factory uses none

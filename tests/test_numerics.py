@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +174,26 @@ def test_lstsq_nonfinite_input_raises_the_checks_message(rows, cols, repeated, s
         least_squares(M, rhs)
 
 
+def _stated_residual(M, rhs):
+    """The relative residual ``least_squares`` states, from a reference
+    gelsy call: at full rank, with an rhs whose norm keeps gelsy from
+    scaling it, the norm of the transformed rhs past row n (Q^H b's part
+    outside the column span); otherwise the einsum product's. Both are
+    over ``np.linalg.norm(rhs)``, floored at the smallest normal float."""
+    rows, cols = M.shape
+    tiny, eps = np.finfo(np.float64).tiny, np.finfo(np.float64).eps
+    padded = np.zeros(max(rows, cols), dtype=np.complex128)
+    padded[:rows] = rhs
+    lwork, _ = scipy.linalg.lapack.zgelsy_lwork(rows, cols, 1, eps)
+    _, x, _, rank, _ = scipy.linalg.lapack.zgelsy(M, padded, np.zeros(cols, dtype=np.int32),
+                                                  eps, int(lwork.real))
+    b_norm = float(np.linalg.norm(rhs))
+    if rank == cols and 2 * tiny / eps * np.sqrt(rows) <= b_norm <= eps / tiny / 2:
+        return float(np.linalg.norm(x[cols:])) / b_norm
+    residual = float(np.linalg.norm(np.einsum("ij,j->i", M, x[:cols]) - rhs))
+    return residual / max(b_norm, tiny)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 8), cols=st.integers(1, 8), repeated=st.integers(0, 2),
        seed=st.integers(0, 2**16), huge=st.sampled_from([1.5e308, -1.5e308, 1.5e308j,
@@ -183,7 +204,7 @@ def test_lstsq_huge_finite_input_is_solved_unchecked(rows, cols, repeated, seed,
                                                       at):
     # finite entries whose norms overflow are not refused: the solution is
     # gelsy's and the relative residual is whatever the overflow makes of
-    # the formula, inf or NaN included
+    # the stated formula, inf or NaN included
     M, rhs = _system(rows, cols, repeated, seed)
     if where != "rhs":
         M.flat[at % M.size] = huge
@@ -192,14 +213,56 @@ def test_lstsq_huge_finite_input_is_solved_unchecked(rows, cols, repeated, seed,
     solution, rel = least_squares(M, rhs)
     expected = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")[0]
     assert _same_bits(solution, expected)
-    residual = float(np.linalg.norm(np.einsum("ij,j->i", M, expected) - rhs))
-    expected_rel = residual / max(float(np.linalg.norm(rhs)), np.finfo(np.float64).tiny)
-    assert type(rel) is float and repr(rel) == repr(expected_rel)
+    assert type(rel) is float and repr(rel) == repr(_stated_residual(M, rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(2, 96), cols=st.integers(1, 96), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["tall", "square", "zero column", "repeated"]))
+def test_lstsq_residual_is_the_distance_from_the_kept_span(rows, cols, seed, kind):
+    # full rank: the transformed rhs past row n is the distance of rhs from
+    # the column span, so it matches the product to rounding, and a square
+    # system has none. A zero column is always found, and its system keeps
+    # the product, bit for bit. Repeated columns are found only sometimes
+    # (gelsy's cutoff is machine epsilon), so they give the stated residual.
+    cols = {"tall": min(cols, rows - 1), "square": rows}.get(kind, max(cols, 2))
+    M, rhs = _system(rows, cols, 1 if kind == "repeated" else 0, seed)
+    if kind == "zero column":
+        M[:, seed % cols] = 0
+    solution, rel = least_squares(M, rhs)
+    b_norm = np.linalg.norm(rhs)
+    product = np.linalg.norm(np.einsum("ij,j->i", M, solution) - rhs)
+    if kind == "tall":
+        assert abs(rel * b_norm - product) <= 1e-13 * b_norm
+    elif kind == "square":
+        assert rel == 0.0
+    elif kind == "zero column":
+        assert rel == product / b_norm
+    else:
+        assert rel == _stated_residual(M, rhs)
+
+
+@pytest.mark.parametrize("M, rhs, name", [
+    ([[np.nan], [0.0]], [1.0, 1.0], "coefficient matrix"),
+    ([[np.inf], [0.0]], [1.0, 1.0], "coefficient matrix"),
+    ([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]], [1.0, 1.0, 1.0], "coefficient matrix"),
+    ([[1.0], [0.0]], [np.nan, 1.0], "right-hand side"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, complex(0, np.inf)], "right-hand side"),
+])
+@pytest.mark.filterwarnings("error")
+def test_lstsq_nonfinite_entry_that_misses_the_tail_raises(M, rhs, name):
+    # over zeros gelsy's reflectors are the identity, so a NaN or inf stays
+    # in the rows it sits in: it may miss the rows past n that give the
+    # residual (the first case reaches only the solution), and the solution
+    # test must find it
+    with pytest.raises(DimensionError, match=f"^{name}: entries must be finite$"):
+        least_squares(np.array(M, dtype=np.complex128), np.array(rhs, dtype=np.complex128))
 
 
 def test_lstsq_illegal_lapack_argument_raises():
     failed = (None, np.zeros(1, dtype=np.complex128), None, 0, -3)
-    with mock.patch.object(numerics, "zgelsy", return_value=failed):
+    gelsy = (mock.Mock(return_value=failed), numerics._gelsy()[1])
+    with mock.patch.object(numerics, "_gelsy", return_value=gelsy):
         with pytest.raises(ValueError, match="illegal value in argument 3 of LAPACK zgelsy"):
             least_squares([[1.0]], [1.0])
 
