@@ -17,7 +17,10 @@ writers put the complex arrays themselves in the tree, and ``_dumps``
 writes each one by filling a template of its nesting with its float
 reprs in one ``%``, with no list of pairs built first. The fixed cost per
 array and per node matters as much as the reprs: an invariant report
-holds one small record per residue class, 512 at d = 1536.
+holds one small record per residue class, 512 at d = 1536, all of the
+same shape at the same depth. So the templates of small arrays are kept
+per (shape, indentation), in a bounded cache, and such a report builds
+one template where it built 512.
 ``tests/test_fileio.py`` checks the writer against ``json.dumps`` on
 random trees, on arrays, on per-source records and on real CLI output.
 Reads use ``json.load`` on UTF-8 text.
@@ -25,6 +28,7 @@ Reads use ``json.load`` on UTF-8 text.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -128,24 +132,39 @@ def _dumps(obj, indent: str = "\n") -> str:
 
 def _complex_array(arr: np.ndarray, indent: str) -> str:
     """The text of a complex128 array as its nested list of [re, im]
-    pairs. The layout is built first as a %-template, from a pair's
-    ``[%r, %r]`` out to the whole array, each level joining copies of the
-    level below; then one ``%`` fills in the float reprs of all its
-    values (``%r`` of a float is ``float.__repr__``), read by one
-    ``tolist`` of the array's C-order real and imaginary parts."""
-    pad = indent + "  " * arr.ndim
-    text = "[" + pad + "  %r," + pad + "  %r" + pad + "]"
-    for axis in range(arr.ndim - 1, -1, -1):
-        outer = indent + "  " * axis
-        inner = outer + "  "
-        n = arr.shape[axis]
-        text = "[" + inner + ("," + inner).join([text] * n) + outer + "]" if n else "[]"
-    text %= tuple(arr.ravel().view(np.float64).tolist())
+    pairs: ``_template`` of its shape, filled by one ``%`` with the float
+    reprs of all its values (``%r`` of a float is ``float.__repr__``),
+    read by one ``tolist`` of the array's C-order real and imaginary
+    parts."""
+    build = _cached_template if arr.size <= _TEMPLATE_ENTRIES else _template
+    text = build(arr.shape, indent) % tuple(arr.ravel().view(np.float64).tolist())
     # finite reprs hold no "n"; "nan", "inf" and "-inf" do, and JSON
     # spells them NaN, Infinity and -Infinity
     if "n" in text:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
+
+
+def _template(shape: tuple, indent: str) -> str:
+    """The %-template of a complex array of ``shape`` written at
+    ``indent``, built from a pair's ``[%r, %r]`` out to the whole array,
+    each level joining copies of the level below."""
+    pad = indent + "  " * len(shape)
+    text = "[" + pad + "  %r," + pad + "  %r" + pad + "]"
+    for axis in range(len(shape) - 1, -1, -1):
+        outer = indent + "  " * axis
+        inner = outer + "  "
+        n = shape[axis]
+        text = "[" + inner + ("," + inner).join([text] * n) + outer + "]" if n else "[]"
+    return text
+
+
+# A report repeats a few small shapes at a few depths, one per-source
+# record per residue class; their templates are kept, up to this many of
+# at most ``_TEMPLATE_ENTRIES`` values each, so the cache stays under a
+# megabyte. Larger arrays are written once per file and build their own.
+_TEMPLATE_ENTRIES = 256
+_cached_template = functools.lru_cache(maxsize=64)(_template)
 
 
 def atomic_write_json(path: str, payload) -> None:

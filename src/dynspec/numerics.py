@@ -33,10 +33,11 @@ solve, tests only that its residual and its solution are finite, which
 a NaN or inf anywhere in its inputs always breaks; only then does it
 scan them, to raise the checks' own message. On a 2-vCPU machine with
 one BLAS thread, a solve of the invariant pipeline (3 x 1 to 3 x 3)
-costs about 8-9 us: 3-4 us in zgelsy, 2-3 us for the two norms and the
-solution's finiteness test, and 2 us of conversion, workspace query and
-slicing. The product that every solve used to form took another 4 us,
-and scanning both inputs for finiteness would add 4-5 us.
+costs about 8 us: 3-4 us in zgelsy, 2-3 us for the two norms and the
+solution's finiteness test, and about 1.5 us of conversion and slicing.
+zgelsy's workspace size is a function of the shape, queried once per
+(rows, cols) and kept. The product that every solve used to form took
+another 4 us, and scanning both inputs for finiteness would add 4-5 us.
 
 The work per source and per point is done over whole arrays. The
 invariant pipeline has one residue class per d/m frequencies, 512 at
@@ -75,6 +76,10 @@ _EPS = float(np.finfo(np.float64).eps)
 _GELSY_SMALL = 2 * _RESIDUAL_FLOOR / _EPS
 _GELSY_BIG = _EPS / _RESIDUAL_FLOOR / 2
 _MATCH_BLOCK_ENTRIES = 1 << 16
+# Shapes whose zgelsy workspace size is kept: a degree search of cap
+# r_max solves at most about 2 log2(r_max) + 2 shapes, and the pipelines
+# share them.
+_LWORK_SHAPES = 256
 # Real-order neighbours on each side whose distance bounds a point's
 # nearest-neighbour search in set_match_error.
 _MATCH_NEIGHBOURS = 2
@@ -121,14 +126,54 @@ def distinct_points(points, tol: float) -> np.ndarray:
     within ``tol`` of a point can be its duplicate: a sweep line,
     quadratic only when every real part is that close, with no dense
     distance table.
+
+    The sweep is a Python loop, about 0.5 us a point, and merged spectra
+    are usually separated already: no two of invariant-wide's 1,536 roots
+    are within ``tol``. So for finite points and a finite ``tol >= 0`` a
+    whole-array certificate (``_separated``) goes first: when it proves
+    that no point would be dropped, the sorted points are the answer.
+    Otherwise the sweep runs, unchanged; a merge where roots coincide
+    always takes it.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    order = np.lexsort((pts.imag, pts.real))
+    if 0 <= tol < math.inf and np.isfinite(pts).all():
+        ordered = np.sort(pts)
+        if _separated(ordered, tol):
+            return ordered
     reps: list[complex] = []
-    for z in pts[order].tolist():
+    for z in pts[np.lexsort((pts.imag, pts.real))].tolist():
         if _is_new(z, reps, tol):
             reps.append(z)
     return np.array(reps, dtype=np.complex128)
+
+
+def _separated(ordered: np.ndarray, tol: float) -> bool:
+    """Whether the sweep of ``distinct_points`` keeps every one of the
+    finite points ``ordered``, sorted by (real, imag), at a finite
+    ``tol >= 0``; False also when that is not proved.
+
+    If no point is dropped, every earlier point is a survivor, and the
+    sweep compares a point z with the earlier points back to the first
+    whose real part ``rep`` has ``z.real - rep.real > tol``: a contiguous
+    run, since the rounded difference grows as ``rep`` falls. The run
+    here starts at the ``searchsorted`` position of z.real - tol, widened
+    by a few ulps, so it holds all of the sweep's run; each of its pairs
+    is tested with the sweep's test, ``not abs(z - rep) > tol``, against
+    ``tol`` raised by a few ulps, so a pair the sweep finds close, at
+    exactly ``tol`` included, is never missed to a different rounding of
+    the distance. If no pair is flagged, no point is dropped. Pairs are
+    tested in chunks (``_ranges``), and the first flagged one ends the
+    test. Separated points are distinct, since ``tol >= 0``, so the order
+    of ``np.sort`` (by real part, then imaginary) is the sweep's
+    ``lexsort`` order, with no ties for stability to settle.
+    """
+    re = ordered.real
+    lo = re.searchsorted(re - (tol + (np.abs(re) + tol) * (4 * _EPS)), "left")
+    above = tol * (1 + 4 * _EPS)
+    for i, j in _ranges(lo, np.arange(ordered.size)):
+        if not (np.abs(ordered[i] - ordered[j]) > above).all():
+            return False
+    return True
 
 
 def _is_new(z: complex, reps: list, tol: float) -> bool:
@@ -171,9 +216,12 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     zero-padded to n entries when there are fewer rows than columns. On
     the 3 x k systems of the invariant pipeline the ``lstsq`` wrapper
     cost several times the LAPACK call; the solutions are bit-identical.
-    The workspace query costs under a microsecond, so it runs on every
-    call. scipy is imported at the first solve (``_gelsy``), not with
-    the package: ``simulate`` and ``verify`` never solve.
+    The workspace size gelsy asks for depends only on (m, n), so
+    ``_gelsy_lwork`` queries it once per shape: the query took about
+    0.5 us, the cached lookup takes 0.1 us, and invariant-wide's 1,536
+    solves per job have three shapes. scipy is imported at the
+    first solve (``_gelsy``), not with the package: ``simulate`` and
+    ``verify`` never solve.
 
     gelsy factors A P = Q R and overwrites the rhs with Q^H b before it
     solves. When it finds full rank (``rank == n``), entries n..m-1 of
@@ -205,8 +253,8 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     scan before the solve would give ("coefficient matrix: entries must
     be finite", or the right-hand side's). Finite data so large that the
     norms overflow passes the scans, and its non-finite residual is
-    returned. A 3 x 3 solve costs about 8-9 us (see the
-    module docstring); scanning both inputs would add 4-5 us.
+    returned. A 3 x 3 solve costs about 8 us (see the module
+    docstring); scanning both inputs would add 4-5 us.
 
     The product, where it is still formed, is numpy's own einsum loop,
     not the BLAS product ``A @ sol``: OpenBLAS runs a complex mat-vec
@@ -222,13 +270,12 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
         _check_inputs(A, b)
         raise DimensionError(f"matrix has {A.shape[0]} rows but rhs has {b.size} entries")
     m, n = A.shape
-    zgelsy, zgelsy_lwork = _gelsy()
-    work, _ = zgelsy_lwork(m, n, 1, _EPS)
     padded = b
     if m < n:
         padded = np.zeros(n, dtype=np.complex128)
         padded[:m] = b
-    _, x, _, rank, info = zgelsy(A, padded, np.zeros(n, dtype=np.int32), _EPS, int(work.real))
+    lwork = _gelsy_lwork(m, n)
+    _, x, _, rank, info = _gelsy()[0](A, padded, np.zeros(n, dtype=np.int32), _EPS, lwork)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK zgelsy")
     sol = x[:n]
@@ -252,6 +299,14 @@ def _gelsy():
     solve: scipy.linalg is most of the package's import time."""
     from scipy.linalg.lapack import zgelsy, zgelsy_lwork
     return zgelsy, zgelsy_lwork
+
+
+@functools.lru_cache(maxsize=_LWORK_SHAPES)
+def _gelsy_lwork(m: int, n: int) -> int:
+    """zgelsy's workspace size for an m x n system with one rhs: a
+    function of the shape alone, queried once per shape."""
+    work, _ = _gelsy()[1](m, n, 1, _EPS)
+    return int(work.real)
 
 
 def _check_inputs(A: np.ndarray, b: np.ndarray) -> None:
@@ -380,9 +435,17 @@ def _match_candidates(queries: np.ndarray, targets: np.ndarray):
         reach = (u + np.abs(re)) * (4 * _EPS) + u
         lo[q] = keys.searchsorted(re - reach, "left")
         hi[q] = keys.searchsorted(re + reach, "right")
+    for query, pos in _ranges(lo, hi):
+        yield query, perm[pos]
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """(row, position) index pairs, in chunks of at most
+    ``_MATCH_BLOCK_ENTRIES``: every position in ``range(lo[k], hi[k])``
+    paired with row k, rows in order."""
     ends = (hi - lo).cumsum()
-    total = int(ends[-1])
+    total = int(ends[-1]) if ends.size else 0
     for start in range(0, total, _MATCH_BLOCK_ENTRIES):
         flat = np.arange(start, min(start + _MATCH_BLOCK_ENTRIES, total))
-        query = ends.searchsorted(flat, "right")
-        yield query, perm[hi[query] - (ends[query] - flat)]
+        row = ends.searchsorted(flat, "right")
+        yield row, hi[row] - (ends[row] - flat)

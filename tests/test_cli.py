@@ -1072,3 +1072,81 @@ def test_simulate_negative_env_seed_names_the_variable(tmp_path, capsys, monkeyp
     assert run("simulate", "--d", "9", "--m", "3", "--levels", "6", "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: DYNSPEC_SEED must be non-negative, got -1\n"
     assert not out.exists()
+
+
+# --------------------------------------------- recover's own files
+
+@pytest.mark.parametrize("case", ["plot-is-out", "plot-is-out-respelled", "out-is-in",
+                                  "plot-is-in", "out-is-a-hard-link-of-in",
+                                  "plot-is-a-symlink-to-out"])
+def test_recover_refuses_to_write_over_its_own_files(tmp_path, capsys, monkeypatch, case):
+    # refused before anything is read or written: the problem keeps its
+    # bytes and no report or plot appears
+    monkeypatch.chdir(tmp_path)
+    problem = _simulate_diffusion(tmp_path)
+    before = problem.read_bytes()
+    os.link(problem, tmp_path / "hard.json")
+    os.symlink(tmp_path / "r.json", tmp_path / "link.svg")
+    out, plot, message = {
+        "plot-is-out": ("r.json", "r.json", "--plot names the --out file r.json"),
+        "plot-is-out-respelled": ("r.json", "./sub/../r.json",
+                                  "--plot names the --out file r.json"),
+        "out-is-in": (str(problem), None, f"--out names the --in file {problem}"),
+        "plot-is-in": ("r.json", "p.json", f"--plot names the --in file {problem}"),
+        "out-is-a-hard-link-of-in": ("hard.json", None, f"--out names the --in file {problem}"),
+        "plot-is-a-symlink-to-out": ("r.json", "link.svg", "--plot names the --out file r.json"),
+    }[case]
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    argv = ["recover", "--in", str(problem), "--mode", "invariant", "--out", out]
+    assert run(*argv, *(["--plot", plot] if plot else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert problem.read_bytes() == before
+    assert not (tmp_path / "r.json").exists()
+    # the same run with distinct files writes both
+    assert run(*argv[:-1], "r.json", "--plot", "s.svg") == 0
+    assert (tmp_path / "s.svg").read_text().startswith("<svg")
+
+
+# ----------------------------------------------- one parser per process
+
+def test_main_repeated_in_one_process_gives_the_first_calls_results(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the parser is built by the first main() of the process and reused;
+    # no call may leave state behind for the next
+    monkeypatch.chdir(tmp_path)
+    job = [["simulate", "--mode", "shift", "--d", "15", "--m", "3", "--levels", "6",
+            "--seed", "4", "--include-truth", "--out", "p.json"],
+           ["recover", "--in", "p.json", "--mode", "invariant", "--out", "r.json"],
+           ["verify", "--in", "p.json", "--report", "r.json"],
+           # refused (exit 3), and its report then fails verify (exit 1)
+           ["recover", "--in", "p.json", "--mode", "general", "--dedup", "1e-4",
+            "--out", "g.json"],
+           ["verify", "--in", "p.json", "--report", "g.json", "--tol", "1e-3"]]
+    usage = [["recover", "--mode", "invariant"], ["simulate", "--omega", "a"], [],
+             ["recover", "--help"]]
+    refusals = [argv + (["--d", "15", "--m", "3", "--levels", "6"] if argv[0] == "simulate"
+                        else ["--in", "missing.json"]) + ["--out", "unused.json"]
+                for argv, _row, _message in _MISPLACED_FLAGS]
+    calls = job + usage + job + refusals + refusals + job
+
+    def results():
+        got = []
+        for argv in calls:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got, {name: (tmp_path / name).read_bytes()
+                     for name in ("p.json", "r.json", "g.json")}
+
+    cli._build_parser.cache_clear()
+    first, files = results()
+    assert [code for code, *_ in first[:5]] == [0, 0, 0, 3, 1]
+    assert [code for code, *_ in first[5:9]] == [2, 2, 2, 0]
+    assert all(code == 2 for code, *_ in first[14:14 + 2 * len(refusals)])
+    # every call after the first gives what the first call with its argv gave
+    for argv, result in zip(calls, first):
+        assert result == first[calls.index(argv)], argv
+    assert results() == (first, files)
+    assert not (tmp_path / "unused.json").exists()

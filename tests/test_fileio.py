@@ -504,3 +504,24 @@ def test_cli_files_equal_json_dumps_of_their_content(tmp_path, capsys):
             text = path.read_text()
             assert text == _oracle(json.loads(text)) + "\n", path.name
     assert json.loads(report.read_text())["diagnostics"]["failures"]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (0,), (fileio._TEMPLATE_ENTRIES + 1,)],
+                         ids=["per-source", "2-D", "empty", "past-the-cache"])
+def test_saves_in_one_process_reuse_no_stale_template(tmp_path, shape):
+    # the templates of small arrays are kept per (shape, indent); two saves
+    # of the same shapes at other depths and with other values must each
+    # write exactly what json.dumps writes
+    fileio._cached_template.cache_clear()
+    rng = np.random.default_rng(sum(shape))
+    for save in range(2):
+        arrays = [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** save
+                  for _ in range(3)]
+        tree = {"a": arrays[0], "b": {"c": [arrays[1], {"d": arrays[2]}]},
+                "e": [{"f": arrays[save]}] * save}
+        expected = {"a": _pairs(arrays[0]), "b": {"c": [_pairs(arrays[1]),
+                                                        {"d": _pairs(arrays[2])}]},
+                    "e": [{"f": _pairs(arrays[save])}] * save}
+        path = tmp_path / f"save{save}.json"
+        atomic_write_json(str(path), tree)
+        assert path.read_text() == _oracle(expected) + "\n"

@@ -259,6 +259,32 @@ def test_lstsq_nonfinite_entry_that_misses_the_tail_raises(M, rhs, name):
         least_squares(np.array(M, dtype=np.complex128), np.array(rhs, dtype=np.complex128))
 
 
+def test_lstsq_workspace_is_the_one_of_each_shape(monkeypatch):
+    # zgelsy's workspace size is queried once per (rows, cols); shapes in
+    # alternating order, each with its transpose, must each get their own
+    # and keep scipy's bits, so a cache key that drops or swaps a
+    # dimension fails
+    zgelsy, zgelsy_lwork = numerics._gelsy()
+    passed = []
+
+    def spy(A, b, jpvt, cond, lwork):
+        passed.append((A.shape, lwork))
+        return zgelsy(A, b, jpvt, cond, lwork)
+
+    monkeypatch.setattr(numerics, "_gelsy", lambda: (spy, zgelsy_lwork))
+    numerics._gelsy_lwork.cache_clear()
+    shapes = [(3, 1), (1, 3), (3, 2), (2, 3), (12, 5), (5, 12), (3, 3), (40, 1), (1, 40),
+              (2, 3), (3, 1), (5, 12), (1, 3), (12, 5), (3, 2), (40, 1), (1, 40)]
+    for seed, (rows, cols) in enumerate(shapes):
+        M, rhs = _system(rows, cols, seed % 2, seed)
+        expected = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")[0]
+        assert _same_bits(least_squares(M, rhs)[0], expected), (rows, cols)
+    numerics._gelsy_lwork.cache_clear()
+    assert [shape for shape, _ in passed] == shapes
+    for shape, lwork in passed:
+        assert lwork == int(zgelsy_lwork(*shape, 1, np.finfo(float).eps)[0].real), shape
+
+
 def test_lstsq_illegal_lapack_argument_raises():
     failed = (None, np.zeros(1, dtype=np.complex128), None, 0, -3)
     gelsy = (mock.Mock(return_value=failed), numerics._gelsy()[1])

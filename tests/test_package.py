@@ -100,3 +100,29 @@ def test_every_traced_layer_exists(monkeypatch):
     finally:
         tracer.uninstall()
     assert missing == []
+
+
+def test_traced_dispatch_counts_every_command_through_the_cached_parser(monkeypatch, tmp_path):
+    # the parser is built once per process, before the tracer swaps the
+    # cli.cmd_* functions; dispatch must still reach the swapped ones
+    from dynspec import cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+    job = (["simulate", "--mode", "shift", "--d", "15", "--m", "3", "--levels", "6",
+            "--seed", "2", "--include-truth", "--out", problem],
+           ["recover", "--in", problem, "--mode", "invariant", "--out", report],
+           ["verify", "--in", problem, "--report", report])
+    assert cli.main(["verify", "--help"]) == 0
+    tracer = bench.Tracer()
+    try:
+        assert tracer.install() == []
+        for _ in range(2):
+            assert [cli.main(list(argv)) for argv in job] == [0, 0, 0]
+    finally:
+        tracer.uninstall()
+    calls = {key: span[0] for key, span in tracer.spans.items()}
+    assert calls["cli.cmd_simulate"] == calls["cli.cmd_recover"] == calls["cli.cmd_verify"] == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynspec import config
+from dynspec import config, numerics
 from dynspec.annihilator import scalar_annihilator
 from dynspec.errors import DimensionError, RecoveryError, SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
@@ -135,6 +135,83 @@ def test_merge_roots_matches_quadratic_greedy(lists, conjugate, tol, scale):
                           _merge_roots_quadratic(lists, tol * scale))
     merged, tol_used = merge_roots(lists, dedup_rel=tol / 8)
     assert np.array_equal(merged, _merge_roots_quadratic(lists, tol_used))
+
+
+def _conjugate_roots_of_unity(n):
+    """The 2n-th roots of unity other than 1 and -1, in conjugate pairs
+    whose real parts are exactly equal; neighbours are 2 sin(pi / 2n)
+    apart."""
+    w = np.exp(2j * np.pi * np.arange(1, n) / (2 * n))
+    return np.concatenate([w, w.conj()])
+
+
+def _takes_certificate(points, tol):
+    v = np.asarray(points, dtype=np.complex128)
+    return bool(np.isfinite(v).all()) and numerics._separated(np.sort(v), tol)
+
+
+@pytest.mark.parametrize("tol, certified", [(0.0, True), (1e-3, True), (6.1e-3, True),
+                                            (6.2e-3, False), (0.05, False)])
+def test_distinct_points_on_conjugate_pairs_with_equal_real_parts(tol, certified):
+    # 1,022 points whose real parts tie in pairs; neighbours on the circle
+    # are 2 sin(pi / 1024) ~ 6.136e-3 apart, so the first three tolerances
+    # keep them all
+    roots = _conjugate_roots_of_unity(512)
+    assert roots.size > 1000 and np.unique(roots.real).size == roots.size // 2
+    assert _takes_certificate(roots, tol) == certified
+    kept = distinct_points(roots, tol)
+    assert np.array_equal(kept, _merge_roots_quadratic([roots], tol))
+    assert (kept.size == roots.size) == certified
+    merged, tol_used = merge_roots([roots[::2], roots[1::2]], dedup_rel=tol)
+    assert np.array_equal(merged, _merge_roots_quadratic([roots], tol_used))
+
+
+def test_distinct_points_drops_a_pair_exactly_tol_apart():
+    # |(3 + 4i) w| = 5 w exactly for a power of two w; every other pair of
+    # the set is farther apart
+    roots = _conjugate_roots_of_unity(16) * 64
+    for w in (1.0, 0.25, 2.0 ** -40):
+        points = np.concatenate([roots * w, [0.0, (3 + 4j) * w]])
+        tol = 5 * w
+        assert not _takes_certificate(points, tol)
+        assert _takes_certificate(points[:-1], tol)
+        kept = distinct_points(points, tol)
+        assert kept.size == points.size - 1
+        assert np.array_equal(kept, _merge_roots_quadratic([points], tol))
+
+
+@pytest.mark.parametrize("chain, survivors", [
+    ([0.0, 0.6, 1.2], [0.0, 1.2]),
+    ([0.0, 0.6, 1.2, 1.8], [0.0, 1.2]),
+    ([0.0, 0.6j, 0.5 + 0.9j, 1.1 + 0.9j], [0.0, 0.5 + 0.9j]),
+    ([0.0, 0.9, 1.8, 2.7, 3.6], [0.0, 1.8, 3.6]),
+])
+def test_distinct_points_chain_survivors_depend_on_the_order(chain, survivors):
+    # a sweep over a chain of near points keeps every other point: each
+    # is dropped by its surviving predecessor, not by the one before it
+    far = _conjugate_roots_of_unity(256) * 100
+    points = np.concatenate([far, chain])
+    assert not _takes_certificate(points, 1.0)
+    kept = distinct_points(points, 1.0)
+    assert np.array_equal(kept, _merge_roots_quadratic([points], 1.0))
+    assert np.array_equal(kept[np.abs(kept) < 10], np.array(survivors, dtype=np.complex128))
+
+
+_special_root = st.sampled_from([complex("nan"), complex("inf"), complex("-inf"),
+                                 complex(0, float("inf")), complex(float("nan"), 1),
+                                 complex(1, float("-inf"))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=st.lists(st.lists(_grid_root | _special_root, max_size=12), max_size=4),
+       tol=st.sampled_from([0.0, 1, 2, 5]), spread=st.sampled_from([1.0, 1e-3]))
+def test_distinct_points_with_nonfinite_entries_matches_quadratic_greedy(lists, tol, spread):
+    # NaN and inf entries send every set to the sweep, separated or not
+    lists = [[z * spread for z in chunk] for chunk in lists]
+    roots = np.array([z for chunk in lists for z in chunk], dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        expected = _merge_roots_quadratic(lists, tol * spread)
+    assert np.array_equal(distinct_points(roots, tol * spread), expected, equal_nan=True)
 
 
 # -------------------------------------------------------- extrapolation
