@@ -16,7 +16,7 @@ every degree in turn. A generic state has one root per observable
 eigenvalue, so r* is almost surely the a-priori bound r_max itself (d,
 or the sparsity). When the cap is the first degree that fits, the search
 tries r_max - 1 before it bisects: at r* = r_max = 96 it solves degrees
-1, 2, 4, ..., 64, 96 and 95, 9 solves instead of the bisection's 13.
+1, 2, 4, ..., 64, 96 and 95, 9 solves.
 
 Extending the number of row blocks beyond the degree does not change the
 solution set, which is why one solver serves both the generic engine
@@ -102,10 +102,9 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     the accepted degree, its coefficients and its residual are
     bit-identical to that ascending search's. A search costs at most
     2 * ceil(log2(r*)) + 1 solves instead of r*, and
-    ceil(log2(r_max)) + 2 at r* = r_max (9 at r_max = 96, where the
-    bisection took 13); it builds no system wider than 2 * r* unless
-    r_max caps it. With r_max <= 3 it tries 1, 2, 3 in order, exactly
-    as the ascending search does.
+    ceil(log2(r_max)) + 2 at r* = r_max (9 at r_max = 96); it builds no
+    system wider than 2 * r* unless r_max caps it. With r_max <= 3 it
+    tries 1, 2, 3 in order, exactly as the ascending search does.
 
     The bisection relies on consistency being monotone in r, which holds
     for exact recurrences (see the module docstring). Data that break
@@ -193,11 +192,11 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
         f"no annihilator of degree <= {r_max} fits the sequence (best residual {best:.3e})", best)
 
 
-def scalar_annihilator(c, r_max: int, rows: int | None = None,
-                       tol: float = config.TAU_SOLVE,
+def scalar_annihilator(c, r_max: int, tol: float = config.TAU_SOLVE,
                        zero_scale: float | None = None) -> AnnihilatorPolynomial:
-    """Scalar form of the engine; the coefficient matrix is Hankel."""
+    """Scalar form of the engine, with the default max(r_max, 1) row
+    blocks; the coefficient matrix is Hankel."""
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 1:
         raise DimensionError(f"expected a scalar sequence, got shape {c.shape}")
-    return annihilator_from_samples(c[:, None], r_max, rows=rows, tol=tol, zero_scale=zero_scale)
+    return annihilator_from_samples(c[:, None], r_max, tol=tol, zero_scale=zero_scale)

@@ -11,9 +11,11 @@ and ``verify`` gets back a typed ``Report``. The truth checks compare a
 
 A mode-specific flag given outside the runs that read it is a usage
 error; ``_FLAG_SCOPE`` is the one table of which runs read which flag.
-So is a ``recover`` that would write over its own files: an ``--out`` or
-``--plot`` naming the ``--in`` file, or a ``--plot`` naming the
-``--out`` file.
+So is a run that would write over its own files; ``_FILE_CLASHES`` is
+the one table of the file flags that must name different files: a
+``simulate`` ``--out`` naming the ``--filter-file`` file, a ``recover``
+``--out`` or ``--plot`` naming the ``--in`` file, or a ``--plot`` naming
+the ``--out`` file.
 
 The parser is built once per process (``_build_parser`` is cached):
 building it takes 0.55-0.9 ms on a 2-vCPU host, 20-30% of a warm
@@ -84,6 +86,16 @@ _FLAG_SCOPE = {
 }
 
 
+# The file flags of each command that must name different files, by
+# argparse dest: (a file the run writes, a file it reads or writes
+# first), checked in order. main() checks them after the flag table,
+# before any file is read or written.
+_FILE_CLASHES = {
+    "simulate": (("out", "filter_file"),),
+    "recover": (("plot", "out"), ("out", "infile"), ("plot", "infile")),
+}
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -127,13 +139,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
+def _flag(dest: str) -> str:
+    """The command-line flag of an argparse dest."""
+    return "--in" if dest == "infile" else f"--{dest.replace('_', '-')}"
+
+
 def _misplaced_flag(args) -> str | None:
     """The refusal for the first flag given outside the runs that read it."""
     for dest, runs, where in _FLAG_SCOPE.get(args.command, ()):
         value = getattr(args, dest)
         given = value is not None and value is not False
         if given and not all(getattr(args, key) in allowed for key, allowed in runs.items()):
-            return f"--{dest.replace('_', '-')} only applies to {where}"
+            return f"{_flag(dest)} only applies to {where}"
     return None
 
 
@@ -244,20 +261,16 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _overwritten(args) -> str | None:
-    """The refusal for a recover run that would write its plot over its
-    report, or either over the problem it reads."""
-    for flag, path, other_flag, other in (("--plot", args.plot, "--out", args.out),
-                                          ("--out", args.out, "--in", args.infile),
-                                          ("--plot", args.plot, "--in", args.infile)):
-        if path and _same_file(path, other):
-            return f"{flag} names the {other_flag} file {other}"
+    """The refusal for the first pair of ``_FILE_CLASHES`` whose flags name
+    one file."""
+    for written, other in _FILE_CLASHES.get(args.command, ()):
+        path, other_path = getattr(args, written), getattr(args, other)
+        if path and other_path and _same_file(path, other_path):
+            return f"{_flag(written)} names the {_flag(other)} file {other_path}"
     return None
 
 
 def cmd_recover(args) -> int:
-    overwritten = _overwritten(args)
-    if overwritten:
-        return _fail(overwritten, 2)
     problem = load_problem(args.infile)
     samples = problem.sample_set
     tol = config.TAU_SOLVE if args.tol is None else args.tol
@@ -367,9 +380,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
-    misplaced = _misplaced_flag(args)
-    if misplaced:
-        return _fail(misplaced, 2)
+    refusal = _misplaced_flag(args) or _overwritten(args)
+    if refusal:
+        return _fail(refusal, 2)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (DynspecError, ValueError, TypeError, OSError) as exc:

@@ -36,8 +36,8 @@ one BLAS thread, a solve of the invariant pipeline (3 x 1 to 3 x 3)
 costs about 8 us: 3-4 us in zgelsy, 2-3 us for the two norms and the
 solution's finiteness test, and about 1.5 us of conversion and slicing.
 zgelsy's workspace size is a function of the shape, queried once per
-(rows, cols) and kept. The product that every solve used to form took
-another 4 us, and scanning both inputs for finiteness would add 4-5 us.
+(rows, cols) and kept. Scanning both inputs for finiteness would add
+4-5 us.
 
 The work per source and per point is done over whole arrays. The
 invariant pipeline has one residue class per d/m frequencies, 512 at

@@ -11,6 +11,13 @@ one recurrence fitted on the first (|omega|+1)*L levels and checked on
 the rest. Its roots are the observable spectrum, and running it forward
 extrapolates the samples.
 
+Every estimate is built in one place, ``_estimate``, the tail of
+``search_sources``, which the window recurrence's one polynomial also
+goes through: one root-finding call per degree over the stack of that
+degree's polynomials, and one merge that reads those stacks as they
+are. The Prony and invariant pipelines add their fields to that
+estimate with ``dataclasses.replace``.
+
 One square-fit rule holds for every degree search: at its cap the
 system is square and fits any data (a scalar search capped at r reads
 2r levels; the block search over L row blocks, capped at |omega|*L,
@@ -61,9 +68,11 @@ class SpectrumEstimate:
 def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL):
     """Deduplicate roots across sources with ``numerics.distinct_points``
     at the tolerance ``dedup_rel`` times the largest modulus (times 1 when
-    every root is zero). Survivors are actual roots, in ascending
-    (real, imag) order, and any two are separated by more than the
-    tolerance. Returns (merged, tolerance_used).
+    every root is zero). ``root_lists`` holds arrays of roots of any
+    shape, each read in row-major order: the pipelines pass the (k, r)
+    stacks of ``poly_roots``, one per degree. Survivors are actual roots,
+    in ascending (real, imag) order, and any two are separated by more
+    than the tolerance. Returns (merged, tolerance_used).
     """
     roots = np.concatenate([np.zeros(0, dtype=np.complex128)]
                            + [np.asarray(r, dtype=np.complex128).ravel() for r in root_lists])
@@ -75,9 +84,10 @@ def merge_roots(root_lists, dedup_rel: float = config.DEDUP_REL):
 def search_sources(samples: SampleSet, ids, series: np.ndarray, bound: int, dedup_rel: float,
                    tol: float) -> tuple[SpectrumEstimate, float]:
     """Run the degree search on each column of ``series``, a (levels, k)
-    array whose column j is the sequence of source ``ids[j]``, and merge
-    the roots; zero tests are relative to the largest sample of
-    ``samples``, so rescaling the data leaves every degree unchanged.
+    array whose column j is the sequence of source ``ids[j]``, and build
+    the estimate from the accepted annihilators (``_estimate``); zero
+    tests are relative to the largest sample of ``samples``, so rescaling
+    the data leaves every degree unchanged.
 
     ``bound`` is the a-priori degree bound. The search cap is
     r_max = min(bound, levels // 2), read from the first 2 * r_max
@@ -103,19 +113,30 @@ def search_sources(samples: SampleSet, ids, series: np.ndarray, bound: int, dedu
             failures[src] = str(exc)
             worst = max(worst, exc.best_residual)
             continue
-        polys[src] = ann.poly
-        residuals[src] = ann.relative_residual
-    # one root-finding call per degree, over the stack of its polynomials
-    per_source = dict.fromkeys(polys)
-    for degree in {poly.size for poly in polys.values()}:
+        polys[src], residuals[src] = ann.poly, ann.relative_residual
+    return _estimate(samples, polys, residuals, failures, dedup_rel), worst
+
+
+def _estimate(samples: SampleSet, polys, residuals, failures, dedup_rel: float) -> SpectrumEstimate:
+    """The estimate of the accepted annihilators ``polys`` (by source id),
+    the one place an estimate is built: one ``poly_roots`` call per
+    degree, in order of first appearance, over the stack of that degree's
+    polynomials, whose rows become the ``per_source`` root lists, then
+    one ``merge_roots`` over those stacks. A merged spectrum with more
+    than d values cannot belong to a d x d operator, so it raises
+    RecoveryError with the estimate attached.
+    """
+    per_source, stacks = dict.fromkeys(polys), []
+    for degree in dict.fromkeys(poly.size for poly in polys.values()):
         same = [src for src, poly in polys.items() if poly.size == degree]
-        per_source.update(zip(same, poly_roots(np.stack([polys[src] for src in same]))))
-    merged, tol_used = merge_roots(per_source.values(), dedup_rel)
+        stacks.append(poly_roots(np.stack([polys[src] for src in same])))
+        per_source.update(zip(same, stacks[-1]))
+    merged, tol_used = merge_roots(stacks, dedup_rel)
     estimate = SpectrumEstimate(per_source, merged, tol_used, residuals, failures)
     if merged.size > samples.d:
         raise RecoveryError(
             f"merged spectrum has {merged.size} values, more than d = {samples.d}", estimate)
-    return estimate, worst
+    return estimate
 
 
 def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
@@ -124,17 +145,13 @@ def recover_observable_spectrum(samples: SampleSet, r_max: int | None = None,
     """Observable spectrum of the sampling set: per-coordinate roots,
     merged with dedup.
 
-    ``r_max`` is an a-priori degree bound, needing 2 * r_max levels; None
-    takes d as the bound, which ``search_sources`` caps at L_total // 2,
-    so with fewer than 2d levels a coordinate reaching the cap fails. The
-    call fails only when every coordinate fails, with the estimate
-    attached.
+    ``r_max`` is an a-priori degree bound (None: d), which
+    ``search_sources`` caps at L_total // 2, so with fewer than 2 * r_max
+    levels a coordinate reaching the cap fails. The call fails only when
+    every coordinate fails, with the estimate attached.
     """
     if samples.L_total < 2:
         raise InsufficientDataError("need at least 2 time levels for spectral recovery")
-    if r_max is not None and samples.L_total < 2 * r_max:
-        raise InsufficientDataError(
-            f"r_max={r_max} needs {2 * r_max} time levels, have {samples.L_total}")
     estimate, worst = search_sources(samples, samples.omega.tolist(), samples.samples,
                                      samples.d if r_max is None else r_max, dedup_rel, tol)
     if not estimate.per_source:
@@ -209,16 +226,15 @@ def fit_extrapolation(samples: SampleSet, L: int, levels: int,
 def recover_spectrum_via_extrapolation(samples: SampleSet, L: int | None = None,
                                        dedup_rel: float = config.DEDUP_REL,
                                        tol: float = config.TAU_SOLVE) -> SpectrumEstimate:
-    """The roots of the window recurrence (L None: the largest window that
-    fits), deduplicated by ``merge_roots``: one source, keyed by the
-    comma-joined sampled coordinates."""
+    """The window recurrence (L None: the largest window that fits) as one
+    source, keyed by the comma-joined sampled coordinates, whose
+    polynomial goes through the same estimate tail as ``search_sources``:
+    its roots, deduplicated by ``merge_roots``."""
     if L is None:
         L = samples.L_total // (samples.omega.size + 1)
         if L < 1:
             raise InsufficientDataError(f"no usable window: {samples.L_total} levels for "
                                         f"{samples.omega.size} sampled coordinates")
     ann, _ = window_recurrence(samples, L, tol=tol)
-    roots = poly_roots(ann.poly)
     key = ",".join(str(int(i)) for i in samples.omega)
-    return SpectrumEstimate({key: roots}, *merge_roots([roots], dedup_rel),
-                            {key: ann.relative_residual})
+    return _estimate(samples, {key: ann.poly}, {key: ann.relative_residual}, {}, dedup_rel)

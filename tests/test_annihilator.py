@@ -65,6 +65,20 @@ def test_too_few_terms_rejected():
         annihilator_from_samples(np.ones((5, 2)), 3)
 
 
+@pytest.mark.parametrize("search, seq, kwargs, message", [
+    (annihilator_from_samples, np.ones((4, 2, 2)), {"r_max": 1},
+     r"^sample sequence must be 1-D or 2-D time-major, got shape \(4, 2, 2\)$"),
+    (annihilator_from_samples, np.ones(4), {"r_max": -1}, "^r_max must be nonnegative, got -1$"),
+    (annihilator_from_samples, np.ones(4), {"r_max": 1, "rows": 0},
+     "^need at least one row block, got 0$"),
+    (scalar_annihilator, np.ones((4, 2)), {"r_max": 1},
+     r"^expected a scalar sequence, got shape \(4, 2\)$"),
+], ids=["3-d-sequence", "negative-r_max", "no-row-block", "2-d-scalar-sequence"])
+def test_malformed_search_arguments_rejected(search, seq, kwargs, message):
+    with pytest.raises(DimensionError, match=message):
+        search(seq, **kwargs)
+
+
 # --------------------------------------------------------- scalar form
 
 def test_constant_sequence():
@@ -120,7 +134,7 @@ def test_no_annihilator_when_r_max_too_small():
     # and 2*r_max terms can never refute it)
     c = np.array([1.0 + 2.0 ** l + 3.0 ** l for l in range(6)])
     with pytest.raises(NoAnnihilator) as info:
-        scalar_annihilator(c, 2, rows=4)
+        annihilator_from_samples(c, 2, rows=4)
     assert info.value.best_residual > 1e-8
 
 
@@ -330,9 +344,9 @@ def test_shallow_search_tries_every_degree(solve_widths, degree, r_max):
     c = _modes(degree, rows + r_max)
     if degree > r_max:
         with pytest.raises(NoAnnihilator):
-            scalar_annihilator(c, r_max, rows=rows)
+            annihilator_from_samples(c, r_max, rows=rows)
     else:
-        assert scalar_annihilator(c, r_max, rows=rows).degree == degree
+        assert annihilator_from_samples(c, r_max, rows=rows).degree == degree
     assert solve_widths == list(range(1, min(degree, r_max) + 1))
 
 
@@ -385,7 +399,7 @@ def test_zero_degree_bound_finds_no_annihilator(solve_widths):
     # inf, not an error from reducing over an empty set of degrees
     with pytest.raises(NoAnnihilator, match=r"^no annihilator of degree <= 0 fits the sequence "
                                             r"\(best residual inf\)$") as info:
-        scalar_annihilator(np.ones(4), 0, rows=2)
+        annihilator_from_samples(np.ones(4), 0, rows=2)
     assert info.value.best_residual == float("inf")
     # with rows omitted too: the default row count is never 0
     with pytest.raises(NoAnnihilator, match=r"\(best residual inf\)$") as info:

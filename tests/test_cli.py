@@ -558,6 +558,8 @@ def test_usage_error_exits_2(tmp_path, capsys):
              "levels must be positive, got 0"),
             (["simulate", "--d", "4", "--m", "1", "--levels", "2", "--seed", "-1", "--out", out],
              "--seed must be non-negative, got -1"),
+            (["simulate", "--mode", "shift", "--d", "8", "--omega", "1", "--levels", "4",
+              "--sparsity", "0", "--out", out], "need 0 < s < d, got s=0, d=8"),
             (["simulate", "--d", "4", "--m", "1", "--levels", "2", "--filter", "file",
               "--filter-file", str(taps), "--out", out], "filter file has 3 taps, expected 4"),
             ([*from_file, str(unclosed)], f"{unclosed} is not valid JSON"),
@@ -1074,7 +1076,7 @@ def test_simulate_negative_env_seed_names_the_variable(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-# --------------------------------------------- recover's own files
+# ----------------------------------------------- a command's own files
 
 @pytest.mark.parametrize("case", ["plot-is-out", "plot-is-out-respelled", "out-is-in",
                                   "plot-is-in", "out-is-a-hard-link-of-in",
@@ -1107,6 +1109,28 @@ def test_recover_refuses_to_write_over_its_own_files(tmp_path, capsys, monkeypat
     # the same run with distinct files writes both
     assert run(*argv[:-1], "r.json", "--plot", "s.svg") == 0
     assert (tmp_path / "s.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("out", ["taps.json", "./sub/../taps.json", "hard.json"])
+def test_simulate_refuses_to_write_over_its_filter_file(tmp_path, capsys, monkeypatch, out):
+    # refused before the taps are read, however often it is run: the taps
+    # keep their bytes and the same run with another --out still reads them
+    monkeypatch.chdir(tmp_path)
+    taps = tmp_path / "taps.json"
+    taps.write_text("[[1.0, 0.0]]\n")
+    before = taps.read_bytes()
+    os.link(taps, tmp_path / "hard.json")
+    (tmp_path / "sub").mkdir()
+    argv = ["simulate", "--d", "1", "--m", "1", "--levels", "2", "--filter", "file",
+            "--filter-file", "taps.json", "--out"]
+    for _ in range(2):
+        assert run(*argv, out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out names the --filter-file file taps.json\n"
+        assert taps.read_bytes() == before
+    assert run(*argv, "p.json") == 0
+    assert taps.read_bytes() == before and (tmp_path / "p.json").is_file()
 
 
 # ----------------------------------------------- one parser per process

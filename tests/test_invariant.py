@@ -210,6 +210,18 @@ def test_ordering_rejects_even_dimension():
         order_symmetric_decreasing(_estimate_from_values([2, 1]), 4)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([], "^no spectral values to order$"),
+    # distinct values whose real parts tie: kept apart by a dedup tolerance
+    # below _REAL_TOL, so the projection to the real axis cannot order them
+    ([5, 3 + 1e-10j, 3 - 1e-10j], "^spectral values are not strictly decreasing after "
+                                  "projection to the real axis$"),
+], ids=["no-values", "tied-real-parts"])
+def test_ordering_rejects_unorderable_values(values, message):
+    with pytest.raises(AmbiguousOrdering, match=message):
+        order_symmetric_decreasing(_estimate_from_values(values), 5)
+
+
 def test_ordering_recovers_diffusion_transfer():
     d, m = 15, 3
     op = make_diffusion_filter(d, 0.1)
@@ -236,6 +248,13 @@ def test_signal_generic_filter_roundtrip():
     samples = simulate(op, x, Uniform(m), m)
     got = recover_signal(samples, op.transfer())
     assert np.max(np.abs(got - x)) < 1e-8
+
+
+def test_signal_rejects_a_filter_of_the_wrong_length():
+    op = random_circulant(9, 20)
+    samples = simulate(op, random_signal(9, 21), Uniform(3), 3)
+    with pytest.raises(DimensionError, match="^filter length 8 does not match d=9$"):
+        recover_signal(samples, op.transfer()[:8])
 
 
 def test_signal_symmetric_filter_underdetermined():

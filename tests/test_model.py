@@ -152,6 +152,14 @@ def test_diagonalizable_singular_basis_rejected_at_construction():
         Diagonalizable(U, [1, 2, 3])
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 2)], ids=["non-square", "wrong-size"])
+def test_diagonalizable_basis_shape_checked(shape):
+    # a non-square basis, and a square one of the wrong size
+    with pytest.raises(DimensionError) as info:
+        Diagonalizable(np.ones(shape), [1, 2, 3])
+    assert str(info.value) == f"eigenbasis must be square of size 3, got {shape}"
+
+
 def test_diagonalizable_inverse_shape_checked():
     with pytest.raises(DimensionError, match="inverse eigenbasis"):
         Diagonalizable(np.eye(3), [1, 2, 3], np.eye(2))

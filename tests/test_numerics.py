@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dynspec import numerics
 from dynspec.errors import DimensionError
-from dynspec.numerics import (dft, distinct_points, least_squares, poly_roots,
-                              set_match_error)
+from dynspec.numerics import (as_matrix, dft, distinct_points, least_squares,
+                              poly_roots, set_match_error)
 from helpers import assert_sets_close, coeffs_desc, division_remainder
 
 
@@ -82,6 +82,14 @@ def test_lstsq_recovers_constructed_solution():
     solution, residual = least_squares(M, M @ w)
     assert np.max(np.abs(solution - w)) < 1e-10
     assert residual < 1e-12
+
+
+@pytest.mark.parametrize("value", [np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 3)), 1.0],
+                         ids=["1-d", "3-d", "empty", "scalar"])
+def test_as_matrix_needs_a_nonempty_2d_array(value):
+    with pytest.raises(DimensionError) as info:
+        as_matrix(value, "samples")
+    assert str(info.value) == f"samples: expected a nonempty 2-D array, got shape {np.shape(value)}"
 
 
 def test_lstsq_dimension_mismatch():

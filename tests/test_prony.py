@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynspec.annihilator import _block_hankel, scalar_annihilator
-from dynspec.errors import NotShiftSpectrum, RecoveryError
+from dynspec.errors import DimensionError, NotShiftSpectrum, RecoveryError
 from dynspec.model import IndexSet, shift_operator, simulate
 from dynspec.numerics import dft, poly_roots
 from dynspec.prony import prony_support, prony_values, random_sparse_signal
@@ -82,6 +82,11 @@ def test_values_wrong_support_is_inconsistent():
 
 # --------------------------------------------------------- reconstruct
 
+def test_values_reject_a_support_larger_than_the_entries():
+    with pytest.raises(DimensionError, match="^support size 3 exceeds the 2 entries supplied$"):
+        prony_values([1.0, 2.0], 0, (1, 2, 3), 8)
+
+
 def test_reconstruct_empty_support_is_zero():
     assert np.max(np.abs(dft(prony_values([3.0, 3.0], 0, (), 8), inverse=True))) == 0.0
 
@@ -136,3 +141,9 @@ def test_sharpness_one_sample_short_is_underdetermined():
     M = _block_hankel(entries[:, None], s - 1, s + 1)[:, :s]
     assert M.shape == (s - 1, s)
     assert np.linalg.matrix_rank(M) < s
+
+
+@pytest.mark.parametrize("s", [0, -1, 8, 9])
+def test_sparse_signal_needs_a_sparsity_inside_the_dimension(s):
+    with pytest.raises(DimensionError, match=f"^need 0 < s < d, got s={s}, d=8$"):
+        random_sparse_signal(8, s, 1)

@@ -13,7 +13,8 @@ from dynspec.numerics import distinct_points, poly_roots
 from dynspec.prony import prony_support, random_sparse_signal
 from dynspec.spectral import (fit_extrapolation, merge_roots,
                               recover_observable_spectrum,
-                              recover_spectrum_via_extrapolation, search_sources)
+                              recover_spectrum_via_extrapolation, search_sources,
+                              window_recurrence)
 from helpers import assert_sets_close, roots_contained
 from oracles import observable_spectrum_oracle
 
@@ -268,6 +269,18 @@ def test_span_condition_violation_detected():
         fit_extrapolation(samples, 1, 2)
 
 
+def test_window_no_degree_fits_is_a_span_condition_violation():
+    # two coordinates of noise under d = 3: a length-2 window stacks 4 rows,
+    # more than the degree bound 3 can fit, so no degree is consistent
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    samples = SampleSet(3, IndexSet((0, 1)), noise)
+    with pytest.raises(SpanConditionViolated, match=r"^no length-2 recurrence reproduces the "
+                                                    r"samples \(residual .*\); retry with a "
+                                                    r"larger window$"):
+        window_recurrence(samples, 2)
+
+
 @pytest.mark.parametrize("L", [4, 5])
 def test_extrapolation_refuses_a_miss_on_held_out_levels(L):
     # one coordinate of a d = 9 circulant: every window solves its square
@@ -424,6 +437,38 @@ def test_search_sources_roots_match_per_source_calls(degrees, noisy, seed):
     for src, roots in expected.items():
         got = estimate.per_source[src]
         assert got.dtype == roots.dtype and got.tobytes() == roots.tobytes()
+    # merging the per-degree stacks gives what merging each source gives
+    merged, tol_used = merge_roots(list(expected.values()))
+    assert estimate.merged.tobytes() == merged.tobytes() and estimate.dedup_tol == tol_used
+
+
+def test_merge_reads_one_root_stack_per_degree(monkeypatch):
+    # sources of degrees 2, 1, 2 and 0: the merge gets the stacks that
+    # poly_roots returns, one per degree in order of first appearance, and
+    # the window recurrence's one polynomial goes through the same tail
+    import dynspec.spectral as spectral_mod
+
+    shapes = []
+    real = spectral_mod.merge_roots
+
+    def spy(root_lists, dedup_rel):
+        shapes.append([np.shape(roots) for roots in root_lists])
+        return real(root_lists, dedup_rel)
+
+    monkeypatch.setattr(spectral_mod, "merge_roots", spy)
+    ratios = [(0.5, 2.0), (3.0,), (-1.0, 1j), ()]
+    levels = np.arange(6)[:, None]
+    series = np.stack([(np.array(r, dtype=complex) ** levels).sum(axis=1) for r in ratios], axis=1)
+    samples = SampleSet(8, IndexSet((0, 1, 2, 3)), series)
+    estimate, _worst = search_sources(samples, [0, 1, 2, 3], series, 3, config.DEDUP_REL,
+                                      config.TAU_SOLVE)
+    assert shapes == [[(2, 2), (1, 1), (1, 0)]]
+    assert [roots.size for roots in estimate.per_source.values()] == [2, 1, 2, 0]
+    assert_sets_close(estimate.merged, [0.5, 2.0, 3.0, -1.0, 1j], 1e-9)
+    shapes.clear()
+    B = random_diagonalizable(6, 3)
+    recover_spectrum_via_extrapolation(simulate(B, random_signal(6, 4), IndexSet((0, 2)), 18), 6)
+    assert shapes == [[(1, 6)]]
 
 
 @settings(max_examples=80, deadline=None)
