@@ -123,16 +123,23 @@ def recover_signal(samples: SampleSet, a_hat,
 
     Per class j the m node values transfer(j + i*J) must be pairwise
     distinct, more than ``config.TAU_NODE`` apart relative to the largest
-    transfer modulus; the m x m node-power system then yields the signal's
+    transfer modulus; the node-power system then yields the signal's
     transform on that class, and the inverse DFT assembles the signal.
     A class with repeated nodes (always the one containing frequency 0
     when the transfer function is symmetric) raises UnderDetermined.
+
+    Each class is fitted on all L_total levels, not the first m alone: a
+    square system of full rank has residual 0 whatever ``a_hat`` is, so
+    only the levels past the m-th can show that the supplied transfer
+    values do not generate the data. A class whose relative residual
+    reaches ``tol`` raises RecoveryError.
     """
     d, m = samples.d, _require_uniform(samples).m
     a_hat = as_vector(a_hat, "transfer function")
     if a_hat.size != d:
         raise DimensionError(f"filter length {a_hat.size} does not match d={d}")
     series = fourier_classes(samples, min_levels=m)
+    levels = np.arange(series.shape[0])
     J = series.shape[1]
     scale = float(np.max(np.abs(a_hat)))
     min_gap = config.TAU_NODE * (scale if scale > 0 else 1.0)
@@ -144,8 +151,8 @@ def recover_signal(samples: SampleSet, a_hat,
             raise UnderDetermined(
                 f"class {j} has repeated transfer values; its aliased signal "
                 "components cannot be separated", class_id=j)
-        powers = nodes[None, :] ** np.arange(m)[:, None] / m
-        values, residual = least_squares(powers, series[:m, j])
+        powers = nodes[None, :] ** levels[:, None] / m
+        values, residual = least_squares(powers, series[:, j])
         if residual >= tol:
             raise RecoveryError(
                 f"class {j} alias system is inconsistent with the supplied filter "

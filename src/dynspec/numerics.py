@@ -14,9 +14,14 @@ LAPACK's zgelsy and the root finder numpy's eigenvalue routine directly.
 On such systems ``scipy.linalg.lstsq`` spent several times the LAPACK
 call on its generic checks, and ``np.roots`` a smaller share; the direct
 calls pass the same solver arguments and give bit-identical solutions.
-scipy is imported at the first solve, so the commands that never solve
-(``simulate`` and ``verify``) do not load it, which takes about 0.3 s
-off each of them.
+scipy is loaded at the first solve, so the commands that never solve
+(``simulate`` and ``verify``) do not load it, and ``recover`` loads only
+scipy's top-level package and its compiled LAPACK extension, never
+``scipy.linalg`` (see ``_gelsy``). On a 2-vCPU machine that load took
+about 12 ms, 4 MiB of RSS and 600 tracked objects, against 0.15 s,
+28 MiB and 17,500 for ``scipy.linalg.lapack``. A cold ``recover --mode
+general`` of the d = 96 shift, import included, on one BLAS thread, took
+0.14 s instead of 0.30 s, at a peak RSS of 38 MiB instead of 61 MiB.
 
 A solve's residual is the one the paper's Krylov step asks for: the
 distance of the rhs from the span of the columns, read from the
@@ -60,7 +65,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from itertools import chain
 
 import numpy as np
@@ -219,9 +228,11 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     The workspace size gelsy asks for depends only on (m, n), so
     ``_gelsy_lwork`` queries it once per shape: the query took about
     0.5 us, the cached lookup takes 0.1 us, and invariant-wide's 1,536
-    solves per job have three shapes. scipy is imported at the
-    first solve (``_gelsy``), not with the package: ``simulate`` and
-    ``verify`` never solve.
+    solves per job have three shapes. Both routines are loaded at the
+    first solve (``_gelsy``), not with the package, from scipy's LAPACK
+    extension alone: ``simulate`` and ``verify`` never solve, and
+    ``recover`` never imports ``scipy.linalg``, whose import was most of
+    its cold start (see the module docstring).
 
     gelsy factors A P = Q R and overwrites the rhs with Q^H b before it
     solves. When it finds full rank (``rank == n``), entries n..m-1 of
@@ -295,10 +306,29 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
 
 @functools.cache
 def _gelsy():
-    """scipy's zgelsy and its workspace query, imported once, at the first
-    solve: scipy.linalg is most of the package's import time."""
-    from scipy.linalg.lapack import zgelsy, zgelsy_lwork
-    return zgelsy, zgelsy_lwork
+    """scipy's zgelsy and its workspace query, loaded once, at the first
+    solve, from scipy's compiled LAPACK extension ``_flapack`` alone.
+
+    These are the wrappers ``scipy.linalg.lapack`` re-exports, with the
+    same bits. ``import scipy`` runs only the top-level package, with
+    scipy's own library-path set-up; the extension is then found in
+    ``scipy/linalg`` and executed without ``scipy/linalg/__init__.py``.
+    The whole load took about 12 ms and 4 MiB of RSS, where importing
+    ``scipy.linalg.lapack`` took 0.15 s and 28 MiB (2-vCPU machine,
+    scipy 1.17). An extension that ``scipy.linalg`` has already loaded is
+    reused; a missing one raises ImportError naming the directories
+    searched.
+    """
+    module = sys.modules.get("scipy.linalg._flapack")
+    if module is None:
+        import scipy
+        where = [os.path.join(path, "linalg") for path in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", where)
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.zgelsy, module.zgelsy_lwork
 
 
 @functools.lru_cache(maxsize=_LWORK_SHAPES)

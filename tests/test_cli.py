@@ -460,23 +460,35 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 def test_simulate_and_verify_never_load_scipy(tmp_path):
-    # scipy is most of the import time, and only least squares needs it
-    p = tmp_path / "p.json"
-    r = tmp_path / "r.json"
+    # scipy.linalg is most of the import time: recover loads only scipy's
+    # top-level package and its LAPACK extension, at the first solve, and
+    # simulate and verify load no scipy at all. Each command runs in a
+    # fresh interpreter, which prints the scipy modules it ended with.
     env = dict(os.environ, PYTHONPATH=str(Path(dynspec.__file__).resolve().parents[1]))
-    steps = [
-        ["simulate", "--d", "96", "--mode", "shift", "--omega", "3,50", "--levels", "192",
-         "--seed", "1", "--include-truth", "--out", str(p)],
-        ["verify", "--in", str(p), "--report", str(r)],
-    ]
-    for step in steps:
-        if step[0] == "verify":
-            assert main(["recover", "--in", str(p), "--mode", "general", "--out", str(r)]) == 0
-        code = ("import sys; from dynspec.cli import main; code = main(sys.argv[1:]); "
-                "sys.exit(3 + code if 'scipy' in sys.modules else code)")
-        proc = subprocess.run([sys.executable, "-c", code, *step], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, (step[0], proc.returncode, proc.stderr)
+    code = ("import sys; from dynspec.cli import main; code = main(sys.argv[1:]); "
+            "print([m for m in ('scipy', 'scipy.linalg') if m in sys.modules]); sys.exit(code)")
+    cases = {
+        "general": (["--d", "96", "--mode", "shift", "--omega", "3,50", "--levels", "192"], []),
+        "invariant": (["--d", "15", "--mode", "circulant", "--filter", "diffusion", "--m", "3",
+                       "--levels", "6"], ["--assume-symmetric"]),
+        "extrapolate": (["--d", "16", "--mode", "shift", "--omega", "0,5", "--levels", "40"], []),
+        "prony": (["--d", "64", "--mode", "shift", "--sparsity", "5", "--omega", "17",
+                   "--levels", "10"], []),
+    }
+    for mode, (simulate_args, recover_args) in cases.items():
+        p = tmp_path / f"{mode}.json"
+        r = tmp_path / f"{mode}-report.json"
+        steps = [
+            (["simulate", *simulate_args, "--seed", "1", "--include-truth", "--out", str(p)], []),
+            (["recover", "--in", str(p), "--mode", mode, *recover_args, "--out", str(r)],
+             ["scipy"]),
+            (["verify", "--in", str(p), "--report", str(r)], []),
+        ]
+        for step, loaded in steps:
+            proc = subprocess.run([sys.executable, "-c", code, *step], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (mode, step[0], proc.returncode, proc.stderr)
+            assert proc.stdout.splitlines()[-1] == str(loaded), (mode, step[0], proc.stdout)
 
 
 def test_diagonalizable_problem_bytes_do_not_depend_on_blas_threads(tmp_path):

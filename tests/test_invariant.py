@@ -257,6 +257,18 @@ def test_signal_rejects_a_filter_of_the_wrong_length():
         recover_signal(samples, op.transfer()[:8])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_signal_refuses_a_filter_that_does_not_generate_the_data(seed):
+    # every class's m x m system on the first m levels is square and of
+    # full rank, so its residual is 0 for any filter with distinct nodes;
+    # the levels after the m-th expose the wrong filter
+    d, m = 45, 3
+    samples = simulate(make_diffusion_filter(d, 0.1), random_signal(d, 1), Uniform(m), 2 * m)
+    with pytest.raises(RecoveryError,
+                       match="alias system is inconsistent with the supplied filter"):
+        recover_signal(samples, random_circulant(d, seed).transfer())
+
+
 def test_signal_symmetric_filter_underdetermined():
     d, m = 15, 3
     op = make_diffusion_filter(d, 0.1)

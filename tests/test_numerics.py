@@ -1,3 +1,8 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -291,6 +296,59 @@ def test_lstsq_workspace_is_the_one_of_each_shape(monkeypatch):
     assert [shape for shape, _ in passed] == shapes
     for shape, lwork in passed:
         assert lwork == int(zgelsy_lwork(*shape, 1, np.finfo(float).eps)[0].real), shape
+
+
+_LOAD_ORDER_SCRIPT = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from dynspec import numerics
+eps = np.finfo(np.float64).eps
+rng = np.random.default_rng(0)
+systems = []
+for rows, cols, repeated in [(3, 1, 0), (3, 3, 0), (2, 5, 0), (12, 5, 1), (40, 7, 2)]:
+    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    M[:, cols - repeated:] = M[:, :repeated]
+    systems.append((M, rng.standard_normal(rows) + 1j * rng.standard_normal(rows)))
+got = [numerics.least_squares(M, rhs) for M, rhs in systems]
+linalg_at_solve = "scipy.linalg" in sys.modules
+import scipy.linalg.lapack as lapack
+for (M, rhs), (solution, residual) in zip(systems, got):
+    rows, cols = M.shape
+    padded = np.zeros(max(rows, cols), dtype=np.complex128)
+    padded[:rows] = rhs
+    lwork, _ = lapack.zgelsy_lwork(rows, cols, 1, eps)
+    _, x, _, _, _ = lapack.zgelsy(M, padded, np.zeros(cols, dtype=np.int32), eps,
+                                  int(lwork.real))
+    assert x[:cols].tobytes() == solution.tobytes(), (rows, cols)
+    again = numerics.least_squares(M, rhs)
+    assert again[0].tobytes() == solution.tobytes() and again[1] == residual, (rows, cols)
+print(linalg_at_solve, numerics._gelsy()[0] is lapack.zgelsy)
+"""
+
+
+@pytest.mark.parametrize("order,printed", [("after", "False False"), ("before", "True True")])
+def test_lstsq_gives_zgelsy_bits_in_either_load_order(order, printed):
+    # in a fresh interpreter: the first solve loads scipy's LAPACK extension
+    # without scipy.linalg, or reuses the one scipy.linalg loaded, and the
+    # solutions are the bits of scipy.linalg.lapack.zgelsy either way
+    env = dict(os.environ, PYTHONPATH=str(Path(numerics.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_ORDER_SCRIPT, order], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == printed
+
+
+def test_lstsq_missing_lapack_extension_names_the_directory(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    where = re.escape(str([str(tmp_path / "linalg")]))
+    with pytest.raises(ImportError, match=f"^scipy's LAPACK extension _flapack not found in "
+                                          f"{where}$"):
+        numerics._gelsy.__wrapped__()
 
 
 def test_lstsq_illegal_lapack_argument_raises():
