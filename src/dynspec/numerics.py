@@ -46,14 +46,17 @@ zgelsy's workspace size is a function of the shape, queried once per
 
 The work per source and per point is done over whole arrays. The
 invariant pipeline has one residue class per d/m frequencies, 512 at
-d = 1536: ``poly_roots`` takes the stack of all their polynomials and
-runs one batched eigensolve per count of zero roots, and
-``set_match_error`` compares two spectra through a window of each
-point's real-order neighbours instead of a dense distance table. Both
-give the bits the per-row and dense forms give. The degree search itself
-still runs per source, one least-squares solve per tried degree, but it
-gallops and bisects on the degree, so a search of degree r* tries at
-most 2 ceil(log2(r*)) + 1 degrees rather than r*. A generic state's
+d = 1536: ``poly_roots`` takes the stack of all their polynomials and,
+per count of zero roots, eigensolves the first row and, in one batched
+call, every row whose roots it cannot certify to be the first row's
+after one Weierstrass step; each eigensolved row has the bits of the
+per-row form. General mode's coordinates share their roots, so there
+one eigensolve serves all of them. ``set_match_error`` compares two
+spectra through a window of each point's real-order neighbours instead
+of a dense distance table, with the dense form's bits. The degree
+search itself still runs per source, one least-squares solve per tried
+degree, but it gallops and bisects on the degree, so a search of degree
+r* tries at most 2 ceil(log2(r*)) + 1 degrees rather than r*. A generic state's
 degree is the a-priori bound itself, one root per observable eigenvalue,
 and a search that fits at that cap is settled by one solve just below
 it: ceil(log2(r_max)) + 2 solves, 9 at r_max = 96. A batched screen
@@ -84,6 +87,9 @@ _EPS = float(np.finfo(np.float64).eps)
 # sqrt(rows)) proves that, with a factor 2 for the norm's rounding.
 _GELSY_SMALL = 2 * _RESIDUAL_FLOOR / _EPS
 _GELSY_BIG = _EPS / _RESIDUAL_FLOOR / 2
+# Products at or above this magnitude lose no relative accuracy to
+# underflow in their parts: _weierstrass_step's separation guard.
+_NORMAL_FLOOR = _RESIDUAL_FLOOR / _EPS
 _MATCH_BLOCK_ENTRIES = 1 << 16
 # Shapes whose zgelsy workspace size is kept: a degree search of cap
 # r_max solves at most about 2 log2(r_max) + 2 shapes, and the pipelines
@@ -371,16 +377,37 @@ def poly_roots(low_coeffs) -> np.ndarray:
     are bit-identical to ``np.roots``, except that a pure power lambda^r
     gives complex zeros where ``np.roots`` gives float ones.
 
-    The rows of a stack that share z go through one batched eigensolve,
-    which runs the same LAPACK routine on the same matrices, so each row
-    has the bits that row alone would give; a vector is a stack of one.
-    Pass a whole stack in one call: each call has a fixed cost, so 512
-    degree-3 rows take several times longer one call per row than as
-    one stack. From n = 76 on, LAPACK's zhseqr takes its multishift path,
+    Those bits hold for every row that is eigensolved, and a vector is a
+    stack of one, so it always is. In a stack, each group of rows that
+    share z eigensolves its first row. The other rows are tested against
+    that row's roots: one Weierstrass step of the first row's own
+    polynomial takes them from the eigensolve's accuracy to rounding
+    level, and each other row takes one more step from there, whose
+    points it keeps when ``_weierstrass_step`` certifies, by Smith's
+    inclusion discs, that they are its roots to within the
+    ``zero_threshold`` of their largest modulus. The rows it does not
+    certify go through one batched eigensolve, which runs the same LAPACK
+    routine on the same matrices, so each has the bits that row alone
+    would give. Repeated or non-finite roots of the first row certify
+    nothing.
+
+    This is the paper's setting: every sampled coordinate of a generic
+    state observes the same eigenvalues, so general mode's |omega|
+    polynomials share their roots, and their eigensolve is the cost to
+    save. From n = 76 on, LAPACK's zhseqr takes its multishift path,
     where a companion matrix costs more than a random one of its size:
     on one BLAS thread its eigensolve took about 3-4 ms at n = 75, 9 ms
-    at n = 76 and 14-18 ms at n = 96, the largest layer of a deep general
-    recovery.
+    at n = 76 and 10-18 ms at n = 96, the largest layer of a deep general
+    recovery. The d = 96 shift's two sampled coordinates (3 and 50) are
+    certified: their (2, 96) stack took about 13 ms instead of 23 ms
+    (2-vCPU machine, one BLAS thread), and coordinate 50's roots lie
+    1.4e-15 from the roots of unity, against 5.8e-15 for its own
+    eigensolve. The residue classes of the invariant pipeline on the
+    d = 1536 shift do not share roots (class j's are omega^j times class
+    0's), so none is certified and each keeps its bits; the test of 511
+    degree-3 rows costs about 0.2 ms. Pass a whole stack in one call:
+    each call has a fixed cost, so 512 degree-3 rows take several times
+    longer one call per row than as one stack.
     """
     low = np.asarray(low_coeffs, dtype=np.complex128)
     if low.ndim < 2:
@@ -393,16 +420,97 @@ def poly_roots(low_coeffs) -> np.ndarray:
     # the count of leading exact zeros (-0.0 included) of each row
     zeros = np.logical_and.accumulate(low == 0, axis=1).sum(axis=1)
     roots = np.zeros((k, r), dtype=np.complex128)
-    for z in np.unique(zeros[zeros < r]).tolist():
+    for z in sorted(set(zeros[zeros < r].tolist())):
         rows = np.flatnonzero(zeros == z)
         n = r - z
-        companion = np.zeros((rows.size, n, n), dtype=np.complex128)
-        companion[:, 1:, :-1] = np.eye(n - 1, dtype=np.complex128)
-        # p[0] is 1, but dividing by it as np.roots does keeps the matrix
-        # identical to np.roots' down to the sign of its zeros
-        companion[:, 0, :] = -low[rows, z:][:, ::-1] / (1 + 0j)
-        roots[rows, :n] = np.linalg.eigvals(companion)
+        first = _companion_eigvals(low[rows[:1], z:])[0]
+        roots[rows[0], :n] = first
+        rest = rows[1:]
+        if rest.size:
+            # one step of the first row's own polynomial takes its roots
+            # from the eigensolve's accuracy to rounding level: on the
+            # d = 96 shift the other rows' radii then sit about ten times
+            # inside the threshold, where from the eigensolve's roots
+            # they reached 0.5 to 1.07 of it
+            centers = _weierstrass_step(first, low[rows[:1], z:])[0][0]
+            stepped, certified = _weierstrass_step(centers, low[rest, z:])
+            roots[rest[certified], :n] = stepped[certified]
+            rest = rest[~certified]
+        if rest.size:
+            roots[rest, :n] = _companion_eigvals(low[rest, z:])
     return roots
+
+
+def _companion_eigvals(low: np.ndarray) -> np.ndarray:
+    """The (k, n) eigenvalues, row by row, of the companion matrices of
+    the monic polynomials whose low-order coefficients are the rows of
+    ``low``, (k, n) with n >= 1: one batched eigensolve, which runs the
+    same LAPACK routine on the same matrices as one call per row would."""
+    k, n = low.shape
+    companion = np.zeros((k, n, n), dtype=np.complex128)
+    companion[:, 1:, :-1] = np.eye(n - 1, dtype=np.complex128)
+    # p[0] is 1, but dividing by it as np.roots does keeps the matrix
+    # identical to np.roots' down to the sign of its zeros
+    companion[:, 0, :] = -low[:, ::-1] / (1 + 0j)
+    return np.linalg.eigvals(companion)
+
+
+def _weierstrass_step(z: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(stepped, certified): for each row of ``low``, (k, n), the low-order
+    coefficients a_0..a_{n-1} of a monic degree-n polynomial p, the
+    points ``z`` (n,) after one Weierstrass step, z_i - W_i with W_i =
+    p(z_i) / prod_{j != i} (z_i - z_j), and whether that row's roots are
+    certified to be those points to ``zero_threshold(max |z|)``.
+
+    Smith's theorem (B. T. Smith, J. ACM 17, 1970): the n discs
+    |lambda - z_i| <= n |W_i| hold all roots of p, and a disc disjoint
+    from the others holds exactly one. p(z_i) is evaluated by Horner's
+    rule, whose rounding error is at most gamma sum_l |a_l| |z_i|^l, a_n
+    = 1 (Higham, Accuracy and Stability of Numerical Algorithms, 5.1);
+    gamma is gamma_{4n} of the unit roundoff eps / 2, since a complex
+    product errs by up to sqrt(2) gamma_2 (Higham 3.6). So, to first
+    order in eps, the radii R_i = n (|W_i| + gamma sum_l |a_l| |z_i|^l /
+    |prod_{j != i} (z_i - z_j)|) bound n |W_i| of the exact values. A row
+    is certified when every R_i is at most ``zero_threshold(max |z|)``
+    and twice the largest is below the smallest separation of the z_i:
+    its discs are then disjoint, each holds one root, and the stepped
+    point z_i - W_i lies in disc i, so within 2 R_i of that root. The
+    radius bound is needed beyond the disjointness: roots omega^j times
+    the cube roots of unity, stepped from the cube roots, give disjoint
+    discs as wide as about 1.
+
+    The products, shared by all rows, are proved free of overflow by
+    being finite and free of underflow by the separation: each partial
+    product of at most n - 1 differences is at least min(1, sep)^(n-1),
+    which must be at least tiny / eps. Repeated or non-finite points fail
+    the separation test, so no row is certified. The work is O(k n^2)
+    for Horner's rule and O(n^2) for the products, with no (k, n, n)
+    temporary.
+    """
+    k, n = low.shape
+    diff = z[:, None] - z
+    np.fill_diagonal(diff, 1)
+    with np.errstate(all="ignore"):
+        denom = diff.prod(axis=1)
+        gaps = np.abs(diff)
+        np.fill_diagonal(gaps, np.inf)
+        sep = float(gaps.min())
+        value = np.ones((k, n), dtype=np.complex128)
+        for a in low.T[::-1, :, None]:
+            value *= z
+            value += a
+        modulus = np.abs(z)
+        # sum_l |a_l| |z_i|^l, a_n = 1: only its first-order size matters
+        sizes = np.concatenate((np.abs(low), np.ones((k, 1))), axis=1)
+        bound = np.einsum("kl,il->ki", sizes, modulus[:, None] ** np.arange(n + 1))
+        weier = value / denom
+        gamma = 2 * n * _EPS / (1 - 2 * n * _EPS)
+        radius = n * (np.abs(weier) + gamma * bound / np.abs(denom))
+        certified = ((radius <= zero_threshold(float(modulus.max()))).all(axis=1)
+                     & (2 * radius.max(axis=1) < sep))
+        if not (np.isfinite(denom).all() and min(1.0, sep) ** (n - 1) >= _NORMAL_FLOOR):
+            certified[:] = False
+        return z - weier, certified
 
 
 def set_match_error(got, expected) -> float:

@@ -430,6 +430,83 @@ def test_stacked_roots_match_each_row_bit_for_bit(r, rows, seed):
         assert _same_bits(roots, expected.astype(np.complex128))
 
 
+def _eigensolved_rows(monkeypatch):
+    """Patch poly_roots' eigensolve to record how many rows it takes."""
+    counts = []
+    real = numerics._companion_eigvals
+
+    def spy(low):
+        counts.append(low.shape[0])
+        return real(low)
+
+    monkeypatch.setattr(numerics, "_companion_eigvals", spy)
+    return counts
+
+
+@pytest.mark.parametrize("degree,jitter", [(3, 0.25), (12, 0.25), (40, 0.25), (96, 0.0)])
+@pytest.mark.parametrize("seed", range(16))
+def test_stacked_roots_certify_rows_that_share_the_first_rows_roots(monkeypatch, degree, jitter,
+                                                                     seed):
+    # copies of a polynomial with well-separated roots, and copies whose
+    # coefficients are moved by a few ulps of the largest, share the first
+    # row's roots: one eigensolve, of that row alone, which keeps its
+    # bits, and every other row takes the stepped points, within 1e-12 of
+    # the roots' scale of its own eigensolve's. Degree 96 is the spectrum
+    # of the d = 96 shift, rotated: lambda^96 - c with |c| = 1. Stepped
+    # from the first row's eigensolved roots, without their own step, one
+    # of these 16 seeds' radii exceeded the threshold and one reached 0.99
+    # of it
+    rng = np.random.default_rng(seed)
+    if jitter:
+        roots = (0.9 + 0.2 * rng.random(degree)) * np.exp(
+            2j * np.pi * (np.arange(degree) + jitter * rng.random(degree)) / degree)
+        low = np.poly(roots)[1:][::-1]
+    else:
+        low = np.zeros(degree, dtype=np.complex128)
+        low[0] = -np.exp(2j * np.pi * rng.random())
+    noise = rng.integers(-4, 5, (5, degree)) + 1j * rng.integers(-4, 5, (5, degree))
+    stack = np.vstack([low, low, low + np.finfo(float).eps * np.abs(low).max() * noise])
+    own = [poly_roots(row) for row in stack]
+    counts = _eigensolved_rows(monkeypatch)
+    got = poly_roots(stack)
+    assert counts == [1]
+    assert _same_bits(got[0], own[0])
+    scale = np.abs(own[0]).max()
+    for found, expected in zip(got, own):
+        assert set_match_error(found, expected) < 1e-12 * scale
+
+
+def test_stacked_roots_refuse_unconverged_steps_around_separated_roots():
+    # lambda^3 - omega^{3j}, omega = exp(2 pi i / 1536): row j's roots are
+    # omega^j times the cube roots of unity. At the cube roots, the first
+    # row's, a step leaves small j unconverged though its discs are
+    # disjoint, so only the radius bound refuses it: each row keeps the
+    # bits of its own eigensolve
+    omega = np.exp(2j * np.pi / 1536)
+    stack = np.zeros((6, 3), dtype=np.complex128)
+    stack[:, 0] = -omega ** (3 * np.arange(6))
+    got = poly_roots(stack)
+    for low, roots in zip(stack, got):
+        assert _same_bits(roots, poly_roots(low))
+    stepped, certified = numerics._weierstrass_step(got[0], stack[1:])
+    assert not certified.any()
+    assert (2 * 3 * np.abs(got[0] - stepped).max(axis=1) < np.sqrt(3)).all()
+    assert all(set_match_error(s, r) > 1e-12 for s, r in zip(stepped, got[1:]))
+
+
+def test_stacked_roots_with_a_repeated_reference_root_fall_back(monkeypatch):
+    # (lambda - 1)^2 (lambda + 1): the reference's roots are not separated,
+    # so its copies and their perturbations all take the eigensolve and
+    # keep its bits
+    low = np.array([1, -1, -1], dtype=np.complex128)
+    stack = np.vstack([low, low, low + [0, 1e-15, 0], low * (1 + 1e-15j)])
+    counts = _eigensolved_rows(monkeypatch)
+    got = poly_roots(stack)
+    assert counts == [1, 3]
+    for row, roots in zip(stack, got):
+        assert _same_bits(roots, np.roots(np.concatenate(([1.0 + 0j], row[::-1]))))
+
+
 def test_roots_reject_deeper_stacks():
     with pytest.raises(DimensionError, match=r"shape \(r,\) or \(k, r\)"):
         poly_roots(np.ones((2, 2, 2)))
