@@ -495,14 +495,15 @@ def _weierstrass_step(z: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.nd
         gaps = np.abs(diff)
         np.fill_diagonal(gaps, np.inf)
         sep = float(gaps.min())
+        modulus = np.abs(z)
+        # p(z_i) and, by the same rule on the moduli, sum_l |a_l| |z_i|^l
         value = np.ones((k, n), dtype=np.complex128)
+        bound = np.ones((k, n))
         for a in low.T[::-1, :, None]:
             value *= z
             value += a
-        modulus = np.abs(z)
-        # sum_l |a_l| |z_i|^l, a_n = 1: only its first-order size matters
-        sizes = np.concatenate((np.abs(low), np.ones((k, 1))), axis=1)
-        bound = np.einsum("kl,il->ki", sizes, modulus[:, None] ** np.arange(n + 1))
+            bound *= modulus
+            bound += np.abs(a)
         weier = value / denom
         gamma = 2 * n * _EPS / (1 - 2 * n * _EPS)
         radius = n * (np.abs(weier) + gamma * bound / np.abs(denom))

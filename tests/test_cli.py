@@ -465,11 +465,13 @@ def test_simulate_and_verify_never_load_scipy(tmp_path):
     # simulate and verify load no scipy at all. No command loads numpy.ma,
     # which np.unique imports under numpy 2.4 (about 10 ms and 1.25 MiB).
     # Each command runs in a fresh interpreter, which prints the modules
-    # of that list it ended with.
+    # of that list that dynspec loaded: those missing after `import numpy`
+    # (numpy 1.x imports numpy.ma itself) and present at the end.
     env = dict(os.environ, PYTHONPATH=str(Path(dynspec.__file__).resolve().parents[1]))
-    code = ("import sys; from dynspec.cli import main; code = main(sys.argv[1:]); "
-            "print([m for m in ('scipy', 'scipy.linalg', 'numpy.ma') if m in sys.modules]); "
-            "sys.exit(code)")
+    code = ("import sys, numpy; before = set(sys.modules); from dynspec.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print([m for m in ('scipy', 'scipy.linalg', 'numpy.ma') "
+            "if m in sys.modules and m not in before]); sys.exit(code)")
     cases = {
         "general": (["--d", "96", "--mode", "shift", "--omega", "3,50", "--levels", "192"], []),
         "invariant": (["--d", "15", "--mode", "circulant", "--filter", "diffusion", "--m", "3",
