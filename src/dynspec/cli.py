@@ -6,8 +6,11 @@ estimate as a report, ``verify`` compares a report against the
 problem's embedded ground truth.
 
 The files are ``fileio``'s: ``recover`` hands it the estimate to write,
-and ``verify`` gets back a typed ``Report``. The truth checks compare a
-``Report`` whichever command builds it, and the SVG plot is written here.
+and ``verify`` gets back a typed ``Report``. The ground-truth judgment is
+``fileio``'s too: ``fileio.truth_checks``, at ``fileio.VERIFY_TOL`` and
+with the Prony support level ``fileio.SUPPORT_REL``, judges a ``Report``
+whether ``verify`` loads it or ``recover`` builds it for its verified
+block. The SVG plot is written here.
 
 A mode-specific flag given outside the runs that read it is a usage
 error; ``_FLAG_SCOPE`` is the one table of which runs read which flag.
@@ -41,19 +44,14 @@ import numpy as np
 
 from . import config
 from .errors import DynspecError, RecoveryError
-from .fileio import (RECOVER_MODES, Report, atomic_write_text, load_problem, load_report,
-                     load_taps, save_problem, save_report)
+from .fileio import (RECOVER_MODES, VERIFY_TOL, Report, atomic_write_text, load_problem,
+                     load_report, load_taps, save_problem, save_report, truth_checks)
 from .invariant import recover_operator
 from .model import (Circulant, IndexSet, Uniform, make_diffusion_filter,
                     random_circulant, random_diagonalizable, random_signal,
                     shift_operator, simulate)
-from .numerics import dft, set_match_error
 from .prony import prony_support, random_sparse_signal
-from .spectral import merge_roots, recover_observable_spectrum, recover_spectrum_via_extrapolation
-
-# Ground-truth comparisons (recover's verified block and the verify
-# command's default) run at the acceptance tolerance.
-VERIFY_TOL = 1e-8
+from .spectral import recover_observable_spectrum, recover_spectrum_via_extrapolation
 
 # What simulate uses when --filter or --decay is not given; the options
 # themselves default to None, so the flag table can see whether they were.
@@ -288,10 +286,7 @@ def cmd_recover(args) -> int:
         save_report(args.out, args.mode, tol, dedup_rel, exc.partial, fatal=str(exc))
         return _fail(str(exc), 3)
 
-    verified = None
-    if problem.has_truth:
-        found = Report(args.mode, estimate.merged, estimate.support, estimate.taps, estimate.signal)
-        verified = {name: err for name, err, *_ in _truth_checks(problem, found, VERIFY_TOL)}
+    verified = truth_checks(problem, Report.of(args.mode, estimate)) if problem.has_truth else None
     save_report(args.out, args.mode, tol, dedup_rel, estimate, verified=verified)
     if args.plot:
         _write_spectrum_svg(args.plot, estimate.merged)
@@ -299,48 +294,11 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _truth_checks(problem, report: Report, tol: float) -> list:
-    """Compare a report against the problem's ground truth.
-
-    Returns (name, error, tol, passed, note) rows; which rows appear
-    depends on the report's mode and fields. The fatal message of a failed
-    run is a failing ``recovery`` row, whatever its partial fields hold.
-    The true spectrum is merged on its own scale, so a report cannot pass
-    by collapsing its spectrum; in prony mode it is the grid points of the
-    true signal's support.
-    """
-    checks = [] if report.fatal is None else [("recovery", float("inf"), tol, False, report.fatal)]
-    prony = report.mode == "prony"
-    expected = None
-    if prony and problem.truth_signal is not None:
-        x_hat = dft(problem.truth_signal)
-        support = np.flatnonzero(np.abs(x_hat) > 1e-9 * float(np.max(np.abs(x_hat))))
-        expected = np.exp(2j * np.pi * support / problem.sample_set.d)
-    elif not prony and problem.truth_taps is not None:
-        expected, _ = merge_roots([dft(problem.truth_taps)])
-    if expected is not None and report.spectrum is not None:
-        merged = report.spectrum
-        err = set_match_error(merged, expected)
-        checks.append(("spectrum", err, tol, merged.size == expected.size and err < tol,
-                       f"{merged.size} vs {expected.size} values"))
-    if prony and expected is not None and report.support is not None:
-        got = sorted(report.support)
-        ok = got == support.tolist()
-        checks.append(("support", 0.0 if ok else float("inf"), tol, ok,
-                       f"{got} vs {support.tolist()}"))
-    for name, truth, got in (("filter", problem.truth_taps, report.taps),
-                             ("signal", problem.truth_signal, report.signal)):
-        if truth is not None and got is not None:
-            err = float(np.max(np.abs(got - truth))) if got.size == truth.size else float("inf")
-            checks.append((name, err, tol, err < tol, ""))
-    return checks
-
-
 def cmd_verify(args) -> int:
     problem = load_problem(args.infile)
     if not problem.has_truth:
         return _fail("problem file carries no ground truth", 2)
-    checks = _truth_checks(problem, load_report(args.report), args.tol)
+    checks = truth_checks(problem, load_report(args.report), args.tol)
     if not checks:
         return _fail("report has no fields comparable against the ground truth", 2)
     width = max(len(name) for name, *_ in checks)

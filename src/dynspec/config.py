@@ -7,11 +7,13 @@ CLI's ``--tol`` and ``--dedup``); the others are fixed. Each report
 ``TAU_ROOT`` as used.
 
 Three levels live beside the one decision each makes, not here:
-``cli.VERIFY_TOL`` (1e-8), the ground-truth comparison of ``verify`` and
-of ``recover``'s verified block; the 1e-9 level in ``cli._truth_checks``
-below which a true transform entry is off the Prony support; and
-``invariant._REAL_TOL`` (1e-8), the imaginary part, relative to the
-spectral scale, that the symmetric ordering treats as rounding.
+``fileio.VERIFY_TOL`` (1e-8) and ``fileio.SUPPORT_REL`` (1e-9), the
+acceptance tolerance of the one ground-truth judgment,
+``fileio.truth_checks`` (which ``verify``, ``recover``'s verified block
+and the test census all call), and the level at or below which a true
+transform entry is off the Prony support; and ``invariant._REAL_TOL``
+(1e-8), the imaginary part, relative to the spectral scale, that the
+symmetric ordering treats as rounding.
 """
 
 # A linear system counts as consistent below this relative residual.

@@ -41,12 +41,20 @@ import numpy as np
 from . import config
 from .errors import DimensionError, FileFormatError
 from .model import IndexSet, SampleSet, Uniform
+from .numerics import dft, set_match_error
+from .spectral import merge_roots
 
 SCHEMA_VERSION = "dynspec-1"
 # The recovery pipelines, as a report's "mode" names them.
 RECOVER_MODES = ("invariant", "general", "extrapolate", "prony")
 _JSON_NUMBERS = frozenset({int, float})
 _PAIRS_EXPECTED = "expected a list of [re, im] pairs of numbers"
+# Ground-truth comparisons (recover's verified block and the verify
+# command's default) run at the acceptance tolerance.
+VERIFY_TOL = 1e-8
+# A true transform entry at or below this fraction of the transform's
+# peak is off the Prony support.
+SUPPORT_REL = 1e-9
 
 
 def _flatten(rows, name: str) -> tuple[set, list]:
@@ -255,15 +263,18 @@ def _sampler_from_json(obj, path: str):
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """A loaded problem file: the sample set plus optional ground truth."""
+    """A loaded problem file: the sample set plus optional ground truth.
+    ``truth_spectrum``, the operator's eigenvalues, is for operators that
+    no filter gives; no problem file holds it yet."""
 
     sample_set: SampleSet
     truth_taps: np.ndarray | None = None
     truth_signal: np.ndarray | None = None
+    truth_spectrum: np.ndarray | None = None
 
     @property
     def has_truth(self) -> bool:
-        return self.truth_taps is not None or self.truth_signal is not None
+        return any(t is not None for t in (self.truth_taps, self.truth_signal, self.truth_spectrum))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +289,53 @@ class Report:
     taps: np.ndarray | None = None
     signal: np.ndarray | None = None
     fatal: str | None = None
+
+    @classmethod
+    def of(cls, mode: str, estimate) -> Report:
+        """The report of a ``mode`` run's ``SpectrumEstimate``, as
+        ``load_report`` reads back the file ``save_report`` writes of it."""
+        return cls(mode, estimate.merged, estimate.support, estimate.taps, estimate.signal)
+
+
+def truth_checks(problem: Problem, report: Report, tol: float = VERIFY_TOL) -> list:
+    """Compare a report against the problem's ground truth: the one
+    judgment of ``verify``, of ``recover``'s verified block and of the
+    test census.
+
+    Returns (name, error, tol, passed, note) rows; which rows appear
+    depends on the report's mode and fields. The fatal message of a failed
+    run is a failing ``recovery`` row, whatever its partial fields hold.
+    The true spectrum, ``truth_spectrum`` or else the transfer values of
+    ``truth_taps``, is merged on its own scale, so a report cannot pass by
+    collapsing its spectrum; in prony mode it is the grid points of the
+    true signal's support.
+    """
+    checks = [] if report.fatal is None else [("recovery", float("inf"), tol, False, report.fatal)]
+    prony = report.mode == "prony"
+    expected = None
+    if prony and problem.truth_signal is not None:
+        x_hat = dft(problem.truth_signal)
+        support = np.flatnonzero(np.abs(x_hat) > SUPPORT_REL * float(np.max(np.abs(x_hat))))
+        expected = np.exp(2j * np.pi * support / problem.sample_set.d)
+    elif not prony and (problem.truth_spectrum is not None or problem.truth_taps is not None):
+        eigs = dft(problem.truth_taps) if problem.truth_spectrum is None else problem.truth_spectrum
+        expected, _ = merge_roots([eigs])
+    if expected is not None and report.spectrum is not None:
+        merged = report.spectrum
+        err = set_match_error(merged, expected)
+        checks.append(("spectrum", err, tol, merged.size == expected.size and err < tol,
+                       f"{merged.size} vs {expected.size} values"))
+    if prony and expected is not None and report.support is not None:
+        got = sorted(report.support)
+        ok = got == support.tolist()
+        checks.append(("support", 0.0 if ok else float("inf"), tol, ok,
+                       f"{got} vs {support.tolist()}"))
+    for name, truth, got in (("filter", problem.truth_taps, report.taps),
+                             ("signal", problem.truth_signal, report.signal)):
+        if truth is not None and got is not None:
+            err = float(np.max(np.abs(got - truth))) if got.size == truth.size else float("inf")
+            checks.append((name, err, tol, err < tol, ""))
+    return checks
 
 
 def save_problem(path: str, samples: SampleSet,
@@ -340,13 +398,13 @@ def load_taps(path: str) -> np.ndarray:
 
 
 def save_report(path: str, mode: str, tau_solve: float, dedup_rel: float, estimate=None,
-                fatal: str | None = None, verified: dict | None = None) -> None:
+                fatal: str | None = None, verified: list | None = None) -> None:
     """Write the report of a ``mode`` run: the tolerances it used
     (``tau_solve``, ``dedup_rel``, ``config.TAU_ROOT`` and the estimate's
     absolute ``dedup_tol``), its ``estimate`` (a ``SpectrumEstimate``; for
     a failed run the partial one, or None), the ``fatal`` message of a
-    failed run, and ``verified``, the error of each ground-truth check by
-    check name."""
+    failed run, and ``verified``, the rows of ``truth_checks``, written
+    as each check's error by check name."""
     tolerances = {"tau_solve": tau_solve, "dedup_rel": dedup_rel, "tau_root": config.TAU_ROOT}
     failures = {} if fatal is None else {"fatal": fatal}
     report = {"schema_version": SCHEMA_VERSION, "mode": mode,
@@ -369,7 +427,7 @@ def save_report(path: str, mode: str, tau_solve: float, dedup_rel: float, estima
         for src, msg in estimate.failures.items():
             failures[src if isinstance(src, str) else f"source {src}"] = msg
     if verified is not None:
-        report["verified"] = {f"{name}_error": err for name, err in verified.items()}
+        report["verified"] = {f"{name}_error": err for name, err, *_ in verified}
     atomic_write_json(path, report)
 
 

@@ -132,7 +132,7 @@ def recover_signal(samples: SampleSet, a_hat,
     square system of full rank has residual 0 whatever ``a_hat`` is, so
     only the levels past the m-th can show that the supplied transfer
     values do not generate the data. A class whose relative residual
-    reaches ``tol`` raises RecoveryError.
+    reaches ``tol``, or is NaN, raises RecoveryError.
     """
     d, m = samples.d, _require_uniform(samples).m
     a_hat = as_vector(a_hat, "transfer function")
@@ -153,7 +153,7 @@ def recover_signal(samples: SampleSet, a_hat,
                 "components cannot be separated", class_id=j)
         powers = nodes[None, :] ** levels[:, None] / m
         values, residual = least_squares(powers, series[:, j])
-        if residual >= tol:
+        if not residual < tol:
             raise RecoveryError(
                 f"class {j} alias system is inconsistent with the supplied filter "
                 f"(residual {residual:.3e})")

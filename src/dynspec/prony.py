@@ -75,7 +75,8 @@ def prony_values(c, start: int, support, d: int,
     returns the length-d transform, zero off the support.
 
     Uses all supplied entries (overdetermined), so a wrong support shows
-    up as an inconsistent system at no extra sample cost. Values that come
+    up as an inconsistent system at no extra sample cost: a residual that
+    reaches ``tol``, or is NaN, raises RecoveryError. Values that come
     out numerically zero are set to zero, keeping the support honest.
     """
     supp = tuple(sorted(set(int(n) for n in support)))
@@ -88,7 +89,7 @@ def prony_values(c, start: int, support, d: int,
     positions = start + np.arange(c.size)
     modes = np.exp(2j * np.pi * np.outer(positions, supp) / d) / d
     values, residual = least_squares(modes, c)
-    if residual >= tol:
+    if not residual < tol:
         raise RecoveryError(
             f"support {supp} cannot reproduce the entries "
             f"(residual {residual:.3e}); support/sample mismatch")

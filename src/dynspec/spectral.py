@@ -28,6 +28,7 @@ of the fit check it; otherwise the source, or the window, is refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,10 +178,11 @@ def window_recurrence(samples: SampleSet, L: int, levels: int = 0,
     |omega|*L < d with no level after the first (|omega|+1)*L is refused
     as SpanConditionViolated too. Levels after those are held out: the
     recurrence, run from its first ``degree`` levels, must reproduce them
-    to a relative residual below ``tol``, or SpanConditionViolated is
-    raised. Retrying with a larger window helps; L = d fits exact data,
-    but a mode that decays below ``tol`` within the fitted levels can
-    still make the held-out levels miss.
+    to a relative residual below ``tol``, at any scale of the data, or
+    SpanConditionViolated is raised (a NaN residual too). Retrying with a
+    larger window helps; L = d fits exact data, but a mode that decays
+    below ``tol`` within the fitted levels can still make the held-out
+    levels miss.
     """
     n = samples.omega.size
     if L < 1:
@@ -205,9 +207,14 @@ def window_recurrence(samples: SampleSet, L: int, levels: int = 0,
     for t in range(ann.degree, out.shape[0]):
         out[t] = -(ann.poly @ out[t - ann.degree:t])
     if held.size:
-        miss = (np.linalg.norm(out[need:samples.L_total] - held)
-                / max(np.linalg.norm(held), np.finfo(float).tiny))
-        if miss >= tol:
+        # both norms taken at the held-out peak scaled into [0.5, 1) by a
+        # power of two, which is exact, so the miss keeps its bits at
+        # ordinary scales and neither norm overflows or underflows at the
+        # ends of the float range (a subnormal peak's factor stops at 2**1023)
+        scale = math.ldexp(1.0, min(-math.frexp(float(np.max(np.abs(held))))[1], 1023))
+        miss = (np.linalg.norm((out[need:samples.L_total] - held) * scale)
+                / max(np.linalg.norm(held * scale), np.finfo(float).tiny))
+        if not miss < tol:
             raise SpanConditionViolated(
                 f"the length-{L} recurrence misses the {held.shape[0]} held-out levels "
                 f"(held-out residual {miss:.3e}); retry with a larger window")

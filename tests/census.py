@@ -4,19 +4,23 @@ Each case is one ``simulate`` run and one ``recover`` run, drawn the way
 the CLI draws them: ``problem`` builds the operator and the signal from
 the case's seed in the order ``cli.cmd_simulate`` does, and ``recover``
 calls the pipeline ``cli.cmd_recover`` calls, with its defaults. Its
-outcome is judged as ``verify`` judges a report:
+outcome is judged by ``fileio.truth_checks``, the one judgment that
+``verify`` and ``recover``'s verified block make:
 
 - ``refused``: the pipeline raised a RecoveryError (``recover`` exits 3);
-- ``correct``: the merged spectrum has as many values as the truth,
-  merged by ``merge_roots`` on its own scale, and their set distance is
-  below ``cli.VERIFY_TOL`` (in prony mode the truth is the grid points of
-  the signal's support, and the recovered signal must match too);
+- ``correct``: every check row passes (the merged spectrum has as many
+  values as the truth, merged on its own scale, and their set distance
+  is below ``fileio.VERIFY_TOL``; in prony mode the truth is the grid
+  points of the signal's support, at ``fileio.SUPPORT_REL``, and the
+  support and the recovered signal must match too);
 - ``silent``: anything else, a wrong answer given with exit 0.
 
 The truth is the operator's whole spectrum, the transfer values of a
-circulant or the eigenvalues of a diagonalizable operator: a random
-signal excites every mode, and every eigenvector of these families has
-no zero entry, so every eigenvalue is observable from any coordinate.
+circulant or the eigenvalues of a diagonalizable operator, handed to the
+judge in an in-memory ``Problem`` (``truth_taps`` or ``truth_spectrum``,
+with the signal as ``truth_signal``): a random signal excites every
+mode, and every eigenvector of these families has no zero entry, so
+every eigenvalue is observable from any coordinate.
 
 Run ``python tests/census.py`` (with the package importable) to print
 the rows of the table that ``tests/test_census.py`` holds, as
@@ -31,16 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynspec.cli import VERIFY_TOL
 from dynspec.errors import RecoveryError
+from dynspec.fileio import Problem, Report, truth_checks
 from dynspec.invariant import recover_operator
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, Uniform, make_diffusion_filter,
                            random_circulant, random_diagonalizable, random_signal,
                            shift_operator, simulate)
-from dynspec.numerics import dft, set_match_error
+from dynspec.numerics import dft
 from dynspec.prony import prony_support, random_sparse_signal
-from dynspec.spectral import (merge_roots, recover_observable_spectrum,
-                              recover_spectrum_via_extrapolation)
+from dynspec.spectral import recover_observable_spectrum, recover_spectrum_via_extrapolation
 
 OUTCOMES = ("correct", "silent", "refused")
 CASES_PER_ROW = 40
@@ -167,26 +170,23 @@ def recover(case: Case, samples):
     return prony_support(samples)
 
 
+def checks(case: Case) -> list:
+    """The truth check rows of the case's estimate, as ``verify`` would
+    print them; a refused run raises its RecoveryError."""
+    op, x, samples = problem(case)
+    estimate = recover(case, samples)
+    truth = (Problem(samples, truth_signal=x, truth_spectrum=op.eigs)
+             if isinstance(op, Diagonalizable) else Problem(samples, op.taps, x))
+    return truth_checks(truth, Report.of(case.pipeline.split("-")[0], estimate))
+
+
 def judge(case: Case) -> str:
     """The case's outcome: correct, silent or refused."""
-    op, x, samples = problem(case)
     try:
-        estimate = recover(case, samples)
+        rows = checks(case)
     except RecoveryError:
         return "refused"
-    if case.pipeline == "prony":
-        x_hat = dft(x)
-        support = np.flatnonzero(np.abs(x_hat) > 1e-9 * float(np.max(np.abs(x_hat))))
-        expected = np.exp(2j * np.pi * support / case.d)
-        signal_ok = float(np.max(np.abs(estimate.signal - x))) < VERIFY_TOL
-    else:
-        eigs = op.eigs if isinstance(op, Diagonalizable) else op.transfer()
-        expected, _ = merge_roots([eigs])
-        signal_ok = True
-    got = estimate.merged
-    ok = (got.size == expected.size and set_match_error(got, expected) < VERIFY_TOL
-          and signal_ok)
-    return "correct" if ok else "silent"
+    return "correct" if all(passed for _, _, _, passed, _ in rows) else "silent"
 
 
 def judged_row(family: str, pipeline: str) -> list[tuple[Case, str]]:

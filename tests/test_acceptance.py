@@ -24,16 +24,10 @@ from dynspec.numerics import dft, poly_roots, set_match_error
 from dynspec.prony import prony_support, prony_values, random_sparse_signal
 from dynspec.spectral import (fit_extrapolation, recover_observable_spectrum,
                               recover_spectrum_via_extrapolation)
-from helpers import division_remainder, one_coordinate
+from helpers import assert_sets_close, division_remainder, one_coordinate
 from oracles import (altered_minimal_polynomial_oracle,
                      minimal_polynomial_oracle, observable_spectrum_oracle,
                      projection_check)
-
-
-def _sets_equal(got, expected, tol):
-    got = np.asarray(got).ravel()
-    expected = np.asarray(expected).ravel()
-    return got.size == expected.size and set_match_error(got, expected) < tol
 
 
 def _resolvable_filter(d, m, seed, min_gap=1e-3, lo=0.35, prod_floor=3e-2):
@@ -76,7 +70,7 @@ def test_criterion_1_invariant_spectrum_recovery():
             est = recover_spectrum_invariant(samples)
             elapsed = time.perf_counter() - start
             assert elapsed < 1.0
-            assert _sets_equal(est.merged, op.transfer(), 1e-8)
+            assert_sets_close(est.merged, op.transfer(), 1e-8)
     print("criterion 1 (invariant spectrum recovery, 250 runs): PASS")
 
 
@@ -88,7 +82,7 @@ def test_criterion_2_operator_and_signal_round_trip():
     x = random_signal(d, seed=7)
     samples = simulate(op, x, Uniform(m), 2 * m)
     est = recover_spectrum_invariant(samples)
-    assert _sets_equal(est.merged, op.transfer(), 1e-8)
+    assert_sets_close(est.merged, op.transfer(), 1e-8)
     x_rec = recover_signal(samples, op.transfer())
     assert np.max(np.abs(x_rec - x)) < 1e-8
 

@@ -1,13 +1,13 @@
 """The census of recovery outcomes (``census.py``): no row may give more
 silent wrong answers than the committed table, and ``verify`` agrees with
-the census on what a wrong answer is."""
+the census on what a wrong answer is, and on every error it reports."""
 
 import json
 
 import numpy as np
 import pytest
 
-from census import ROWS, counts, gaussian_taps, judged_row, row_name
+from census import ROWS, checks, counts, gaussian_taps, judged_row, row_name
 from dynspec.cli import main
 from dynspec.model import Uniform
 
@@ -58,7 +58,8 @@ def test_no_row_gives_more_silent_answers(judged):
 
 def _cli_outcome(case, tmp_path):
     """simulate, recover and verify through the CLI: the case's outcome as
-    the exit codes tell it."""
+    the exit codes tell it, and the errors of the report's verified block
+    (None when refused)."""
     problem, report = tmp_path / "problem.json", tmp_path / "report.json"
     simulate = ["simulate", "--d", str(case.d), "--levels", str(case.levels), "--seed",
                 str(case.seed), "--include-truth", "--out", str(problem)]
@@ -82,15 +83,18 @@ def _cli_outcome(case, tmp_path):
         recover += ["--window", str(case.window)]
     code = main(recover)
     if code == 3:
-        return "refused"
+        return "refused", None
     assert code == 0
-    return {0: "correct", 1: "silent"}[main(["verify", "--in", str(problem),
-                                             "--report", str(report)])]
+    outcome = {0: "correct", 1: "silent"}[main(["verify", "--in", str(problem),
+                                                "--report", str(report)])]
+    return outcome, json.loads(report.read_text())["verified"]
 
 
 def test_verify_agrees_with_the_census(judged, tmp_path):
     # the first case of each outcome in every row whose ground truth the
-    # problem schema holds (not the diagonalizable rows)
+    # problem schema holds (not the diagonalizable rows). Both judge through
+    # fileio.truth_checks, so the report's verified errors, computed from
+    # the saved and reloaded problem, are the in-memory errors to the bit
     for row, cases in judged.items():
         if row.startswith("diagonalizable"):
             continue
@@ -98,4 +102,9 @@ def test_verify_agrees_with_the_census(judged, tmp_path):
         for case, outcome in cases:
             firsts.setdefault(outcome, case)
         for outcome, case in firsts.items():
-            assert _cli_outcome(case, tmp_path) == outcome, (row, case)
+            got, verified = _cli_outcome(case, tmp_path)
+            assert got == outcome, (row, case)
+            if outcome != "refused":
+                expected = {f"{name}_error": err for name, err, *_ in checks(case)}
+                assert ({key: err.hex() for key, err in verified.items()}
+                        == {key: err.hex() for key, err in expected.items()}), (row, case)

@@ -912,6 +912,27 @@ def test_recover_extrapolate_refuses_a_recurrence_that_misses_held_out_levels(
     assert err == f"error: {fatal}\n"
 
 
+@pytest.mark.parametrize("scale,residual", [(1.0, "4.384e+02"), (1e200, "4.384e+02"),
+                                            (1e-200, "4.384e+02"), (1e-320, "4.396e+02")],
+                         ids=["1", "1e200", "1e-200", "1e-320"])
+def test_recover_extrapolate_held_out_check_does_not_depend_on_the_scale(tmp_path, capsys, scale,
+                                                                         residual):
+    # the held-out miss is a ratio of norms: taken on the raw samples they
+    # overflowed to NaN at 1e200 and underflowed to 0 at 1e-200, and both
+    # passed the check, answering 12 of the 15 values with exit 0. At
+    # 1e-320 the samples are subnormal and keep fewer bits, and the
+    # power-of-two factor that scales them must not overflow
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--mode", "shift", "--d", "15", "--omega", "0,2,12", "--levels", "30",
+               "--include-truth", "--seed", "7", "--out", str(problem)) == 0
+    obj = json.loads(problem.read_text())
+    obj["samples"] = [[[re * scale, im * scale] for re, im in level] for level in obj["samples"]]
+    problem.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), "--mode", "extrapolate", "--out", str(out)) == 3
+    assert f"misses the 2 held-out levels (held-out residual {residual})" in _single_error_line(capsys)
+
+
 def test_recover_extrapolate_refuses_the_gaussian_case_it_answered_short(tmp_path, capsys):
     # i.i.d. Gaussian transfer values, one coordinate, window 9 = d: the
     # recurrence has 8 of the 9 values and misses the 9 held-out levels, so

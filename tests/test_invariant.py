@@ -257,16 +257,20 @@ def test_signal_rejects_a_filter_of_the_wrong_length():
         recover_signal(samples, op.transfer()[:8])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_signal_refuses_a_filter_that_does_not_generate_the_data(seed):
+@pytest.mark.parametrize("seed,scale", [(0, 1.0), (1, 1.0), (2, 1.0), (1, 1e200)],
+                         ids=["0", "1", "2", "1-times-1e200"])
+def test_signal_refuses_a_filter_that_does_not_generate_the_data(seed, scale):
     # every class's m x m system on the first m levels is square and of
     # full rank, so its residual is 0 for any filter with distinct nodes;
-    # the levels after the m-th expose the wrong filter
+    # the levels after the m-th expose the wrong filter. At 1e200 the
+    # residual's norms overflow and it reads NaN, which refuses too
     d, m = 45, 3
     samples = simulate(make_diffusion_filter(d, 0.1), random_signal(d, 1), Uniform(m), 2 * m)
+    samples = SampleSet(d, samples.sampler, samples.samples * scale)
     with pytest.raises(RecoveryError,
                        match="alias system is inconsistent with the supplied filter"):
-        recover_signal(samples, random_circulant(d, seed).transfer())
+        with np.errstate(over="ignore", invalid="ignore"):
+            recover_signal(samples, random_circulant(d, seed).transfer())
 
 
 def test_signal_symmetric_filter_underdetermined():

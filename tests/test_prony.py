@@ -80,6 +80,16 @@ def test_values_wrong_support_is_inconsistent():
         prony_values(_entries(x, 0, 4), 0, wrong, 8)
 
 
+def test_values_wrong_support_is_inconsistent_past_the_range_of_the_norms():
+    # entries times 1e200: the residual's norms overflow and it reads NaN,
+    # which must refuse like any residual at or above tol
+    x, x_hat = random_sparse_signal(8, 2, 2)
+    wrong = tuple((n + 1) % 8 for n in np.flatnonzero(x_hat))
+    with pytest.raises(RecoveryError, match="cannot reproduce the entries"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            prony_values(_entries(x, 0, 4) * 1e200, 0, wrong, 8)
+
+
 # --------------------------------------------------------- reconstruct
 
 def test_values_reject_a_support_larger_than_the_entries():
