@@ -144,16 +144,12 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     if peak <= zero_threshold(peak if zero_scale is None else zero_scale):
         return AnnihilatorPolynomial(np.zeros(0, dtype=np.complex128), 0.0)
 
-    # Scale the peak into [0.5, 1) by a power of two. That is exact, so at
-    # ordinary scales every residual and coefficient keeps its bits, and
-    # data near either end of the float range no longer underflows or
-    # overflows in the solves.
-    shift = -math.frexp(peak)[1]
-    if shift > 1000:
-        # a subnormal peak, whose 2**shift would overflow: lift the terms
-        # into the normal range first, which is exact as well
-        terms, shift = terms * 2.0 ** 64, shift - 64
-    terms = terms * math.ldexp(1.0, shift)
+    # Scale the peak into [0.5, 1) by a power of two, ``np.ldexp`` on the
+    # float view: exact down to subnormals (a subnormal peak included), so
+    # at ordinary scales every residual and coefficient keeps its bits, and
+    # the degree is the same at any scale of the data.
+    terms = np.ldexp(np.ascontiguousarray(terms).view(np.float64),
+                     -math.frexp(peak)[1]).view(np.complex128)
     H = _block_hankel(terms, rows, r_max + 1)
     solved = {}
 

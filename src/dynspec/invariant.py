@@ -152,7 +152,10 @@ def recover_signal(samples: SampleSet, a_hat,
                 f"class {j} has repeated transfer values; its aliased signal "
                 "components cannot be separated", class_id=j)
         powers = nodes[None, :] ** levels[:, None] / m
-        values, residual = least_squares(powers, series[:, j])
+        # past about 1e154 the rhs's plain norm overflows, as least_squares
+        # expects, and its residual comes from the scaled norms
+        with np.errstate(over="ignore"):
+            values, residual = least_squares(powers, series[:, j])
         if not residual < tol:
             raise RecoveryError(
                 f"class {j} alias system is inconsistent with the supplied filter "

@@ -2,11 +2,12 @@
 
 Everything here is a pure function of its inputs: the DFT in both
 directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
-least squares, the roots of monic polynomials given by their low-order
-coefficients, the distance between two point sets, the shared zero
-test, and ``distinct_points``, the one sweep that both tests separation
-and deduplicates roots. Vectors and matrices are plain complex ndarrays;
-``as_vector`` and ``as_matrix`` check their shape and finiteness.
+least squares, the scale-free norm ratio ``relative_norm``, the roots
+of monic polynomials given by their low-order coefficients, the distance
+between two point sets, the shared zero test, and ``distinct_points``,
+the one sweep that both tests separation and deduplicates roots.
+Vectors and matrices are plain complex ndarrays; ``as_vector`` and
+``as_matrix`` check their shape and finiteness.
 
 The degree search solves many tiny systems (the invariant pipeline
 solves 3 x k systems, thousands per recovery), so least squares calls
@@ -28,7 +29,19 @@ distance of the rhs from the span of the columns, read from the
 orthogonal factorization gelsy already made (the entries of Q^H b past
 column n) rather than from a product formed again. It is exactly 0 for a
 square system of full rank. Only a system that gelsy finds
-rank-deficient still forms the einsum product M x - b.
+rank-deficient, or whose rhs norm lies outside [2**-450, 2**450], still
+forms the einsum product M x - b.
+
+Every consistency decision compares a ratio of norms with a tolerance,
+and none of them depends on the overall scale of the data. The degree
+search scales each sequence by a power of two before it solves, and
+every other ratio, the product's residual in ``least_squares`` and the
+held-out miss of ``spectral.window_recurrence``, is ``relative_norm``'s,
+which scales both norms by one power of two first. Such a scaling is
+exact, so at ordinary scales no bit changes, and near either end of the
+float range no norm overflows or underflows. Only the tail path of
+``least_squares``, the hot one, takes plain norms, and only in the band
+where they are exact.
 
 Inputs are checked for finiteness once, where they enter: a degree
 search's sequence is proved finite as a whole by
@@ -82,11 +95,6 @@ from .errors import DimensionError
 
 _RESIDUAL_FLOOR = float(np.finfo(np.float64).tiny)
 _EPS = float(np.finfo(np.float64).eps)
-# zgelsy leaves an rhs unscaled when its largest entry is within
-# [tiny/eps, eps/tiny]; a norm inside these bounds (the lower one times
-# sqrt(rows)) proves that, with a factor 2 for the norm's rounding.
-_GELSY_SMALL = 2 * _RESIDUAL_FLOOR / _EPS
-_GELSY_BIG = _EPS / _RESIDUAL_FLOOR / 2
 # Products at or above this magnitude lose no relative accuracy to
 # underflow in their parts: _weierstrass_step's separation guard.
 _NORMAL_FLOOR = _RESIDUAL_FLOOR / _EPS
@@ -220,7 +228,10 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     (solution, relative_residual): the distance of the rhs from the span
     of the columns gelsy kept, relative to the rhs norm with a tiny
     floor, so an exactly reproduced (or all-zero) rhs gives 0, and so
-    does every square system of full rank.
+    does every square system of full rank. The residual does not depend
+    on the scale of the rhs: times any power of two that keeps its
+    entries normal and the product M x finite, it is the same to
+    rounding.
 
     Deterministic for identical inputs. The stacked systems this solves
     can be ill-conditioned Hankel blocks, hence the rank-revealing driver.
@@ -244,11 +255,14 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     solves. When it finds full rank (``rank == n``), entries n..m-1 of
     that vector are the part of b outside the column span, so their norm
     is the residual, with no product formed: empty, so exactly 0, for a
-    square system. gelsy scales an rhs whose largest entry lies outside
-    [tiny/eps, eps/tiny] and unscales only the solution rows, so an rhs
-    whose norm does not place it inside that range (``_GELSY_SMALL``,
-    ``_GELSY_BIG``) takes the product instead, as does every system that
-    gelsy finds rank-deficient. The two residuals agree to rounding
+    square system. That tail is kept only for an rhs whose plain norm
+    lies in [2**-450, 2**450]: there its squares are normal, so both
+    plain norms are exact, and its largest entry is far inside [tiny/eps,
+    eps/tiny], outside which gelsy scales the rhs and unscales only the
+    solution rows. Any other rhs, and every system that gelsy finds
+    rank-deficient, takes the product M x - b, whose norm over the rhs's
+    is ``relative_norm``'s, scaled by a power of two, so it neither
+    overflows nor underflows. The two residuals agree to rounding
     except where gelsy misjudges the rank, since its cutoff is machine
     epsilon: the product of random complex 96 x 41 and 41 x 43 factors,
     of rank 41, is reported as rank 43 and solved with a solution of
@@ -268,10 +282,16 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     too. Only when a test fails are the inputs scanned by ``as_matrix``
     and ``as_vector``, which raise DimensionError with the message a
     scan before the solve would give ("coefficient matrix: entries must
-    be finite", or the right-hand side's). Finite data so large that the
-    norms overflow passes the scans, and its non-finite residual is
-    returned. A 3 x 3 solve costs about 8 us (see the module
-    docstring); scanning both inputs would add 4-5 us.
+    be finite", or the right-hand side's). Finite data passes the scans:
+    its residual is finite unless the solution or the product M x - b
+    itself overflows, near the top of the float range, and a non-finite
+    one is returned as it is. The rhs's plain norm, taken first, overflows
+    for entries past about 1e154, which numpy reports as a RuntimeWarning;
+    the callers that solve on raw data (``invariant.recover_signal``,
+    ``prony.prony_values``) silence it, while the degree search solves on
+    data scaled into [0.5, 1) and never meets it. A 3 x 3 solve costs
+    about 8 us (see the module docstring); scanning both inputs would add
+    4-5 us, and ``np.errstate`` about 1 us.
 
     The product, where it is still formed, is numpy's own einsum loop,
     not the BLAS product ``A @ sol``: OpenBLAS runs a complex mat-vec
@@ -279,7 +299,8 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     two BLAS threads, such a product after a solve took about 4-7 ms,
     against about 4-13 us single-threaded; the einsum loop takes 20-60 us
     at 96 rows. Every norm is ``np.linalg.norm``'s, computed by
-    ``_norm``.
+    ``_norm``, so at ordinary scales both paths keep the bits of plain
+    norms.
     """
     A = np.asarray(M, dtype=np.complex128)
     b = np.asarray(rhs, dtype=np.complex128)
@@ -297,15 +318,16 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
         raise ValueError(f"illegal value in argument {-info} of LAPACK zgelsy")
     sol = x[:n]
     b_norm = _norm(b)
-    if rank == n and _GELSY_SMALL * math.sqrt(m) <= b_norm <= _GELSY_BIG:
+    # inside this band the plain norms are sums of normal squares and
+    # zgelsy leaves the rhs unscaled, so the tail is exact
+    if rank == n and 2.0 ** -450 <= b_norm <= 2.0 ** 450:
         rel = _norm(x[n:]) / b_norm
         finite = math.isfinite(rel) and cmath.isfinite(sol.dot(sol))
     else:
-        rel = _norm(np.einsum("ij,j->i", A, sol) - b) / max(b_norm, _RESIDUAL_FLOOR)
+        rel = relative_norm(np.einsum("ij,j->i", A, sol) - b, b)
         finite = math.isfinite(rel)
     if not finite:
-        # a non-finite entry anywhere in A or b lands here; finite data
-        # whose norms overflow passes the scans
+        # a non-finite entry anywhere in A or b lands here
         _check_inputs(A, b)
     return sol, rel
 
@@ -361,6 +383,27 @@ def _norm(v: np.ndarray) -> float:
     flat = v.ravel(order="K")
     re, im = flat.real, flat.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def relative_norm(num, den) -> float:
+    """||num|| / ||den|| of two complex arrays, with a zero ``den`` floored
+    at the smallest normal float (so a zero ``num`` gives 0), free of the
+    data's scale.
+
+    Both arrays are first multiplied by the one power of two that puts
+    the largest real or imaginary part of either in [0.5, 1), by
+    ``np.ldexp`` on their float views: exact for every part that stays
+    normal, so neither norm overflows or underflows, and where the plain
+    norms are exact (ordinary scales) the ratio keeps their bits. Each
+    norm is ``_norm``'s, so the ratio has the bits of
+    ``np.linalg.norm(num) / np.linalg.norm(den)`` there (LAPACK's zlascl
+    scales the same way inside zgelsy; Higham, Accuracy and Stability of
+    Numerical Algorithms, 27).
+    """
+    parts = [np.ascontiguousarray(v, dtype=np.complex128).view(np.float64) for v in (num, den)]
+    shift = -math.frexp(max(float(np.abs(p).max()) for p in parts))[1]
+    top, bottom = (_norm(np.ldexp(p, shift).view(np.complex128)) for p in parts)
+    return top / max(bottom, _RESIDUAL_FLOOR)
 
 
 def poly_roots(low_coeffs) -> np.ndarray:

@@ -88,7 +88,10 @@ def prony_values(c, start: int, support, d: int,
         raise DimensionError(f"support size {len(supp)} exceeds the {c.size} entries supplied")
     positions = start + np.arange(c.size)
     modes = np.exp(2j * np.pi * np.outer(positions, supp) / d) / d
-    values, residual = least_squares(modes, c)
+    # past about 1e154 the rhs's plain norm overflows, as least_squares
+    # expects, and its residual comes from the scaled norms
+    with np.errstate(over="ignore"):
+        values, residual = least_squares(modes, c)
     if not residual < tol:
         raise RecoveryError(
             f"support {supp} cannot reproduce the entries "

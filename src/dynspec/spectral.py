@@ -28,7 +28,6 @@ of the fit check it; otherwise the source, or the window, is refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,7 @@ from .annihilator import annihilator_from_samples, scalar_annihilator
 from .errors import (DimensionError, InsufficientDataError, NoAnnihilator,
                      RecoveryError, SpanConditionViolated)
 from .model import SampleSet
-from .numerics import distinct_points, poly_roots
+from .numerics import distinct_points, poly_roots, relative_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,13 +206,7 @@ def window_recurrence(samples: SampleSet, L: int, levels: int = 0,
     for t in range(ann.degree, out.shape[0]):
         out[t] = -(ann.poly @ out[t - ann.degree:t])
     if held.size:
-        # both norms taken at the held-out peak scaled into [0.5, 1) by a
-        # power of two, which is exact, so the miss keeps its bits at
-        # ordinary scales and neither norm overflows or underflows at the
-        # ends of the float range (a subnormal peak's factor stops at 2**1023)
-        scale = math.ldexp(1.0, min(-math.frexp(float(np.max(np.abs(held))))[1], 1023))
-        miss = (np.linalg.norm((out[need:samples.L_total] - held) * scale)
-                / max(np.linalg.norm(held * scale), np.finfo(float).tiny))
+        miss = relative_norm(out[need:samples.L_total] - held, held)
         if not miss < tol:
             raise SpanConditionViolated(
                 f"the length-{L} recurrence misses the {held.shape[0]} held-out levels "

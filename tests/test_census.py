@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from census import ROWS, checks, counts, gaussian_taps, judged_row, row_name
+from census import (ROWS, checks, counts, draw_cases, gaussian_taps, judged_row, problem,
+                    recover, row_name)
 from dynspec.cli import main
-from dynspec.model import Uniform
+from dynspec.errors import RecoveryError
+from dynspec.model import SampleSet, Uniform
 
 # (correct, silent, refused) per row. A change may lower a row's silent
 # count, and then records the new table here; a lower correct count is
@@ -54,6 +56,41 @@ def test_no_row_gives_more_silent_answers(judged):
     assert list(got) == list(TABLE)
     assert {row: sum(c) for row, c in got.items()} == {row: sum(c) for row, c in TABLE.items()}
     assert {row: c[1] for row, c in got.items() if c[1] > TABLE[row][1]} == {}
+
+
+def _estimate(case, samples):
+    """The estimate of the case's pipeline on ``samples``, or the class of
+    the RecoveryError it raised."""
+    try:
+        return recover(case, samples)
+    except RecoveryError as exc:
+        return type(exc)
+
+
+def test_recovery_does_not_depend_on_the_scale():
+    # every case on its samples times 2**665 and 2**-665, an exact scaling:
+    # the same refusal, or the same merged-spectrum bits, per-source
+    # degrees, support and taps, and a signal exactly 2**k times the one at
+    # scale 1, so the same outcome. With the plain norms of least_squares
+    # every prony case was refused at 2**665
+    for family, pipeline in ROWS:
+        for case in draw_cases(family, pipeline):
+            _, _, samples = problem(case)
+            base = _estimate(case, samples)
+            for k in (665, -665):
+                got = _estimate(case, SampleSet(samples.d, samples.sampler,
+                                                samples.samples * 2.0 ** k))
+                if isinstance(base, type) or isinstance(got, type):
+                    assert got is base, (k, case)
+                    continue
+                assert got.merged.tobytes() == base.merged.tobytes(), (k, case)
+                assert ({src: roots.size for src, roots in got.per_source.items()}
+                        == {src: roots.size for src, roots in base.per_source.items()}), (k, case)
+                assert got.support == base.support, (k, case)
+                for name, scale in (("taps", 1.0), ("signal", 2.0 ** k)):
+                    want, have = getattr(base, name), getattr(got, name)
+                    assert (have is None if want is None
+                            else have.tobytes() == (want * scale).tobytes()), (name, k, case)
 
 
 def _cli_outcome(case, tmp_path):

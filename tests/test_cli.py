@@ -933,6 +933,26 @@ def test_recover_extrapolate_held_out_check_does_not_depend_on_the_scale(tmp_pat
     assert f"misses the 2 held-out levels (held-out residual {residual})" in _single_error_line(capsys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 2.0 ** 665, 2.0 ** -665])
+def test_recover_prony_past_the_range_of_the_norms_is_quiet(tmp_path, capsys, scale):
+    # samples times 1e200: the plain norms of the value fit overflowed, which
+    # refused the run ("residual nan") and printed numpy's overflow warning.
+    # The run answers the support of scale 1 and writes nothing to stderr
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "64", "--mode", "shift", "--sparsity", "5", "--omega", "17",
+               "--levels", "10", "--seed", "2", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", "prony", "--out", str(out)) == 0
+    support = json.loads(out.read_text())["recovered_support"]
+    obj = json.loads(problem.read_text())
+    obj["samples"] = [[[re * scale, im * scale] for re, im in level] for level in obj["samples"]]
+    problem.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), "--mode", "prony", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["recovered_support"] == support
+
+
 def test_recover_extrapolate_refuses_the_gaussian_case_it_answered_short(tmp_path, capsys):
     # i.i.d. Gaussian transfer values, one coordinate, window 9 = d: the
     # recurrence has 8 of the 9 values and misses the 9 held-out levels, so

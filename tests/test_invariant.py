@@ -257,13 +257,15 @@ def test_signal_rejects_a_filter_of_the_wrong_length():
         recover_signal(samples, op.transfer()[:8])
 
 
-@pytest.mark.parametrize("seed,scale", [(0, 1.0), (1, 1.0), (2, 1.0), (1, 1e200)],
-                         ids=["0", "1", "2", "1-times-1e200"])
+@pytest.mark.parametrize("seed,scale", [(0, 1.0), (1, 1.0), (2, 1.0), (1, 1e200), (0, 1e-165),
+                                        (2, 1e-200)],
+                         ids=["0", "1", "2", "1-times-1e200", "0-times-1e-165", "2-times-1e-200"])
 def test_signal_refuses_a_filter_that_does_not_generate_the_data(seed, scale):
     # every class's m x m system on the first m levels is square and of
     # full rank, so its residual is 0 for any filter with distinct nodes;
-    # the levels after the m-th expose the wrong filter. At 1e200 the
-    # residual's norms overflow and it reads NaN, which refuses too
+    # the levels after the m-th expose the wrong filter. Taken by plain
+    # norms the residual read NaN at 1e200 (they overflow) and 0.0 at
+    # 1e-165 and 1e-200 (they underflow), which accepted the filter there
     d, m = 45, 3
     samples = simulate(make_diffusion_filter(d, 0.1), random_signal(d, 1), Uniform(m), 2 * m)
     samples = SampleSet(d, samples.sampler, samples.samples * scale)

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynspec import numerics
@@ -189,10 +190,13 @@ def test_lstsq_nonfinite_input_raises_the_checks_message(rows, cols, repeated, s
 
 def _stated_residual(M, rhs):
     """The relative residual ``least_squares`` states, from a reference
-    gelsy call: at full rank, with an rhs whose norm keeps gelsy from
-    scaling it, the norm of the transformed rhs past row n (Q^H b's part
-    outside the column span); otherwise the einsum product's. Both are
-    over ``np.linalg.norm(rhs)``, floored at the smallest normal float."""
+    gelsy call: at full rank, with an rhs whose norm lies in [2**-450,
+    2**450] (its plain norms are exact there and gelsy does not scale
+    it), the norm of the transformed rhs past row n (Q^H b's part outside
+    the column span) over ``np.linalg.norm(rhs)``; otherwise the norm of
+    the einsum product's residual over the rhs's, both taken after
+    scaling by the power of two that puts their largest real or imaginary
+    part in [0.5, 1), the rhs's floored at the smallest normal float."""
     rows, cols = M.shape
     tiny, eps = np.finfo(np.float64).tiny, np.finfo(np.float64).eps
     padded = np.zeros(max(rows, cols), dtype=np.complex128)
@@ -201,10 +205,20 @@ def _stated_residual(M, rhs):
     _, x, _, rank, _ = scipy.linalg.lapack.zgelsy(M, padded, np.zeros(cols, dtype=np.int32),
                                                   eps, int(lwork.real))
     b_norm = float(np.linalg.norm(rhs))
-    if rank == cols and 2 * tiny / eps * np.sqrt(rows) <= b_norm <= eps / tiny / 2:
+    if rank == cols and 2.0 ** -450 <= b_norm <= 2.0 ** 450:
         return float(np.linalg.norm(x[cols:])) / b_norm
-    residual = float(np.linalg.norm(np.einsum("ij,j->i", M, x[:cols]) - rhs))
+    parts = [v.view(np.float64) for v in (np.einsum("ij,j->i", M, x[:cols]) - rhs, rhs)]
+    shift = -math.frexp(max(float(np.abs(p).max()) for p in parts))[1]
+    residual, b_norm = (float(np.linalg.norm(np.ldexp(p, shift).view(np.complex128)))
+                        for p in parts)
     return residual / max(b_norm, tiny)
+
+
+def _rounding(M, solution, rhs):
+    """A bound on the rounding of a relative residual: 1e-13 (1 +
+    ||M|| ||solution|| / ||rhs||), the scale of the error in forming
+    M x - rhs, within which the tail and the product agree."""
+    return 1e-13 * (1 + np.linalg.norm(M) * np.linalg.norm(solution) / np.linalg.norm(rhs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,9 +229,12 @@ def _stated_residual(M, rhs):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lstsq_huge_finite_input_is_solved_unchecked(rows, cols, repeated, seed, huge, where,
                                                       at):
-    # finite entries whose norms overflow are not refused: the solution is
-    # gelsy's and the relative residual is whatever the overflow makes of
-    # the stated formula, inf or NaN included
+    # finite entries whose plain norms overflow are not refused: the
+    # solution is gelsy's and the relative residual is the stated formula's.
+    # A huge rhs no longer makes it inf or NaN through its norms: wherever
+    # the solution and the product's residual M x - rhs are finite, it is
+    # finite and matches the same system with the rhs scaled down by
+    # 2**-600, to rounding
     M, rhs = _system(rows, cols, repeated, seed)
     if where != "rhs":
         M.flat[at % M.size] = huge
@@ -227,6 +244,32 @@ def test_lstsq_huge_finite_input_is_solved_unchecked(rows, cols, repeated, seed,
     expected = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy")[0]
     assert _same_bits(solution, expected)
     assert type(rel) is float and repr(rel) == repr(_stated_residual(M, rhs))
+    if where == "rhs" and np.isfinite(np.einsum("ij,j->i", M, solution) - rhs).all():
+        smaller = rhs * 2.0 ** -600
+        small_solution, small_rel = least_squares(M, smaller)
+        assert math.isfinite(rel)
+        assert abs(rel - small_rel) <= _rounding(M, small_solution, smaller)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**16),
+       k=st.integers(-1000, 1000))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lstsq_residual_does_not_depend_on_the_scale(rows, cols, seed, k):
+    # the rhs times 2**k, its entries normal and the product M x finite at
+    # that scale: the relative residual is finite and equals the one at
+    # scale 1 to within 1e-13 (1 + ||M|| ||x|| / ||rhs||) (``_rounding``).
+    # Through plain norms it read NaN at 2**600 (they overflow) and 0.0 at
+    # 2**-520 (they underflow)
+    M, rhs = _system(rows, cols, 0, seed)
+    solution, rel = least_squares(M, rhs)
+    parts = np.abs(rhs.view(np.float64))
+    reach = max(float(parts.max()), float(np.abs(M).sum(axis=1).max() * np.abs(solution).max()))
+    # exponents: 2**-1022 is the smallest normal float
+    assume(math.frexp(parts.min())[1] + k >= -1021 and math.frexp(reach)[1] + k <= 1020)
+    _, scaled = least_squares(M, np.ldexp(rhs.view(np.float64), k).view(np.complex128))
+    assert math.isfinite(scaled)
+    assert abs(scaled - rel) <= _rounding(M, solution, rhs)
 
 
 @settings(max_examples=300, deadline=None)

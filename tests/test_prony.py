@@ -43,7 +43,7 @@ def test_support_sparser_than_declared():
     assert prony_support(one_coordinate(_entries(x, 2, 4), 9, 2), 2).support == (4,)
 
 
-@pytest.mark.parametrize("k", [-13, -6, 6, 13])
+@pytest.mark.parametrize("k", [-200, -13, -6, 6, 13, 200])
 def test_support_is_scale_invariant(k):
     x, x_hat = random_sparse_signal(32, 4, 62)
     support = tuple(np.flatnonzero(x_hat))
@@ -81,13 +81,15 @@ def test_values_wrong_support_is_inconsistent():
 
 
 def test_values_wrong_support_is_inconsistent_past_the_range_of_the_norms():
-    # entries times 1e200: the residual's norms overflow and it reads NaN,
-    # which must refuse like any residual at or above tol
+    # entries times 1e200 or 1e-200: taken by plain norms the residual read
+    # NaN (they overflow) or 0.0 (they underflow, which accepted the wrong
+    # support); it must refuse like any residual at or above tol
     x, x_hat = random_sparse_signal(8, 2, 2)
     wrong = tuple((n + 1) % 8 for n in np.flatnonzero(x_hat))
-    with pytest.raises(RecoveryError, match="cannot reproduce the entries"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            prony_values(_entries(x, 0, 4) * 1e200, 0, wrong, 8)
+    for scale in (1e200, 1e-200):
+        with pytest.raises(RecoveryError, match="cannot reproduce the entries"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                prony_values(_entries(x, 0, 4) * scale, 0, wrong, 8)
 
 
 # --------------------------------------------------------- reconstruct
