@@ -12,11 +12,12 @@ r: the restricted Krylov space span{x, Bx, ..., B^(r-1) x} grows strictly
 until r reaches the minimal degree r* and then stops growing, so the
 system fails below r* and holds from r* on. The search therefore gallops
 and bisects on r (see ``annihilator_from_samples``) instead of trying
-every degree in turn. A generic state has one root per observable
-eigenvalue, so r* is almost surely the a-priori bound r_max itself (d,
-or the sparsity). When the cap is the first degree that fits, the search
-tries r_max - 1 before it bisects: at r* = r_max = 96 it solves degrees
-1, 2, 4, ..., 64, 96 and 95, 9 solves.
+every degree in turn; when the cap r_max does not fit, it refuses
+without solving the degrees it skipped. A generic state has one root
+per observable eigenvalue, so r* is almost surely the a-priori bound
+r_max itself (d, or the sparsity). When the cap is the first degree
+that fits, the search tries r_max - 1 before it bisects: at
+r* = r_max = 96 it solves degrees 1, 2, 4, ..., 64, 96 and 95, 9 solves.
 
 Extending the number of row blocks beyond the degree does not change the
 solution set, which is why one solver serves both the generic engine
@@ -112,15 +113,18 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     degree-(r+1) system reads one term more than the degree-r one, so a
     lower degree may fit where a higher one does not. On such data the
     gallop can settle on a larger degree than the ascending search, because
-    it reads more of the data. No problem written by ``simulate`` is of
-    that kind; telling such a degree apart is left to a degree
-    certificate, which this search does not give.
+    it reads more of the data, or refuse where that search accepts a lower
+    degree. No problem written by ``simulate`` is of that kind; telling
+    such a degree apart is left to a degree certificate, which this
+    search does not give.
 
-    Raises NoAnnihilator, carrying the best residual over degrees
-    1..r_max, when no degree up to r_max is consistent (r_max too small,
-    or degenerate data); the search then solves the degrees it skipped,
-    in ascending order, and accepts the first of them that fits. With
-    r_max = 0 no degree is tried and the best residual is inf.
+    Raises NoAnnihilator when the cap r_max does not fit (r_max too
+    small, or degenerate data): by monotonicity no lower degree fits
+    either, so the degrees the gallop skipped are not solved, and a
+    failing search costs no more solves than the gallop, at most
+    ceil(log2(r_max)) + 1. The error carries the smallest residual among
+    the degrees it solved, not over all of 1..r_max. With r_max = 0 no
+    degree is tried and the best residual is inf.
     """
     terms = np.asarray(seq, dtype=np.complex128)
     if terms.ndim == 1:
@@ -162,30 +166,26 @@ def annihilator_from_samples(seq, r_max: int, rows: int | None = None,
     lo, hi = 0, min(1, r_max)
     while lo < r_max and not fits(hi):
         lo, hi = hi, min(2 * hi, r_max)
-    if lo < r_max:
-        # The cap fit: it is the generic degree, so settle it by one solve
-        # below it before bisecting.
-        if hi == r_max and lo < r_max - 1:
-            if fits(r_max - 1):
-                hi = r_max - 1
-            else:
-                lo = r_max - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                hi = mid
-            else:
-                lo = mid
-        return AnnihilatorPolynomial(*solved[hi])
-    # Nothing up to r_max fit: try the degrees the gallop skipped in
-    # ascending order, so the best residual is the minimum over 1..r_max.
-    best = float("inf")
-    for r in range(1, r_max + 1):
-        if r not in solved and fits(r):
-            return AnnihilatorPolynomial(*solved[r])
-        best = min(best, solved[r][1])
-    raise NoAnnihilator(
-        f"no annihilator of degree <= {r_max} fits the sequence (best residual {best:.3e})", best)
+    if lo == r_max:
+        # The cap did not fit, so by monotonicity no degree the gallop
+        # skipped can.
+        best = min((res for _, res in solved.values()), default=float("inf"))
+        raise NoAnnihilator(
+            f"no annihilator of degree <= {r_max} fits the sequence (best residual {best:.3e})", best)
+    # The cap fit: it is the generic degree, so settle it by one solve
+    # below it before bisecting.
+    if hi == r_max and lo < r_max - 1:
+        if fits(r_max - 1):
+            hi = r_max - 1
+        else:
+            lo = r_max - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return AnnihilatorPolynomial(*solved[hi])
 
 
 def scalar_annihilator(c, r_max: int, tol: float = config.TAU_SOLVE,

@@ -303,29 +303,33 @@ def truth_checks(problem: Problem, report: Report, tol: float = VERIFY_TOL) -> l
     test census.
 
     Returns (name, error, tol, passed, note) rows; which rows appear
-    depends on the report's mode and fields. The fatal message of a failed
-    run is a failing ``recovery`` row, whatever its partial fields hold.
-    The true spectrum, ``truth_spectrum`` or else the transfer values of
-    ``truth_taps``, is merged on its own scale, so a report cannot pass by
-    collapsing its spectrum; in prony mode it is the grid points of the
-    true signal's support.
+    depends on the report's fields. The fatal message of a failed run is
+    a failing ``recovery`` row, whatever its partial fields hold. The
+    true spectrum is what the data can observe, one rule for every mode:
+    ``truth_spectrum``, or else the transfer values of ``truth_taps`` at
+    the frequencies where the true signal's transform exceeds
+    ``SUPPORT_REL`` of its peak (all of them without a true signal). It
+    is merged on its own scale, so a report cannot pass by collapsing its
+    spectrum. Those frequencies are also the true Prony support. The
+    filter and signal errors are relative to the truth's largest entry
+    (absolute for an all-zero truth), so they do not depend on the scale.
     """
     checks = [] if report.fatal is None else [("recovery", float("inf"), tol, False, report.fatal)]
-    prony = report.mode == "prony"
-    expected = None
-    if prony and problem.truth_signal is not None:
-        x_hat = dft(problem.truth_signal)
-        support = np.flatnonzero(np.abs(x_hat) > SUPPORT_REL * float(np.max(np.abs(x_hat))))
-        expected = np.exp(2j * np.pi * support / problem.sample_set.d)
-    elif not prony and (problem.truth_spectrum is not None or problem.truth_taps is not None):
-        eigs = dft(problem.truth_taps) if problem.truth_spectrum is None else problem.truth_spectrum
-        expected, _ = merge_roots([eigs])
+    support = None
+    if problem.truth_signal is not None:
+        x_hat = np.abs(dft(problem.truth_signal))
+        support = np.flatnonzero(x_hat > SUPPORT_REL * float(np.max(x_hat)))
+    expected = problem.truth_spectrum
+    if expected is None and problem.truth_taps is not None:
+        transfer = dft(problem.truth_taps)
+        expected = transfer if support is None else transfer[support]
     if expected is not None and report.spectrum is not None:
+        expected, _ = merge_roots([expected])
         merged = report.spectrum
         err = set_match_error(merged, expected)
         checks.append(("spectrum", err, tol, merged.size == expected.size and err < tol,
                        f"{merged.size} vs {expected.size} values"))
-    if prony and expected is not None and report.support is not None:
+    if support is not None and report.support is not None:
         got = sorted(report.support)
         ok = got == support.tolist()
         checks.append(("support", 0.0 if ok else float("inf"), tol, ok,
@@ -334,6 +338,7 @@ def truth_checks(problem: Problem, report: Report, tol: float = VERIFY_TOL) -> l
                              ("signal", problem.truth_signal, report.signal)):
         if truth is not None and got is not None:
             err = float(np.max(np.abs(got - truth))) if got.size == truth.size else float("inf")
+            err /= float(np.max(np.abs(truth))) or 1.0
             checks.append((name, err, tol, err < tol, ""))
     return checks
 

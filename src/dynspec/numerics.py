@@ -9,8 +9,9 @@ the one sweep that both tests separation and deduplicates roots.
 Vectors and matrices are plain complex ndarrays; ``as_vector`` and
 ``as_matrix`` check their shape and finiteness.
 
-The degree search solves many tiny systems (the invariant pipeline
-solves 3 x k systems, thousands per recovery), so least squares calls
+The degree search solves many tiny systems, about log2(r_max) per
+search, a refused search included (the invariant pipeline solves 3 x k
+systems, thousands per recovery), so least squares calls
 LAPACK's zgelsy and the root finder numpy's eigenvalue routine directly.
 On such systems ``scipy.linalg.lstsq`` spent several times the LAPACK
 call on its generic checks, and ``np.roots`` a smaller share; the direct

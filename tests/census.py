@@ -10,17 +10,20 @@ outcome is judged by ``fileio.truth_checks``, the one judgment that
 - ``refused``: the pipeline raised a RecoveryError (``recover`` exits 3);
 - ``correct``: every check row passes (the merged spectrum has as many
   values as the truth, merged on its own scale, and their set distance
-  is below ``fileio.VERIFY_TOL``; in prony mode the truth is the grid
-  points of the signal's support, at ``fileio.SUPPORT_REL``, and the
-  support and the recovered signal must match too);
+  is below ``fileio.VERIFY_TOL``; with a sparse signal the truth is the
+  transfer values on the signal's support, at ``fileio.SUPPORT_REL``,
+  and in prony mode the support and the recovered signal must match
+  too);
 - ``silent``: anything else, a wrong answer given with exit 0.
 
-The truth is the operator's whole spectrum, the transfer values of a
-circulant or the eigenvalues of a diagonalizable operator, handed to the
-judge in an in-memory ``Problem`` (``truth_taps`` or ``truth_spectrum``,
-with the signal as ``truth_signal``): a random signal excites every
+The truth is handed to the judge in an in-memory ``Problem``
+(``truth_taps`` or ``truth_spectrum``, with the signal as
+``truth_signal``). It is the spectrum the data observe: the transfer
+values of a circulant at the frequencies the signal excites, or the
+eigenvalues of a diagonalizable operator. A random signal excites every
 mode, and every eigenvector of these families has no zero entry, so
-every eigenvalue is observable from any coordinate.
+every eigenvalue is observable from any coordinate; a sparse signal
+excites only its support.
 
 Run ``python tests/census.py`` (with the package importable) to print
 the rows of the table that ``tests/test_census.py`` holds, as
@@ -53,11 +56,13 @@ _SMALL = ("shift", "random-circulant", "gaussian-circulant", "diffusion-0.1", "d
 
 # (family, pipeline) rows. "extrapolate" takes the default window;
 # "extrapolate-window" draws the window from 1 to d and holds no level
-# out in 3 of 4 cases, where the square-fit rule decides.
-ROWS = ([(family, "invariant") for family in _SMALL]
-        + [(family, "general") for family in _SMALL + ("diagonalizable",)]
+# out in 3 of 4 cases, where the square-fit rule decides. The sparse shift
+# rows outside prony draw the sparsity below d: the data observe only the
+# excited part of the spectrum.
+ROWS = ([(family, "invariant") for family in _SMALL + ("sparse-shift",)]
+        + [(family, "general") for family in _SMALL + ("diagonalizable", "sparse-shift")]
         + [("diagonalizable-96", "general"), ("diagonalizable-192", "general")]
-        + [(family, "extrapolate") for family in _SMALL + ("diagonalizable",)]
+        + [(family, "extrapolate") for family in _SMALL + ("diagonalizable", "sparse-shift")]
         + [(family, "extrapolate-window")
            for family in ("shift", "random-circulant", "diagonalizable")]
         + [("sparse-shift", "prony")])
@@ -92,6 +97,12 @@ def _omega(rng, d: int, most: int) -> IndexSet:
     return IndexSet(tuple(sorted(int(i) for i in rng.choice(d, size=size, replace=False))))
 
 
+def _sparsity(rng, family: str, d: int) -> int | None:
+    """A sparse shift's sparsity, in [1, d); None, with no draw, for the
+    other families."""
+    return int(rng.integers(1, d)) if family == "sparse-shift" else None
+
+
 def draw_cases(family: str, pipeline: str) -> list[Case]:
     """The row's cases, drawn from a generator seeded by the row's name,
     so adding or reordering rows leaves every other row's cases alone."""
@@ -107,10 +118,12 @@ def draw_cases(family: str, pipeline: str) -> list[Case]:
         elif pipeline == "invariant":
             m = int(rng.choice([3, 5])) if family in _DECAYS else int(rng.integers(2, 6))
             d = m * _odd(rng, 3, 11)
-            cases.append(Case(family, pipeline, d, Uniform(m), 2 * m, seed))
+            cases.append(Case(family, pipeline, d, Uniform(m), 2 * m, seed,
+                              sparsity=_sparsity(rng, family, d)))
         elif pipeline in ("general", "extrapolate"):
             d = _odd(rng, 6, 24) if family in _DECAYS else int(rng.integers(6, 25))
-            cases.append(Case(family, pipeline, d, _omega(rng, d, 3), 2 * d, seed))
+            cases.append(Case(family, pipeline, d, _omega(rng, d, 3), 2 * d, seed,
+                              sparsity=_sparsity(rng, family, d)))
         elif pipeline == "extrapolate-window":
             d = int(rng.integers(6, 17))
             omega = _omega(rng, d, 2)
@@ -170,14 +183,20 @@ def recover(case: Case, samples):
     return prony_support(samples)
 
 
+def truth(op, x, samples) -> Problem:
+    """The problem with its ground truth, as the judge reads it: the
+    samples, the signal and the operator's taps or eigenvalues."""
+    if isinstance(op, Diagonalizable):
+        return Problem(samples, truth_signal=x, truth_spectrum=op.eigs)
+    return Problem(samples, op.taps, x)
+
+
 def checks(case: Case) -> list:
     """The truth check rows of the case's estimate, as ``verify`` would
     print them; a refused run raises its RecoveryError."""
     op, x, samples = problem(case)
     estimate = recover(case, samples)
-    truth = (Problem(samples, truth_signal=x, truth_spectrum=op.eigs)
-             if isinstance(op, Diagonalizable) else Problem(samples, op.taps, x))
-    return truth_checks(truth, Report.of(case.pipeline.split("-")[0], estimate))
+    return truth_checks(truth(op, x, samples), Report.of(case.pipeline.split("-")[0], estimate))
 
 
 def judge(case: Case) -> str:

@@ -1004,6 +1004,41 @@ def test_verify_fails_a_refused_report_by_its_fatal_message(tmp_path, capsys, mo
     assert rows[0].endswith(f"FAIL  ({fatal})")
 
 
+@pytest.mark.parametrize("mode,sampler,levels", [
+    ("general", ["--omega", "9"], "128"), ("extrapolate", ["--omega", "9"], "128"),
+    ("invariant", ["--m", "2"], "4")], ids=["general", "extrapolate", "invariant"])
+def test_verify_passes_a_partial_spectrum(tmp_path, capsys, mode, sampler, levels):
+    # a 5-sparse signal under the shift excites 5 of its 64 eigenvalues, and
+    # every pipeline answers exactly those: verify compares them with the
+    # transfer values on the signal's support, not the whole spectrum
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--mode", "shift", "--d", "64", *sampler, "--sparsity", "5",
+               "--levels", levels, "--include-truth", "--seed", "3", "--out", str(problem)) == 0
+    assert run("recover", "--in", str(problem), "--mode", mode, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("verify", "--in", str(problem), "--report", str(out)) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith("spectrum") and row.endswith("PASS  (5 vs 5 values)")
+
+
+def test_recover_refuses_a_class_that_fits_only_below_its_failing_cap(tmp_path, capsys):
+    # class 4 of this diffusion run fails at degrees 1, 2, 4 and the cap 5;
+    # degree 3 fits, but rounding has broken the monotone degree pattern
+    # there, so the search refuses instead of solving the degrees it skipped.
+    # Accepting degree 3 answered 11 values of 8 with exit 0
+    problem, out = tmp_path / "p.json", tmp_path / "r.json"
+    assert run("simulate", "--d", "45", "--m", "5", "--filter", "diffusion", "--decay", "0.3",
+               "--levels", "10", "--seed", "996941356", "--include-truth",
+               "--out", str(problem)) == 0
+    capsys.readouterr()
+    assert run("recover", "--in", str(problem), "--mode", "invariant", "--out", str(out)) == 3
+    assert _single_error_line(capsys) == (
+        "error: classes [4] produced no annihilator of degree <= 5\n")
+    failures = json.loads(out.read_text())["diagnostics"]["failures"]
+    assert failures["source 4"] == ("no annihilator of degree <= 5 fits the sequence "
+                                    "(best residual 1.186e-08)")
+
+
 # ---------------------------------------------- errors name their file
 
 def _single_error_line(capsys):
