@@ -29,7 +29,5 @@ TAU_NODE = 1e-8
 DEDUP_REL = 1e-6
 
 # All-zero detection (numerics.zero_threshold): a value counts as zero
-# at or below this fraction of the caller-supplied scale. numerics.poly_roots
-# also takes it as the largest inclusion radius, relative to the largest
-# root, at which a row's roots are certified to be another row's.
+# at or below this fraction of the caller-supplied scale.
 ZERO_REL = 1e-12

@@ -11,12 +11,11 @@ Vectors and matrices are plain complex ndarrays; ``as_vector`` and
 
 The degree search solves many tiny systems, about log2(r_max) per
 search, a refused search included (the invariant pipeline solves 3 x k
-systems, thousands per recovery), so least squares calls
-LAPACK's zgelsy and the root finder numpy's eigenvalue routine directly.
-On such systems ``scipy.linalg.lstsq`` spent several times the LAPACK
-call on its generic checks, and ``np.roots`` a smaller share; the direct
-calls pass the same solver arguments and give bit-identical solutions.
-scipy is loaded at the first solve, so the commands that never solve
+systems, thousands per recovery), so least squares calls LAPACK's
+zgelsy directly. On such systems ``scipy.linalg.lstsq`` spent several
+times the LAPACK call on its generic checks; the direct call passes the
+same solver arguments and gives bit-identical solutions. scipy is
+loaded at the first solve, so the commands that never solve
 (``simulate`` and ``verify``) do not load it, and ``recover`` loads only
 scipy's top-level package and its compiled LAPACK extension, never
 ``scipy.linalg`` (see ``_gelsy``). On a 2-vCPU machine that load took
@@ -61,11 +60,10 @@ zgelsy's workspace size is a function of the shape, queried once per
 The work per source and per point is done over whole arrays. The
 invariant pipeline has one residue class per d/m frequencies, 512 at
 d = 1536: ``poly_roots`` takes the stack of all their polynomials and,
-per count of zero roots, eigensolves the first row and, in one batched
-call, every row whose roots it cannot certify to be the first row's
-after one Weierstrass step; each eigensolved row has the bits of the
-per-row form. General mode's coordinates share their roots, so there
-one eigensolve serves all of them. ``set_match_error`` compares two
+per count of zero roots, roots every row by one simultaneous Aberth
+iteration, vectorized over rows; only the rows whose roots Smith's
+inclusion discs do not isolate go through one batched companion-matrix
+eigensolve, with np.roots' bits. ``set_match_error`` compares two
 spectra through a window of each point's real-order neighbours instead
 of a dense distance table, with the dense form's bits. The degree
 search itself still runs per source, one least-squares solve per tried
@@ -97,9 +95,18 @@ from .errors import DimensionError
 _RESIDUAL_FLOOR = float(np.finfo(np.float64).tiny)
 _EPS = float(np.finfo(np.float64).eps)
 # Products at or above this magnitude lose no relative accuracy to
-# underflow in their parts: _weierstrass_step's separation guard.
+# underflow in their parts: _aberth_step's separation guard.
 _NORMAL_FLOOR = _RESIDUAL_FLOOR / _EPS
-_MATCH_BLOCK_ENTRIES = 1 << 16
+# Entries of one block of set_match_error's candidate pairs and of
+# _aberth's pairwise differences.
+_BLOCK_ENTRIES = 1 << 16
+# Aberth steps before a row of poly_roots falls back to the eigensolve.
+# Over the test census's 3,070 stack rows the most taken was 40, the
+# median 8.
+_ABERTH_CAP = 64
+# Angle of the first starting point: off the real axis, so the start of
+# a real polynomial is not symmetric about it.
+_ABERTH_OFFSET = 0.4
 # Shapes whose zgelsy workspace size is kept: a degree search of cap
 # r_max solves at most about 2 log2(r_max) + 2 shapes, and the pipelines
 # share them.
@@ -413,45 +420,32 @@ def poly_roots(low_coeffs) -> np.ndarray:
     array (empty for r = 0). A (k, r) array is a stack of k such
     polynomials and gives the (k, r) array of their roots, row by row.
 
-    Follows ``np.roots`` step by step, without its generic checks: the
-    exact-zero low-order coefficients low[0..z-1] give z trailing roots
-    at 0, and the other roots are the eigenvalues (``np.linalg.eigvals``,
-    balanced) of the companion matrix of the remaining polynomial, whose
-    first row is -p[1:] / p[0] and whose subdiagonal is ones. The roots
-    are bit-identical to ``np.roots``, except that a pure power lambda^r
-    gives complex zeros where ``np.roots`` gives float ones.
+    The exact-zero low-order coefficients low[0..z-1] give z trailing
+    roots at 0, as in ``np.roots``. The rows that share z are rooted
+    together by a simultaneous Aberth-Ehrlich iteration (``_aberth``) on
+    the remaining degree-n polynomials. A row whose points it accepts,
+    by Smith's inclusion discs, as isolated roots converged as far as
+    the arithmetic resolves them, keeps those points. The rows it does
+    not accept within ``_ABERTH_CAP`` steps (repeated or tightly
+    clustered roots, or products that overflow or underflow) go through
+    one batched eigensolve of their companion matrices, which follows
+    ``np.roots`` step by step: such a row has np.roots' bits, except that
+    a pure power lambda^r gives complex zeros where np.roots gives float
+    ones.
 
-    Those bits hold for every row that is eigensolved, and a vector is a
-    stack of one, so it always is. In a stack, each group of rows that
-    share z eigensolves its first row. The other rows are tested against
-    that row's roots: one Weierstrass step of the first row's own
-    polynomial takes them from the eigensolve's accuracy to rounding
-    level, and each other row takes one more step from there, whose
-    points it keeps when ``_weierstrass_step`` certifies, by Smith's
-    inclusion discs, that they are its roots to within the
-    ``zero_threshold`` of their largest modulus. The rows it does not
-    certify go through one batched eigensolve, which runs the same LAPACK
-    routine on the same matrices, so each has the bits that row alone
-    would give. Repeated or non-finite roots of the first row certify
-    nothing.
-
-    This is the paper's setting: every sampled coordinate of a generic
-    state observes the same eigenvalues, so general mode's |omega|
-    polynomials share their roots, and their eigensolve is the cost to
-    save. From n = 76 on, LAPACK's zhseqr takes its multishift path,
-    where a companion matrix costs more than a random one of its size:
-    on one BLAS thread its eigensolve took about 3-4 ms at n = 75, 9 ms
-    at n = 76 and 10-18 ms at n = 96, the largest layer of a deep general
-    recovery. The d = 96 shift's two sampled coordinates (3 and 50) are
-    certified: their (2, 96) stack took about 13 ms instead of 23 ms
-    (2-vCPU machine, one BLAS thread), and coordinate 50's roots lie
-    1.4e-15 from the roots of unity, against 5.8e-15 for its own
-    eigensolve. The residue classes of the invariant pipeline on the
-    d = 1536 shift do not share roots (class j's are omega^j times class
-    0's), so none is certified and each keeps its bits; the test of 511
-    degree-3 rows costs about 0.2 ms. Pass a whole stack in one call:
-    each call has a fixed cost, so 512 degree-3 rows take several times
-    longer one call per row than as one stack.
+    From n = 76 on, LAPACK's zhseqr takes its multishift path, where a
+    companion matrix costs more than a random one of its size: on one
+    BLAS thread its eigensolve took 10-18 ms at n = 96, the largest layer
+    of a deep general recovery. The iteration costs O(n^2) a step, in
+    whole-array operations, and no LAPACK call. On a 2-vCPU machine, one
+    BLAS thread, the d = 96 shift's (2, 96) stack took about 3.5 ms
+    instead of 13-17 ms, and the d = 1536 shift's 512 degree-3 residue
+    classes about 2.6 ms instead of 4 ms; every row was accepted, within
+    6.4e-15 of the eigensolve's roots. A single degree-8 row (a Prony
+    support) costs about 0.6 ms instead of 0.1 ms: each step is a few
+    dozen calls of fixed cost. Pass a whole stack in one call: 512
+    degree-3 rows take many times longer one call per row than as one
+    stack.
     """
     low = np.asarray(low_coeffs, dtype=np.complex128)
     if low.ndim < 2:
@@ -466,22 +460,11 @@ def poly_roots(low_coeffs) -> np.ndarray:
     roots = np.zeros((k, r), dtype=np.complex128)
     for z in sorted(set(zeros[zeros < r].tolist())):
         rows = np.flatnonzero(zeros == z)
-        n = r - z
-        first = _companion_eigvals(low[rows[:1], z:])[0]
-        roots[rows[0], :n] = first
-        rest = rows[1:]
+        found, accepted = _aberth(low[rows, z:])
+        roots[rows[accepted], :r - z] = found[accepted]
+        rest = rows[~accepted]
         if rest.size:
-            # one step of the first row's own polynomial takes its roots
-            # from the eigensolve's accuracy to rounding level: on the
-            # d = 96 shift the other rows' radii then sit about ten times
-            # inside the threshold, where from the eigensolve's roots
-            # they reached 0.5 to 1.07 of it
-            centers = _weierstrass_step(first, low[rows[:1], z:])[0][0]
-            stepped, certified = _weierstrass_step(centers, low[rest, z:])
-            roots[rest[certified], :n] = stepped[certified]
-            rest = rest[~certified]
-        if rest.size:
-            roots[rest, :n] = _companion_eigvals(low[rest, z:])
+            roots[rest, :r - z] = _companion_eigvals(low[rest, z:])
     return roots
 
 
@@ -499,63 +482,105 @@ def _companion_eigvals(low: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def _weierstrass_step(z: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(stepped, certified): for each row of ``low``, (k, n), the low-order
-    coefficients a_0..a_{n-1} of a monic degree-n polynomial p, the
-    points ``z`` (n,) after one Weierstrass step, z_i - W_i with W_i =
-    p(z_i) / prod_{j != i} (z_i - z_j), and whether that row's roots are
-    certified to be those points to ``zero_threshold(max |z|)``.
+def _aberth(low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, accepted): for each row of ``low``, (k, n) with n >= 1 and
+    a_0 != 0, the points of a simultaneous Aberth-Ehrlich iteration (Bini,
+    Numer. Algorithms 13, 1996) on the monic polynomial with those
+    low-order coefficients, and whether ``_aberth_step`` accepted them.
 
-    Smith's theorem (B. T. Smith, J. ACM 17, 1970): the n discs
-    |lambda - z_i| <= n |W_i| hold all roots of p, and a disc disjoint
-    from the others holds exactly one. p(z_i) is evaluated by Horner's
-    rule, whose rounding error is at most gamma sum_l |a_l| |z_i|^l, a_n
-    = 1 (Higham, Accuracy and Stability of Numerical Algorithms, 5.1);
-    gamma is gamma_{4n} of the unit roundoff eps / 2, since a complex
-    product errs by up to sqrt(2) gamma_2 (Higham 3.6). So, to first
-    order in eps, the radii R_i = n (|W_i| + gamma sum_l |a_l| |z_i|^l /
-    |prod_{j != i} (z_i - z_j)|) bound n |W_i| of the exact values. A row
-    is certified when every R_i is at most ``zero_threshold(max |z|)``
-    and twice the largest is below the smallest separation of the z_i:
-    its discs are then disjoint, each holds one root, and the stepped
-    point z_i - W_i lies in disc i, so within 2 R_i of that root. The
-    radius bound is needed beyond the disjointness: roots omega^j times
-    the cube roots of unity, stepped from the cube roots, give disjoint
-    discs as wide as about 1.
-
-    The products, shared by all rows, are proved free of overflow by
-    being finite and free of underflow by the separation: each partial
-    product of at most n - 1 differences is at least min(1, sep)^(n-1),
-    which must be at least tiny / eps. Repeated or non-finite points fail
-    the separation test, so no row is certified. The work is O(k n^2)
-    for Horner's rule and O(n^2) for the products, with no (k, n, n)
-    temporary.
+    A row starts from n points on the circle of radius |a_0|^(1/n), the
+    geometric mean of its root moduli, at angles 2 pi i / n +
+    ``_ABERTH_OFFSET``, and steps until its points are accepted, at most
+    ``_ABERTH_CAP`` times; an accepted row stops stepping, and the
+    others' points are meaningless. Rows step together in blocks of at
+    most ``_BLOCK_ENTRIES`` entries of their (rows, n, n) pairwise
+    differences.
     """
     k, n = low.shape
-    diff = z[:, None] - z
-    np.fill_diagonal(diff, 1)
+    roots = np.empty((k, n), dtype=np.complex128)
+    accepted = np.zeros(k, dtype=bool)
+    circle = np.exp(1j * (2 * np.pi * np.arange(n) / n + _ABERTH_OFFSET))
+    size = max(1, _BLOCK_ENTRIES // (n * n))
+    for start in range(0, k, size):
+        rows = np.arange(start, min(start + size, k))
+        z = np.abs(low[rows, :1]) ** (1 / n) * circle
+        for _ in range(_ABERTH_CAP):
+            stepped, _, done = _aberth_step(z, low[rows])
+            roots[rows[done]] = z[done]
+            accepted[rows[done]] = True
+            rows, z = rows[~done], stepped[~done]
+            if not rows.size:
+                break
+    return roots, accepted
+
+
+def _aberth_step(z: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(stepped, radius, accepted): for each row of ``low``, (k, n), the
+    low-order coefficients a_0..a_{n-1} of a monic degree-n polynomial p,
+    and its points, the row of ``z``, (k, n): the points after one
+    Aberth-Ehrlich step, z_i - N_i / (1 - N_i sum_{j != i} 1 / (z_i -
+    z_j)) with N_i = p(z_i) / p'(z_i); Smith's inclusion radius R_i of
+    each point; and whether the row is accepted, its points then being
+    its roots to within R_i each.
+
+    Smith's theorem (B. T. Smith, J. ACM 17, 1970): with the Weierstrass
+    corrections W_i = p(z_i) / prod_{j != i} (z_i - z_j), the n discs
+    |lambda - z_i| <= n |W_i| hold all roots of p, and a disc disjoint
+    from the others holds exactly one. p(z_i) and p'(z_i) are evaluated
+    by Horner's rule, whose rounding error in p(z_i) is at most gamma
+    sum_l |a_l| |z_i|^l, a_n = 1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1); gamma is gamma_{4n} of the unit roundoff
+    eps / 2, since a complex product errs by up to sqrt(2) gamma_2
+    (Higham 3.6). So, to first order in eps, the radii R_i = n (|W_i| +
+    gamma sum_l |a_l| |z_i|^l / |prod_{j != i} (z_i - z_j)|) bound n
+    |W_i| of the exact values. A row is accepted when all of these hold:
+
+    - every |p(z_i)| is at most its rounding bound gamma sum_l |a_l|
+      |z_i|^l, so the points are converged as far as the arithmetic
+      resolves them, and R_i is at most 2 n gamma sum_l |a_l| |z_i|^l /
+      |prod_{j != i} (z_i - z_j)|;
+    - twice the largest R_i is below the smallest separation of the
+      points: the discs are disjoint, so each holds exactly one root;
+    - the products are finite, so free of overflow, and free of
+      underflow by the separation: each partial product of at most n - 1
+      differences is at least min(1, sep)^(n-1), which must be at least
+      tiny / eps.
+
+    Repeated or non-finite points fail the separation test. The work is
+    O(k n^2), with (k, n, n) temporaries.
+    """
+    k, n = low.shape
     with np.errstate(all="ignore"):
-        denom = diff.prod(axis=1)
-        gaps = np.abs(diff)
-        np.fill_diagonal(gaps, np.inf)
-        sep = float(gaps.min())
-        modulus = np.abs(z)
-        # p(z_i) and, by the same rule on the moduli, sum_l |a_l| |z_i|^l
         value = np.ones((k, n), dtype=np.complex128)
+        slope = np.zeros((k, n), dtype=np.complex128)
         bound = np.ones((k, n))
-        for a in low.T[::-1, :, None]:
+        modulus = np.abs(z)
+        # p(z_i), p'(z_i) and, by the same rule on the moduli,
+        # sum_l |a_l| |z_i|^l
+        for a, size in zip(low.T[::-1, :, None], np.abs(low).T[::-1, :, None]):
+            slope *= z
+            slope += value
             value *= z
             value += a
             bound *= modulus
-            bound += np.abs(a)
-        weier = value / denom
-        gamma = 2 * n * _EPS / (1 - 2 * n * _EPS)
-        radius = n * (np.abs(weier) + gamma * bound / np.abs(denom))
-        certified = ((radius <= zero_threshold(float(modulus.max()))).all(axis=1)
-                     & (2 * radius.max(axis=1) < sep))
-        if not (np.isfinite(denom).all() and min(1.0, sep) ** (n - 1) >= _NORMAL_FLOOR):
-            certified[:] = False
-        return z - weier, certified
+            bound += size
+        diff = z[:, :, None] - z[:, None, :]
+        diagonal = np.arange(n)
+        diff[:, diagonal, diagonal] = 1
+        denom = np.abs(diff.prod(axis=2))
+        gaps = np.abs(diff)
+        gaps[:, diagonal, diagonal] = np.inf
+        sep = gaps.min(axis=(1, 2))
+        noise = 2 * n * _EPS / (1 - 2 * n * _EPS) * bound
+        radius = n * (np.abs(value) + noise) / denom
+        accepted = ((np.abs(value) <= noise).all(axis=1) & (2 * radius.max(axis=1) < sep)
+                    & np.isfinite(denom).all(axis=1)
+                    & (np.minimum(1.0, sep) ** (n - 1) >= _NORMAL_FLOOR))
+        recip = 1 / diff
+        recip[:, diagonal, diagonal] = 0
+        newton = value / slope
+        stepped = z - newton / (1 - newton * recip.sum(axis=2))
+    return stepped, radius, accepted
 
 
 def set_match_error(got, expected) -> float:
@@ -588,7 +613,7 @@ def set_match_error(got, expected) -> float:
 
 def _match_candidates(queries: np.ndarray, targets: np.ndarray):
     """(query index, target index) pairs, in chunks of at most
-    ``_MATCH_BLOCK_ENTRIES``, that hold every query's nearest target.
+    ``_BLOCK_ENTRIES``, that hold every query's nearest target.
 
     A finite query's candidates are the finite targets whose real part is
     within u of its own, where u is its distance to the
@@ -624,11 +649,11 @@ def _match_candidates(queries: np.ndarray, targets: np.ndarray):
 
 def _ranges(lo: np.ndarray, hi: np.ndarray):
     """(row, position) index pairs, in chunks of at most
-    ``_MATCH_BLOCK_ENTRIES``: every position in ``range(lo[k], hi[k])``
+    ``_BLOCK_ENTRIES``: every position in ``range(lo[k], hi[k])``
     paired with row k, rows in order."""
     ends = (hi - lo).cumsum()
     total = int(ends[-1]) if ends.size else 0
-    for start in range(0, total, _MATCH_BLOCK_ENTRIES):
-        flat = np.arange(start, min(start + _MATCH_BLOCK_ENTRIES, total))
+    for start in range(0, total, _BLOCK_ENTRIES):
+        flat = np.arange(start, min(start + _BLOCK_ENTRIES, total))
         row = ends.searchsorted(flat, "right")
         yield row, hi[row] - (ends[row] - flat)

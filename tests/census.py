@@ -54,12 +54,15 @@ DEEP_CASES_PER_ROW = 5
 _DECAYS = {"diffusion-0.1": 0.1, "diffusion-0.3": 0.3}
 _SMALL = ("shift", "random-circulant", "gaussian-circulant", "diffusion-0.1", "diffusion-0.3")
 
-# (family, pipeline) rows. "extrapolate" takes the default window;
+# (family, pipeline) rows. "invariant-symmetric" is invariant mode with
+# --assume-symmetric, on the diffusion filters it suits. "extrapolate"
+# takes the default window;
 # "extrapolate-window" draws the window from 1 to d and holds no level
 # out in 3 of 4 cases, where the square-fit rule decides. The sparse shift
 # rows outside prony draw the sparsity below d: the data observe only the
 # excited part of the spectrum.
 ROWS = ([(family, "invariant") for family in _SMALL + ("sparse-shift",)]
+        + [(family, "invariant-symmetric") for family in _DECAYS]
         + [(family, "general") for family in _SMALL + ("diagonalizable", "sparse-shift")]
         + [("diagonalizable-96", "general"), ("diagonalizable-192", "general")]
         + [(family, "extrapolate") for family in _SMALL + ("diagonalizable", "sparse-shift")]
@@ -115,7 +118,7 @@ def draw_cases(family: str, pipeline: str) -> list[Case]:
             d = int(family.split("-")[1])
             omega = IndexSet((0, 3, 7) if d == 96 else (0, 3))
             cases.append(Case(family, pipeline, d, omega, 2 * d, seed))
-        elif pipeline == "invariant":
+        elif pipeline.startswith("invariant"):
             m = int(rng.choice([3, 5])) if family in _DECAYS else int(rng.integers(2, 6))
             d = m * _odd(rng, 3, 11)
             cases.append(Case(family, pipeline, d, Uniform(m), 2 * m, seed,
@@ -173,9 +176,10 @@ def problem(case: Case):
 
 def recover(case: Case, samples):
     """The estimate of the pipeline ``recover --mode`` runs, with its
-    default flags (and ``--window`` in the window rows)."""
-    if case.pipeline == "invariant":
-        return recover_operator(samples)
+    default flags (and ``--window`` in the window rows, and
+    ``--assume-symmetric`` in the symmetric rows)."""
+    if case.pipeline.startswith("invariant"):
+        return recover_operator(samples, case.pipeline.endswith("symmetric"))
     if case.pipeline == "general":
         return recover_observable_spectrum(samples)
     if case.pipeline.startswith("extrapolate"):

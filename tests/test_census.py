@@ -24,6 +24,8 @@ TABLE = {
     "diffusion-0.1/invariant": (20, 20, 0),
     "diffusion-0.3/invariant": (6, 33, 1),
     "sparse-shift/invariant": (40, 0, 0),
+    "diffusion-0.1/invariant-symmetric": (24, 0, 16),
+    "diffusion-0.3/invariant-symmetric": (7, 0, 33),
     "shift/general": (40, 0, 0),
     "random-circulant/general": (40, 0, 0),
     "gaussian-circulant/general": (10, 8, 22),
@@ -132,6 +134,8 @@ def _cli_outcome(case, tmp_path):
                "--mode", case.pipeline.split("-")[0]]
     if case.window is not None:
         recover += ["--window", str(case.window)]
+    if case.pipeline.endswith("symmetric"):
+        recover += ["--assume-symmetric"]
     code = main(recover)
     if code == 3:
         return "refused", None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynspec.annihilator import _block_hankel
 from dynspec.errors import (AmbiguousOrdering, DimensionError,
@@ -371,3 +373,30 @@ def test_shift_full_subsampling_matches_consecutive_entries():
     H1 = _block_hankel(series[:2 * s, None], s, s + 1)
     H2 = _block_hankel(entries[:2 * s, None], s, s + 1)
     assert np.max(np.abs(H1 - H2)) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 3), odd=st.sampled_from([3, 5, 7]), extra=st.integers(0, 4),
+       wrong=st.booleans(), seed=st.integers(0, 2**16), k=st.integers(-600, 600))
+def test_signal_refuses_the_same_filters_at_any_scale(m, odd, extra, wrong, seed, k):
+    # a random circulant's samples and its own transfer function or
+    # another's: times 2**k, recover_signal's alias residual refuses
+    # exactly the filters it refuses at scale 1
+    d = m * odd
+    op = random_circulant(d, seed)
+    samples = simulate(op, random_signal(d, seed + 1), Uniform(m), 2 * m + extra)
+    a_hat = (random_circulant(d, seed + 2) if wrong else op).transfer()
+    parts = np.abs(samples.samples.view(np.float64))
+    exponents = np.frexp(parts[parts > 0])[1]
+    assume(exponents.min() + k >= -1020 and exponents.max() + k <= 1000)
+    scaled = np.ldexp(samples.samples.view(np.float64), k).view(np.complex128)
+
+    def refused(values):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                recover_signal(SampleSet(d, samples.sampler, values), a_hat)
+        except RecoveryError:
+            return True
+        return False
+
+    assert refused(scaled) == refused(samples.samples)

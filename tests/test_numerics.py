@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,10 +14,13 @@ import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dynspec import numerics
+from dynspec import numerics, spectral
 from dynspec.errors import DimensionError
+from dynspec.invariant import recover_operator
+from dynspec.model import IndexSet, Uniform, random_signal, shift_operator, simulate
 from dynspec.numerics import (as_matrix, dft, distinct_points, least_squares,
                               poly_roots, set_match_error)
+from dynspec.spectral import recover_observable_spectrum
 from helpers import assert_sets_close, coeffs_desc, division_remainder
 
 
@@ -433,57 +437,129 @@ def test_roots_are_complex128(low):
 _SIGNED_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
 
 
+def _eigensolved_rows(monkeypatch):
+    """Patch poly_roots' eigensolve to record the coefficient rows it
+    takes, one (k, n) array per call."""
+    calls = []
+    real = numerics._companion_eigvals
+
+    def spy(low):
+        calls.append(low.copy())
+        return real(low)
+
+    monkeypatch.setattr(numerics, "_companion_eigvals", spy)
+    return calls
+
+
+def _np_roots(low):
+    return np.roots(np.concatenate(([1.0 + 0j], low[::-1]))).astype(np.complex128)
+
+
+def _mp_root(coeffs, z):
+    """The root of the polynomial with descending mpmath coefficients
+    that Newton's method reaches from z, at 50 digits; fails when it does
+    not settle, as near a repeated root. A step below 1e-25 leaves an
+    error of the order of its square, near a simple root."""
+    for _ in range(100):
+        value, slope = mpmath.polyval(coeffs, z, derivative=True)
+        step = value / slope
+        z -= step
+        if abs(step) <= mpmath.mpf(10) ** -25 * max(1, abs(z)):
+            return z
+    raise AssertionError(f"Newton's method did not settle near {z}")
+
+
+def _assert_isolated(points, low):
+    """Each accepted point z_i lies within its rounding-level Smith radius
+    r_i = 2 n gamma sum_l |a_l| |z_i|^l / |prod_{j != i} (z_i - z_j)|, the
+    largest radius ``_aberth_step``'s acceptance admits, of a root of the
+    polynomial with low-order coefficients ``low`` computed to 50 digits,
+    and its disc holds no other root. The roots are reached by Newton's
+    method from the points; one root in each of the n discs makes them n
+    distinct roots, so all of them. The radii, a tolerance, and the
+    distances, from each root's offset to its own point rounded to
+    complex128, are taken in floating point."""
+    n = low.size
+    gamma = 2 * n * np.finfo(float).eps / (1 - 2 * n * np.finfo(float).eps)
+    diff = points[:, None] - points
+    np.fill_diagonal(diff, 1)
+    bound = np.abs(points) ** n + (np.abs(low) * np.abs(points[:, None]) ** np.arange(n)).sum(axis=1)
+    radius = 2 * n * gamma * bound / np.abs(diff.prod(axis=1))
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpc(1)] + [mpmath.mpc(complex(a)) for a in low[::-1]]
+        offsets = np.array([complex(_mp_root(coeffs, mpmath.mpc(complex(z))) - mpmath.mpc(complex(z)))
+                            for z in points])
+    # root j is points[j] + offsets[j]; its distance to point i
+    inside = np.abs(points[None, :] + offsets[None, :] - points[:, None]) <= radius[:, None]
+    np.fill_diagonal(inside, np.abs(offsets) <= radius)
+    assert inside.diagonal().all() and (inside.sum(axis=1) == 1).all(), (radius, offsets)
+
+
+def _check_rows(monkeypatch, stack):
+    """poly_roots of a stack, checked row by row: a row that went through
+    the eigensolve has np.roots' bits, and every other row's nonzero
+    roots are isolated (``_assert_isolated``). Returns the roots and
+    whether each row was eigensolved."""
+    calls = _eigensolved_rows(monkeypatch)
+    got = poly_roots(stack)
+    eigensolved, checked = [], set()
+    for low, roots in zip(stack, got):
+        z = int(np.logical_and.accumulate(low == 0).sum())
+        solved = any((c == low[z:]).all(axis=1).any() for c in calls if c.shape[1] == low.size - z)
+        eigensolved.append(solved)
+        if solved:
+            assert _same_bits(roots, _np_roots(low))
+        elif z < low.size and low.tobytes() not in checked:
+            _assert_isolated(roots[:low.size - z], low[z:])
+            checked.add(low.tobytes())
+    return got, eigensolved
+
+
 @settings(max_examples=300, deadline=None)
 @given(degree=st.integers(1, 10), zeros=st.integers(0, 10), hole=st.integers(0, 10),
        zero=st.sampled_from(_SIGNED_ZEROS), seed=st.integers(0, 2**16))
-def test_roots_match_np_roots_bit_for_bit(degree, zeros, hole, zero, seed):
-    # reference: np.roots on the descending coefficients, which poly_roots
-    # follows step by step; exact-zero (and -0.0) low-order coefficients
-    # are roots at 0 that it strips before the eigensolve, and a signed
-    # zero further up lands in the companion matrix's first row
+def test_roots_are_np_roots_or_isolated_roots(degree, zeros, hole, zero, seed):
+    # exact-zero (and -0.0) low-order coefficients are roots at 0 that
+    # poly_roots strips first, and a signed zero further up is part of the
+    # polynomial it roots; a row that falls back to the eigensolve keeps
+    # np.roots' bits, and an accepted row's roots are isolated
     rng = np.random.default_rng(seed)
     low = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
     low[:min(zeros, degree)] = zero
     if hole < degree:
         low[hole] = zero
-    expected = np.roots(np.concatenate(([1.0 + 0j], low[::-1])))
-    assert _same_bits(poly_roots(low), expected.astype(np.complex128))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, _ = _check_rows(monkeypatch, low[None])
+    nonzero = degree - min(zeros, degree)
+    assert got.shape == (1, degree) and not got[0, nonzero:].any()
 
 
 @settings(max_examples=300, deadline=None)
 @given(r=st.integers(0, 6),
        rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from(_SIGNED_ZEROS)),
                      min_size=1, max_size=8),
-       seed=st.integers(0, 2**16))
-def test_stacked_roots_match_each_row_bit_for_bit(r, rows, seed):
+       seed=st.integers(0, 2**16), block=st.integers(1, 80))
+def test_stacked_roots_match_each_row_bit_for_bit(r, rows, seed, block):
     # rows of one stack with different counts of leading (signed) zeros,
-    # up to all-zero rows, and degree 0 when r is 0; every row keeps the
-    # bits of its own call and of np.roots
+    # up to all-zero rows, and degree 0 when r is 0, iterated in blocks of
+    # at most ``block`` pairwise differences (one row when a row has more);
+    # every row keeps the bits of its own call, and a row that call
+    # eigensolves keeps np.roots'
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((len(rows), r)) + 1j * rng.standard_normal((len(rows), r))
     for row, (zeros, hole, zero) in zip(stack, rows):
         row[:min(zeros, r)] = zero
         if hole < r:
             row[hole] = zero
-    got = poly_roots(stack)
+    with mock.patch.object(numerics, "_BLOCK_ENTRIES", block):
+        got = poly_roots(stack)
     assert got.shape == stack.shape and got.dtype == np.complex128
     for low, roots in zip(stack, got):
-        assert _same_bits(roots, poly_roots(low))
-        expected = np.roots(np.concatenate(([1.0 + 0j], low[::-1])))
-        assert _same_bits(roots, expected.astype(np.complex128))
-
-
-def _eigensolved_rows(monkeypatch):
-    """Patch poly_roots' eigensolve to record how many rows it takes."""
-    counts = []
-    real = numerics._companion_eigvals
-
-    def spy(low):
-        counts.append(low.shape[0])
-        return real(low)
-
-    monkeypatch.setattr(numerics, "_companion_eigvals", spy)
-    return counts
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _eigensolved_rows(monkeypatch)
+            assert _same_bits(roots, poly_roots(low))
+        if calls:
+            assert _same_bits(roots, _np_roots(low))
 
 
 @pytest.mark.parametrize("degree,jitter", [(3, 0.25), (12, 0.25), (40, 0.25), (96, 0.0)])
@@ -491,14 +567,13 @@ def _eigensolved_rows(monkeypatch):
 def test_stacked_roots_certify_rows_that_share_the_first_rows_roots(monkeypatch, degree, jitter,
                                                                      seed):
     # copies of a polynomial with well-separated roots, and copies whose
-    # coefficients are moved by a few ulps of the largest, share the first
-    # row's roots: one eigensolve, of that row alone, which keeps its
-    # bits, and every other row takes the stepped points, within 1e-12 of
-    # the roots' scale of its own eigensolve's. Degree 96 is the spectrum
-    # of the d = 96 shift, rotated: lambda^96 - c with |c| = 1. Stepped
-    # from the first row's eigensolved roots, without their own step, one
-    # of these 16 seeds' radii exceeded the threshold and one reached 0.99
-    # of it
+    # coefficients are moved by a few ulps of the largest: no row is
+    # eigensolved, copies keep the same bits, and each row's roots lie
+    # within 1e-12 of the roots' scale of its own eigensolve's. Below
+    # degree 96 each distinct row's roots are isolated, to 50 digits;
+    # degree 96 is the spectrum of the d = 96 shift, rotated, lambda^96 - c
+    # with |c| = 1, whose 50-digit check on the shift's own stack is
+    # test_benchmark_stacks_are_rooted_without_an_eigensolve
     rng = np.random.default_rng(seed)
     if jitter:
         roots = (0.9 + 0.2 * rng.random(degree)) * np.exp(
@@ -509,45 +584,81 @@ def test_stacked_roots_certify_rows_that_share_the_first_rows_roots(monkeypatch,
         low[0] = -np.exp(2j * np.pi * rng.random())
     noise = rng.integers(-4, 5, (5, degree)) + 1j * rng.integers(-4, 5, (5, degree))
     stack = np.vstack([low, low, low + np.finfo(float).eps * np.abs(low).max() * noise])
-    own = [poly_roots(row) for row in stack]
-    counts = _eigensolved_rows(monkeypatch)
-    got = poly_roots(stack)
-    assert counts == [1]
-    assert _same_bits(got[0], own[0])
-    scale = np.abs(own[0]).max()
-    for found, expected in zip(got, own):
-        assert set_match_error(found, expected) < 1e-12 * scale
+    if degree < 96:
+        got, eigensolved = _check_rows(monkeypatch, stack)
+    else:
+        calls = _eigensolved_rows(monkeypatch)
+        got, eigensolved = poly_roots(stack), []
+        assert calls == []
+    assert not any(eigensolved)
+    assert _same_bits(got[0], got[1])
+    for found, row in zip(got, stack):
+        expected = _np_roots(row)
+        assert set_match_error(found, expected) < 1e-12 * np.abs(expected).max()
 
 
-def test_stacked_roots_refuse_unconverged_steps_around_separated_roots():
+def test_stacked_roots_refuse_unconverged_steps_around_separated_roots(monkeypatch):
     # lambda^3 - omega^{3j}, omega = exp(2 pi i / 1536): row j's roots are
-    # omega^j times the cube roots of unity. At the cube roots, the first
-    # row's, a step leaves small j unconverged though its discs are
-    # disjoint, so only the radius bound refuses it: each row keeps the
-    # bits of its own eigensolve
+    # omega^j times the cube roots of unity. At the cube roots the discs of
+    # rows j >= 1 are disjoint, but the points are not converged, so only
+    # the convergence test refuses them; row 0's points are its roots.
+    # Iterated from the circle, every row is accepted, with no eigensolve
     omega = np.exp(2j * np.pi / 1536)
     stack = np.zeros((6, 3), dtype=np.complex128)
     stack[:, 0] = -omega ** (3 * np.arange(6))
-    got = poly_roots(stack)
-    for low, roots in zip(stack, got):
-        assert _same_bits(roots, poly_roots(low))
-    stepped, certified = numerics._weierstrass_step(got[0], stack[1:])
-    assert not certified.any()
-    assert (2 * 3 * np.abs(got[0] - stepped).max(axis=1) < np.sqrt(3)).all()
-    assert all(set_match_error(s, r) > 1e-12 for s, r in zip(stepped, got[1:]))
+    cube = np.exp(2j * np.pi * np.arange(3) / 3)
+    _, radius, accepted = numerics._aberth_step(np.tile(cube, (6, 1)), stack)
+    assert accepted.tolist() == [True] + [False] * 5
+    assert (2 * radius.max(axis=1) < np.sqrt(3)).all()
+    assert (radius[1:].max(axis=1) > 1e-6).all()
+    _, eigensolved = _check_rows(monkeypatch, stack)
+    assert not any(eigensolved)
 
 
 def test_stacked_roots_with_a_repeated_reference_root_fall_back(monkeypatch):
-    # (lambda - 1)^2 (lambda + 1): the reference's roots are not separated,
-    # so its copies and their perturbations all take the eigensolve and
-    # keep its bits
+    # (lambda - 1)^2 (lambda + 1), twice, and two perturbations that split
+    # its double root by about 3e-8, far inside what the arithmetic
+    # resolves: those four rows take one batched eigensolve and keep
+    # np.roots' bits; a row with separated roots among them is accepted
     low = np.array([1, -1, -1], dtype=np.complex128)
-    stack = np.vstack([low, low, low + [0, 1e-15, 0], low * (1 + 1e-15j)])
-    counts = _eigensolved_rows(monkeypatch)
-    got = poly_roots(stack)
-    assert counts == [1, 3]
-    for row, roots in zip(stack, got):
-        assert _same_bits(roots, np.roots(np.concatenate(([1.0 + 0j], row[::-1]))))
+    separated = np.array([-6, 11, -6], dtype=np.complex128)
+    stack = np.vstack([low, separated, low, low + [0, 1e-15, 0], low * (1 + 1e-15j)])
+    calls = _eigensolved_rows(monkeypatch)
+    _, eigensolved = _check_rows(monkeypatch, stack)
+    assert eigensolved == [True, False, True, True, True]
+    assert [c.shape for c in calls] == [(4, 3)]
+
+
+def _pipeline_stacks(monkeypatch, run):
+    """The stacks the pipeline ``run`` passes to poly_roots."""
+    stacks = []
+    real = spectral.poly_roots
+    monkeypatch.setattr(spectral, "poly_roots", lambda low: (stacks.append(low), real(low))[1])
+    run()
+    monkeypatch.setattr(spectral, "poly_roots", real)
+    return stacks
+
+
+@pytest.mark.parametrize("case", ["general-96", "invariant-1536", "different-roots"])
+def test_benchmark_stacks_are_rooted_without_an_eigensolve(monkeypatch, case):
+    # the d = 96 shift's two coordinates, (2, 96), and the d = 1536 shift's
+    # residue classes, (512, 3), whose rows' roots differ by a rotation;
+    # and rows whose roots have nothing in common
+    if case == "general-96":
+        samples = simulate(shift_operator(96), random_signal(96, np.random.default_rng(1)),
+                           IndexSet((3, 50)), 192)
+        stack, = _pipeline_stacks(monkeypatch, lambda: recover_observable_spectrum(samples))
+    elif case == "invariant-1536":
+        samples = simulate(shift_operator(1536), random_signal(1536, np.random.default_rng(1)),
+                           Uniform(3), 6)
+        stack, = _pipeline_stacks(monkeypatch, lambda: recover_operator(samples))
+    else:
+        rng = np.random.default_rng(5)
+        stack = np.array([np.poly(rng.uniform(0.3, 1.2, 24) * np.exp(2j * np.pi * rng.random(24)))
+                          [1:][::-1] for _ in range(6)])
+    assert stack.shape == {"general-96": (2, 96), "invariant-1536": (512, 3)}.get(case, (6, 24))
+    _, eigensolved = _check_rows(monkeypatch, stack)
+    assert not any(eigensolved)
 
 
 def test_roots_reject_deeper_stacks():
@@ -640,7 +751,7 @@ _point = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
 @given(got=st.lists(_point, max_size=30), expected=st.lists(_point, max_size=30),
        block=st.integers(1, 70))
 def test_set_match_error_blocks_match_dense_formula(got, expected, block):
-    with mock.patch.object(numerics, "_MATCH_BLOCK_ENTRIES", block):
+    with mock.patch.object(numerics, "_BLOCK_ENTRIES", block):
         assert set_match_error(got, expected) == _set_match_error_dense(got, expected)
 
 
@@ -679,7 +790,7 @@ def _point_set(draw):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_set_match_error_matches_dense_formula_on_hard_sets(got, expected, block):
     # NaN compares as NaN: both sides must give it
-    with mock.patch.object(numerics, "_MATCH_BLOCK_ENTRIES", block):
+    with mock.patch.object(numerics, "_BLOCK_ENTRIES", block):
         got_err = set_match_error(got, expected)
     dense = _set_match_error_dense(got, expected)
     assert got_err == dense or (np.isnan(got_err) and np.isnan(dense))
@@ -694,7 +805,7 @@ def test_set_match_error_unit_circle_against_perturbed_permutation():
     moved = rng.permutation(roots) + 1e-13 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
     err = set_match_error(moved, roots)
     assert err == _set_match_error_dense(moved, roots) and 0 < err < 1e-12
-    with mock.patch.object(numerics, "_MATCH_BLOCK_ENTRIES", 97):
+    with mock.patch.object(numerics, "_BLOCK_ENTRIES", 97):
         assert set_match_error(roots, moved) == err
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynspec.annihilator import _block_hankel, scalar_annihilator
 from dynspec.errors import DimensionError, NotShiftSpectrum, RecoveryError
@@ -159,3 +161,30 @@ def test_sharpness_one_sample_short_is_underdetermined():
 def test_sparse_signal_needs_a_sparsity_inside_the_dimension(s):
     with pytest.raises(DimensionError, match=f"^need 0 < s < d, got s={s}, d=8$"):
         random_sparse_signal(8, s, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(8, 64), s=st.integers(1, 4), start=st.integers(0, 63),
+       extra=st.integers(0, 4), shift=st.integers(0, 2), seed=st.integers(0, 2**16),
+       k=st.integers(-600, 600))
+def test_values_refuse_the_same_supports_at_any_scale(d, s, start, extra, shift, seed, k):
+    # entries of a sparse signal and its support, moved by ``shift`` (0:
+    # the true one): times 2**k, prony_values' residual refuses exactly the
+    # supports it refuses at scale 1
+    x, x_hat = random_sparse_signal(d, s, seed)
+    support = tuple((n + shift) % d for n in np.flatnonzero(x_hat))
+    c = _entries(x, start % d, s + extra)
+    parts = np.abs(c.view(np.float64))
+    exponents = np.frexp(parts[parts > 0])[1]
+    assume(exponents.min() + k >= -1020 and exponents.max() + k <= 1000)
+    scaled = np.ldexp(c.view(np.float64), k).view(np.complex128)
+
+    def refused(values):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                prony_values(values, start % d, support, d)
+        except RecoveryError:
+            return True
+        return False
+
+    assert refused(scaled) == refused(c)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynspec import config, numerics
@@ -537,3 +537,32 @@ def test_all_indices_failing_raises(monkeypatch):
     monkeypatch.setattr(spectral_mod, "scalar_annihilator", always_fail)
     with pytest.raises(NoAnnihilator):
         recover_observable_spectrum(samples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(3, 10), coords=st.integers(1, 2), L=st.integers(1, 10),
+       held=st.integers(1, 10), miss=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2**16),
+       k=st.integers(-600, 600))
+def test_held_out_check_refuses_the_same_windows_at_any_scale(d, coords, L, held, miss, seed, k):
+    # a window of a random circulant's samples, its last held-out sample
+    # moved or not: times 2**k, window_recurrence refuses exactly the
+    # windows it refuses at scale 1
+    L = min(L, d)
+    rng = np.random.default_rng(seed)
+    omega = IndexSet(tuple(sorted(rng.choice(d, size=min(coords, d), replace=False).tolist())))
+    levels = (len(omega.omega) + 1) * L + held
+    samples = simulate(random_circulant(d, rng), random_signal(d, rng), omega, levels).samples
+    samples[-1, -1] += miss * np.abs(samples).max() * (1 + 1j)
+    parts = np.abs(samples.view(np.float64))
+    exponents = np.frexp(parts[parts > 0])[1]
+    assume(exponents.min() + k >= -1020 and exponents.max() + k <= 1000)
+    scaled = np.ldexp(samples.view(np.float64), k).view(np.complex128)
+
+    def refused(values):
+        try:
+            window_recurrence(SampleSet(d, omega, values), L)
+        except SpanConditionViolated:
+            return True
+        return False
+
+    assert refused(scaled) == refused(samples)
