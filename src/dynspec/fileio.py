@@ -10,31 +10,21 @@ exact to the bit for finite values, and key order is fixed, so identical
 content means identical bytes. Writes go through a temp file plus
 rename, and leave the mode a plain ``open`` would.
 
-The text written is ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
-newline, byte for byte, but built by ``_dumps``: with ``indent`` set, json
-encodes in pure Python, and most of it goes on the [re, im] lists. The
-writers put the complex arrays themselves in the tree, and ``_dumps``
-writes each one by filling a template of its nesting with its float
-reprs in one ``%``, with no list of pairs built first. The fixed cost per
-array and per node matters as much as the reprs: an invariant report
-holds one small record per residue class, 512 at d = 1536, all of the
-same shape at the same depth. So the templates of small arrays are kept
-per (shape, indentation), in a bounded cache, and such a report builds
-one template where it built 512.
-``tests/test_fileio.py`` checks the writer against ``json.dumps`` on
-random trees, on arrays, on per-source records and on real CLI output.
+The text written is ``json.dumps(obj, sort_keys=True)`` plus a newline,
+one line per file, which the standard library's C encoder writes; the
+writers put the complex arrays themselves in the tree, and the encoder's
+``default`` hook, ``_complex_pairs``, turns each into its [re, im] pairs.
+Files in the ``indent=2`` layout that earlier versions wrote read alike.
+``python -m json.tool FILE`` prints a file indented.
 Reads use ``json.load`` on UTF-8 text.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 import os
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -96,87 +86,24 @@ def _finite_pairs(pairs, name: str) -> np.ndarray:
     return values
 
 
-def _dumps(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, character for
-    character, for a tree of dicts with str keys, lists, str, int, float,
-    bool and None, and complex128 ndarrays, which are written as the list
-    (of rows) of [re, im] pairs that ``json.dumps`` writes for them;
-    ``indent`` is a newline plus the indentation of ``obj``.
-
-    Any other type, a tuple, a non-str key, another array or a numpy
-    scalar included, raises TypeError instead of being converted. json's
-    own encoder runs in pure Python once ``indent`` is set; this one
-    spends its time in ``float.__repr__`` and ``str.join`` (see
-    ``_complex_array``). The types are tested in the order a report's
-    per-source records need them, dicts and arrays first; no two tests
-    accept the same object, bool being tested inside the int branch."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        # encode_basestring_ascii raises TypeError on a non-str key
-        fields = [encode_basestring_ascii(key) + ": " + _dumps(value, inner)
-                  for key, value in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(fields) + indent + "}"
+def _complex_pairs(obj) -> list:
+    """The nested list (of rows) of [re, im] pairs of a complex128 array
+    of one or more dimensions, whatever its strides: the ``default`` hook
+    through which ``json.dumps`` writes the arrays the writers put in
+    their trees. Anything else it is handed raises TypeError: another
+    array (0-d, another dtype, a subclass), a set, bytes, or a numpy
+    scalar other than float64, which is a float."""
     if type(obj) is np.ndarray and obj.dtype == np.complex128 and obj.ndim:
-        return _complex_array(obj, indent)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    if isinstance(obj, int):
-        return "true" if obj is True else "false" if obj is False else int.__repr__(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + indent + "]"
-    if obj is None:
-        return "null"
+        return np.stack((obj.real, obj.imag), axis=-1).tolist()
     raise TypeError(f"cannot write {type(obj).__name__} to a JSON file")
 
 
-def _complex_array(arr: np.ndarray, indent: str) -> str:
-    """The text of a complex128 array as its nested list of [re, im]
-    pairs: ``_template`` of its shape, filled by one ``%`` with the float
-    reprs of all its values (``%r`` of a float is ``float.__repr__``),
-    read by one ``tolist`` of the array's C-order real and imaginary
-    parts."""
-    build = _cached_template if arr.size <= _TEMPLATE_ENTRIES else _template
-    text = build(arr.shape, indent) % tuple(arr.ravel().view(np.float64).tolist())
-    # finite reprs hold no "n"; "nan", "inf" and "-inf" do, and JSON
-    # spells them NaN, Infinity and -Infinity
-    if "n" in text:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
-
-
-def _template(shape: tuple, indent: str) -> str:
-    """The %-template of a complex array of ``shape`` written at
-    ``indent``, built from a pair's ``[%r, %r]`` out to the whole array,
-    each level joining copies of the level below."""
-    pad = indent + "  " * len(shape)
-    text = "[" + pad + "  %r," + pad + "  %r" + pad + "]"
-    for axis in range(len(shape) - 1, -1, -1):
-        outer = indent + "  " * axis
-        inner = outer + "  "
-        n = shape[axis]
-        text = "[" + inner + ("," + inner).join([text] * n) + outer + "]" if n else "[]"
-    return text
-
-
-# A report repeats a few small shapes at a few depths, one per-source
-# record per residue class; their templates are kept, up to this many of
-# at most ``_TEMPLATE_ENTRIES`` values each, so the cache stays under a
-# megabyte. Larger arrays are written once per file and build their own.
-_TEMPLATE_ENTRIES = 256
-_cached_template = functools.lru_cache(maxsize=64)(_template)
-
-
 def atomic_write_json(path: str, payload) -> None:
-    atomic_write_text(path, _dumps(payload) + "\n")
+    # the writers build each payload afresh, so it holds no cycle for
+    # json.dumps to check for, a check that cost about a tenth of a
+    # problem file's write
+    text = json.dumps(payload, sort_keys=True, default=_complex_pairs, check_circular=False)
+    atomic_write_text(path, text + "\n")
 
 
 def atomic_write_text(path: str, text: str) -> None:

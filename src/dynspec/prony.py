@@ -55,18 +55,19 @@ def snap_support(roots, d: int) -> tuple[int, ...]:
     """Frequencies n whose grid points exp(2*pi*i*n/d) the roots snap to.
 
     A root farther than ``config.TAU_ROOT`` from every grid point raises
-    NotShiftSpectrum.
+    NotShiftSpectrum, which names the root farthest from the grid (ties
+    to the smallest (real, imag)), so the message does not depend on the
+    order of the roots.
     """
-    support = set()
-    for root in roots:
-        n = int(np.round(np.angle(root) * d / (2 * np.pi))) % d
-        gap = abs(root - np.exp(2j * np.pi * n / d))
-        if gap > config.TAU_ROOT:
-            raise NotShiftSpectrum(
-                f"root {root:.6f} is {gap:.3e} from the nearest grid point "
-                f"exp(2*pi*i*{n}/{d}); data does not fit the shift model")
-        support.add(n)
-    return tuple(sorted(support))
+    roots = np.asarray(roots, dtype=np.complex128)
+    n = np.round(np.angle(roots) * d / (2 * np.pi)).astype(int) % d
+    gaps = np.abs(roots - np.exp(2j * np.pi * n / d))
+    if (gaps > config.TAU_ROOT).any():
+        worst = np.lexsort((roots.imag, roots.real, -gaps))[0]
+        raise NotShiftSpectrum(
+            f"root {roots[worst]:.6f} is {gaps[worst]:.3e} from the nearest grid point "
+            f"exp(2*pi*i*{n[worst]}/{d}); data does not fit the shift model")
+    return tuple(sorted(set(n.tolist())))
 
 
 def prony_values(c, start: int, support, d: int,

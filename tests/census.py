@@ -58,13 +58,16 @@ _SMALL = ("shift", "random-circulant", "gaussian-circulant", "diffusion-0.1", "d
 # --assume-symmetric, on the diffusion filters it suits. "extrapolate"
 # takes the default window;
 # "extrapolate-window" draws the window from 1 to d and holds no level
-# out in 3 of 4 cases, where the square-fit rule decides. The sparse shift
+# out in 3 of 4 cases, where the square-fit rule decides. "general-short"
+# is general mode on 2 to 2d - 1 levels, fewer than the degree bound d
+# needs, where search_sources' square-fit refusal decides. The sparse shift
 # rows outside prony draw the sparsity below d: the data observe only the
 # excited part of the spectrum.
 ROWS = ([(family, "invariant") for family in _SMALL + ("sparse-shift",)]
         + [(family, "invariant-symmetric") for family in _DECAYS]
         + [(family, "general") for family in _SMALL + ("diagonalizable", "sparse-shift")]
         + [("diagonalizable-96", "general"), ("diagonalizable-192", "general")]
+        + [(family, "general-short") for family in ("random-circulant", "sparse-shift")]
         + [(family, "extrapolate") for family in _SMALL + ("diagonalizable", "sparse-shift")]
         + [(family, "extrapolate-window")
            for family in ("shift", "random-circulant", "diagonalizable")]
@@ -127,6 +130,11 @@ def draw_cases(family: str, pipeline: str) -> list[Case]:
             d = _odd(rng, 6, 24) if family in _DECAYS else int(rng.integers(6, 25))
             cases.append(Case(family, pipeline, d, _omega(rng, d, 3), 2 * d, seed,
                               sparsity=_sparsity(rng, family, d)))
+        elif pipeline == "general-short":
+            d = int(rng.integers(6, 25))
+            omega, levels = _omega(rng, d, 3), int(rng.integers(2, 2 * d))
+            cases.append(Case(family, pipeline, d, omega, levels, seed,
+                              sparsity=_sparsity(rng, family, d)))
         elif pipeline == "extrapolate-window":
             d = int(rng.integers(6, 17))
             omega = _omega(rng, d, 2)
@@ -180,7 +188,7 @@ def recover(case: Case, samples):
     ``--assume-symmetric`` in the symmetric rows)."""
     if case.pipeline.startswith("invariant"):
         return recover_operator(samples, case.pipeline.endswith("symmetric"))
-    if case.pipeline == "general":
+    if case.pipeline.startswith("general"):
         return recover_observable_spectrum(samples)
     if case.pipeline.startswith("extrapolate"):
         return recover_spectrum_via_extrapolation(samples, case.window)

@@ -35,6 +35,8 @@ TABLE = {
     "sparse-shift/general": (40, 0, 0),
     "diagonalizable-96/general": (0, 0, 5),
     "diagonalizable-192/general": (0, 5, 0),
+    "random-circulant/general-short": (0, 0, 40),
+    "sparse-shift/general-short": (17, 0, 23),
     "shift/extrapolate": (27, 5, 8),
     "random-circulant/extrapolate": (40, 0, 0),
     "gaussian-circulant/extrapolate": (18, 20, 2),

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from dynspec import config, fileio
 from dynspec.cli import main
 from dynspec.errors import FileFormatError, RecoveryError
-from dynspec.fileio import (_dumps, atomic_write_json, atomic_write_text, load_problem,
-                            load_report, pairs_to_complex, save_problem, save_report)
+from dynspec.fileio import (atomic_write_json, atomic_write_text, load_problem, load_report,
+                            pairs_to_complex, save_problem, save_report)
 from dynspec.invariant import recover_operator
 from dynspec.model import (IndexSet, Uniform, make_diffusion_filter, random_circulant,
                            random_diagonalizable, random_signal, shift_operator, simulate)
@@ -27,8 +28,7 @@ def test_complex_pairs_round_trip_is_bit_exact():
     values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     values[:3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     # through an actual JSON text pass, not just the converters
-    text = _dumps(values)
-    back = pairs_to_complex(json.loads(text))
+    back = pairs_to_complex(json.loads(_written(values)))
     assert back.dtype == np.complex128 and back.tobytes() == values.tobytes()
     # JSON integers, however large, load as the numbers float() gives
     assert pairs_to_complex([[2, -3], [2**70, 0]]).tolist() == [2 - 3j, 2.0**70]
@@ -338,16 +338,24 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 # ------------------------------------------------------------ the writer
 
 def _oracle(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def _written(obj) -> str:
+    """The text ``atomic_write_json`` writes of ``obj``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        atomic_write_json(path, obj)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
 
 
 _texts = st.text(st.characters(codec=None), max_size=6) | st.sampled_from(
     ["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "\u00e9\u2028\U0001f600", "NaN"])
 _floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1e-7])
 _numbers = _floats | st.integers(-(2 ** 200), 2 ** 200)
-# pair lists: mostly all-float pairs, which take the one-pass path; an
-# int, a non-finite value, a bool or a ragged entry sends them to the
-# generic path
+# pair lists: mostly all-float pairs, the shape the arrays are written
+# in, and some with an int, a non-finite value, a bool or a ragged entry
 _pair = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2)
 _odd_pair = (st.tuples(_numbers | st.booleans(), _numbers).map(list)
              | st.lists(_floats, max_size=3))
@@ -360,7 +368,7 @@ _trees = st.recursive(_leaves, lambda children: st.lists(children, max_size=4)
 @settings(max_examples=300, deadline=None)
 @given(obj=_trees)
 def test_writer_matches_json_dumps(obj):
-    assert _dumps(obj) == _oracle(obj)
+    assert _written(obj) == _oracle(obj)
 
 
 @pytest.mark.parametrize("items", [
@@ -370,18 +378,20 @@ def test_writer_matches_json_dumps(obj):
 ], ids=["int-im", "int-re", "bool", "nan", "inf", "-inf", "short", "long", "ragged",
         "bare-number", "float-subclass", "pairs-of-pairs"])
 def test_writer_sends_other_pair_lists_to_the_generic_path(items, monkeypatch):
-    # only complex arrays take the one-pass path; lists never do
-    monkeypatch.setattr(fileio, "_complex_array", None)
-    assert _dumps(items) == _oracle(items)
-    assert _dumps({"a": [items]}) == _oracle({"a": [items]})
+    # only complex arrays go through the writer's hook; lists, whatever
+    # they hold, are json's own, and float64 is written as a float
+    monkeypatch.setattr(fileio, "_complex_pairs", None)
+    assert _written(items) == _oracle(items)
+    assert _written({"a": [items]}) == _oracle({"a": [items]})
 
 
 def test_writer_pair_list_path_is_byte_identical():
+    # an array is written as its list of pairs, at every magnitude
     values = np.random.default_rng(3).standard_normal(64) * 10.0 ** np.arange(-32, 32)
     values[:4] = [-0.0, 5e-324, 1e300, -1e-300]
     items = values.reshape(-1, 2).tolist()
-    assert _dumps(values.view(np.complex128)) == _oracle(items)
-    assert _dumps({"b": {"a": items}}) == _oracle({"b": {"a": items}})
+    assert _written(values.view(np.complex128)) == _oracle(items)
+    assert _written({"b": {"a": values.view(np.complex128)}}) == _oracle({"b": {"a": items}})
 
 
 def _pairs(arr):
@@ -403,17 +413,17 @@ _nonfinite = np.array([complex(math.nan, 1.0), complex(1.0, math.inf),
 ], ids=["1-D", "2-D", "empty", "no-rows", "empty-rows", "strided", "strided-2-D", "fortran",
         "transposed", "zeros-subnormal-huge-tiny", "nan-inf", "nan-inf-2-D"])
 def test_writer_writes_a_complex_array_as_its_pair_list(arr):
-    assert _dumps(arr) == _oracle(_pairs(arr))
-    assert _dumps({"b": [arr, 1.0], "a": arr}) == _oracle({"b": [_pairs(arr), 1.0],
-                                                           "a": _pairs(arr)})
+    assert _written(arr) == _oracle(_pairs(arr))
+    assert _written({"b": [arr, 1.0], "a": arr}) == _oracle({"b": [_pairs(arr), 1.0],
+                                                             "a": _pairs(arr)})
 
 
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(_floats, max_size=24), rows=st.integers(1, 3))
 def test_writer_array_matches_json_dumps(values, rows):
     arr = np.array(values[:len(values) // (2 * rows) * 2 * rows]).view(np.complex128)
-    assert _dumps(arr) == _oracle(_pairs(arr))
-    assert _dumps(arr.reshape(rows, -1)) == _oracle(_pairs(arr.reshape(rows, -1)))
+    assert _written(arr) == _oracle(_pairs(arr))
+    assert _written(arr.reshape(rows, -1)) == _oracle(_pairs(arr.reshape(rows, -1)))
 
 
 _roots = st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
@@ -445,7 +455,7 @@ def test_writer_per_source_records_match_json_dumps(records):
         expected[str(src)] = {"degree": roots.size, "roots": _pairs(roots),
                               "residual": residual}
     report = {"mode": "invariant", "per_source": tree}
-    assert _dumps(report) == _oracle({"mode": "invariant", "per_source": expected})
+    assert _written(report) == _oracle({"mode": "invariant", "per_source": expected})
 
 
 class _Subclass(np.ndarray):
@@ -457,28 +467,22 @@ class _Subclass(np.ndarray):
     np.array([1j], dtype=object), np.array(1j), np.ones(3, dtype=np.complex128).view(_Subclass),
     np.complex128(1j),
 ], ids=["float64", "complex64", "big-endian", "int", "object", "0-d", "subclass", "scalar"])
-def test_writer_refuses_other_arrays(arr):
-    with pytest.raises(TypeError):
-        _dumps(arr)
-    with pytest.raises(TypeError):
-        _dumps({"a": [arr]})
+def test_writer_refuses_other_arrays(arr, tmp_path):
+    for obj in (arr, {"a": [arr]}):
+        with pytest.raises(TypeError):
+            atomic_write_json(str(tmp_path / "r.json"), obj)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writer_spells_true_false_none_as_json():
-    # bool is an int subclass, and int.__repr__(True) is "True"
     obj = {"t": True, "f": False, "n": None, "l": [True, 1, False, 0, None], "one": 1}
-    assert _dumps(obj) == _oracle(obj)
-    assert _dumps(True) == "true" and _dumps(False) == "false" and _dumps(None) == "null"
+    assert _written(obj) == _oracle(obj)
+    assert (_written(True), _written(False), _written(None)) == ("true\n", "false\n", "null\n")
 
 
-@pytest.mark.parametrize("obj", [(1.0, 2.0), {1: "a"}, {None: 1}, {"a": {1, 2}}, b"x",
-                                 [np.int64(3)], {"a": np.complex128(1j)}],
-                         ids=["tuple", "int-key", "none-key", "set", "bytes", "np-int",
-                              "np-complex"])
+@pytest.mark.parametrize("obj", [{"a": {1, 2}}, b"x", [np.int64(3)], {"a": np.complex128(1j)}],
+                         ids=["set", "bytes", "np-int", "np-complex"])
 def test_writer_refuses_types_the_file_formats_do_not_use(obj, tmp_path):
-    # json.dumps would convert tuples and non-str keys; this writer refuses them
-    with pytest.raises(TypeError):
-        _dumps(obj)
     with pytest.raises(TypeError):
         atomic_write_json(str(tmp_path / "r.json"), {"mode": "general", "x": obj})
     assert list(tmp_path.iterdir()) == []
@@ -502,17 +506,61 @@ def test_cli_files_equal_json_dumps_of_their_content(tmp_path, capsys):
         assert main(["recover", "--in", str(problem), *rec, "--out", str(report)]) == code
         for path in (problem, report):
             text = path.read_text()
-            assert text == _oracle(json.loads(text)) + "\n", path.name
+            assert text == _oracle(json.loads(text)), path.name
     assert json.loads(report.read_text())["diagnostics"]["failures"]
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3), (0,), (fileio._TEMPLATE_ENTRIES + 1,)],
+def _same_arrays(a, b) -> bool:
+    return (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
+
+
+def test_files_in_the_indented_layout_load_and_verify_alike(tmp_path, capsys):
+    # files written with indent=2, the layout before the one-line one,
+    # load to the same Problem and Report to the bit, and verify gives
+    # the same exit code and rows on them: a pass (0) and a refused run's
+    # report (1)
+    runs = [(["--d", "15", "--m", "3", "--levels", "6"], ["--mode", "invariant"], 0),
+            (["--d", "64", "--mode", "shift", "--omega", "5", "--sparsity", "4",
+              "--levels", "8"], ["--mode", "prony"], 0),
+            (["--d", "96", "--mode", "shift", "--omega", "3", "--levels", "50"],
+             ["--mode", "general"], 1)]
+    for sim, rec, code in runs:
+        problem, report = tmp_path / "problem.json", tmp_path / "report.json"
+        assert main(["simulate", *sim, "--include-truth", "--seed", "1",
+                     "--out", str(problem)]) == 0
+        main(["recover", "--in", str(problem), *rec, "--out", str(report)])
+        for path in (problem, report):
+            indented = tmp_path / f"indented-{path.name}"
+            indented.write_text(json.dumps(json.loads(path.read_text()), indent=2,
+                                           sort_keys=True) + "\n")
+            assert indented.read_text() != path.read_text()
+        new, old = load_problem(str(problem)), load_problem(str(tmp_path / "indented-problem.json"))
+        assert (new.sample_set.d, new.sample_set.sampler) == (old.sample_set.d,
+                                                               old.sample_set.sampler)
+        assert new.sample_set.samples.tobytes() == old.sample_set.samples.tobytes()
+        assert _same_arrays(new.truth_taps, old.truth_taps)
+        assert _same_arrays(new.truth_signal, old.truth_signal)
+        new, old = load_report(str(report)), load_report(str(tmp_path / "indented-report.json"))
+        assert (new.mode, new.support, new.fatal) == (old.mode, old.support, old.fatal)
+        for name in ("spectrum", "taps", "signal"):
+            assert _same_arrays(getattr(new, name), getattr(old, name)), name
+        capsys.readouterr()
+        outputs = []
+        for prefix in ("", "indented-"):
+            got = main(["verify", "--in", str(tmp_path / f"{prefix}problem.json"),
+                        "--report", str(tmp_path / f"{prefix}report.json")])
+            outputs.append((got, capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == code
+        assert outputs[0][1].out.startswith("check")
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (0,), (257,)],
                          ids=["per-source", "2-D", "empty", "past-the-cache"])
 def test_saves_in_one_process_reuse_no_stale_template(tmp_path, shape):
-    # the templates of small arrays are kept per (shape, indent); two saves
-    # of the same shapes at other depths and with other values must each
-    # write exactly what json.dumps writes
-    fileio._cached_template.cache_clear()
+    # two saves in one process, of the same shapes at other depths and
+    # with other values, must each write exactly what json.dumps writes
+    # (the case names are those of a writer that cached the text of
+    # arrays of up to 256 values)
     rng = np.random.default_rng(sum(shape))
     for save in range(2):
         arrays = [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** save
@@ -524,4 +572,4 @@ def test_saves_in_one_process_reuse_no_stale_template(tmp_path, shape):
                     "e": [{"f": _pairs(arrays[save])}] * save}
         path = tmp_path / f"save{save}.json"
         atomic_write_json(str(path), tree)
-        assert path.read_text() == _oracle(expected) + "\n"
+        assert path.read_text() == _oracle(expected)

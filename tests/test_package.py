@@ -58,7 +58,7 @@ def _modules():
 
 def test_only_fileio_names_the_file_format_helpers():
     # the JSON layout of both files, and their schema version, are fileio's
-    helpers = {"pairs_to_complex", "_complex_array", "SCHEMA_VERSION", "_load_json"}
+    helpers = {"pairs_to_complex", "_complex_pairs", "SCHEMA_VERSION", "_load_json"}
     namers = set()
     for name, tree in _modules().items():
         for node in ast.walk(tree):

@@ -7,7 +7,7 @@ from dynspec.annihilator import _block_hankel, scalar_annihilator
 from dynspec.errors import DimensionError, NotShiftSpectrum, RecoveryError
 from dynspec.model import IndexSet, shift_operator, simulate
 from dynspec.numerics import dft, poly_roots
-from dynspec.prony import prony_support, prony_values, random_sparse_signal
+from dynspec.prony import prony_support, prony_values, random_sparse_signal, snap_support
 from helpers import one_coordinate
 
 
@@ -58,6 +58,37 @@ def test_support_rejects_non_shift_data():
     c = np.array([1.0, 3.0, 9.0, 27.0])  # geometric ratio 3, off the unit circle
     with pytest.raises(NotShiftSpectrum):
         prony_support(one_coordinate(c, 8), 2)
+
+
+def _refusal(roots, d: int) -> str:
+    with pytest.raises(NotShiftSpectrum) as info:
+        snap_support(roots, d)
+    return str(info.value)
+
+
+_GRID = np.exp(2j * np.pi * np.arange(16) / 16)
+# three roots on the grid and three 0.01, 0.03 and 0.2 off it
+_SNAP_ROOTS = np.concatenate([_GRID[[1, 5, 9]], _GRID[[2, 7, 12]] * np.array([1.01, 0.97, 1.2])])
+# four roots at distance 1 from the grid, a tie that -2 wins by its real part
+_TIED_ROOTS = np.array([2.0, 2j, -2j, -2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm=st.permutations(range(6)), tied=st.permutations(range(4)))
+def test_snap_refusal_names_the_farthest_root_in_any_order(perm, tied):
+    message = _refusal(_SNAP_ROOTS[list(perm)], 16)
+    assert message == _refusal(_SNAP_ROOTS, 16)
+    assert message.startswith(f"root {_SNAP_ROOTS[5]:.6f} is 2.000e-01 from ")
+    assert message.endswith("exp(2*pi*i*12/16); data does not fit the shift model")
+    message = _refusal(_TIED_ROOTS[list(tied)], 8)
+    assert message.startswith("root -2.000000+0.000000j is 1.000e+00 from the nearest grid "
+                              "point exp(2*pi*i*4/8)")
+
+
+def test_snap_support_of_grid_roots_in_any_order():
+    roots = _GRID[[9, 1, 5, 1]] * (1 + 1e-9)
+    assert snap_support(roots, 16) == snap_support(roots[::-1], 16) == (1, 5, 9)
+    assert snap_support(np.zeros(0, dtype=complex), 16) == ()
 
 
 # -------------------------------------------------------------- values
