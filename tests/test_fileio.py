@@ -534,7 +534,8 @@ def test_files_in_the_indented_layout_load_and_verify_alike(tmp_path, capsys):
             indented.write_text(json.dumps(json.loads(path.read_text()), indent=2,
                                            sort_keys=True) + "\n")
             assert indented.read_text() != path.read_text()
-        new, old = load_problem(str(problem)), load_problem(str(tmp_path / "indented-problem.json"))
+        new = load_problem(str(problem))
+        old = load_problem(str(tmp_path / "indented-problem.json"))
         assert (new.sample_set.d, new.sample_set.sampler) == (old.sample_set.d,
                                                                old.sample_set.sampler)
         assert new.sample_set.samples.tobytes() == old.sample_set.samples.tobytes()
