@@ -24,6 +24,26 @@ about 12 ms, 4 MiB of RSS and 600 tracked objects, against 0.15 s,
 general`` of the d = 96 shift, import included, on one BLAS thread, took
 0.14 s instead of 0.30 s, at a peak RSS of 38 MiB instead of 61 MiB.
 
+That load runs scipy's LAPACK, and the OpenBLAS bundled with it, on one
+thread, whatever ``OPENBLAS_NUM_THREADS`` says (see ``_gelsy``). At the
+degree search's sizes thread wake-ups cost more than the arithmetic: on
+a 2-vCPU machine, best of 40 in process, a 96 x 95 solve took 0.55 ms on
+one thread against 1.19-1.24 ms on two, and a two-coordinate search of
+the d = 96 shift 3.6 ms against 6.7-7.4 ms. zgelsy's bits change with
+the thread count from n of about 96, so on one thread its solutions,
+and the reports built on them, no longer depend on it. The limits:
+- two threads win on random dense systems from about 768 x 768
+  (155-167 ms against 182-194 ms), while general recovery of the d = 384
+  and d = 512 shifts took the same time under both (2.3-3.2 s and
+  4.8-5.4 s, cold);
+- numpy's OpenBLAS is a separate library, loaded with numpy, and keeps
+  the caller's thread count for the eigensolve fallback of
+  ``poly_roots`` and every matrix product;
+- an extension that ``scipy.linalg`` loaded before the first solve is
+  reused with its threads, and a ``scipy.linalg`` imported after it
+  shares the one-thread library;
+- a BLAS that ignores ``OPENBLAS_NUM_THREADS`` keeps its own count.
+
 A solve's residual is the one the paper's Krylov step asks for: the
 distance of the rhs from the span of the columns, read from the
 orthogonal factorization gelsy already made (the entries of Q^H b past
@@ -354,6 +374,15 @@ def _gelsy():
     scipy 1.17). An extension that ``scipy.linalg`` has already loaded is
     reused; a missing one raises ImportError naming the directories
     searched.
+
+    ``module_from_spec`` dlopens the extension and, with it, the OpenBLAS
+    that scipy bundles, which reads ``OPENBLAS_NUM_THREADS`` once, as it
+    loads; around ``exec_module`` the variable had no effect. It is set
+    to 1 around that call alone and restored, to its old value or to
+    unset, also when the load raises. One thread is faster at the degree
+    search's sizes (a 96 x 95 solve: 0.55 ms against 1.19-1.24 ms on two
+    threads, 2-vCPU machine) and makes zgelsy's bits independent of the
+    thread count; the module docstring gives the limits.
     """
     module = sys.modules.get("scipy.linalg._flapack")
     if module is None:
@@ -362,7 +391,16 @@ def _gelsy():
         spec = importlib.machinery.PathFinder.find_spec("_flapack", where)
         if spec is None:
             raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
-        module = importlib.util.module_from_spec(spec)
+        # scipy's OpenBLAS reads its thread count as this dlopens it
+        old_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            module = importlib.util.module_from_spec(spec)
+        finally:
+            if old_threads is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = old_threads
         spec.loader.exec_module(module)
     return module.zgelsy, module.zgelsy_lwork
 

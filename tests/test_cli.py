@@ -531,6 +531,27 @@ def test_diagonalizable_problem_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert written[0] == written[1]
 
 
+def test_general_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the d = 192 shift's degree searches solve up to 192 x 192 systems,
+    # where zgelsy's bits follow the thread count of the OpenBLAS it runs
+    # on; numerics loads scipy's LAPACK on one thread, in each fresh
+    # interpreter here, so both reports hold the bits of a one-thread run
+    problem = tmp_path / "p.json"
+    assert run("simulate", "--mode", "shift", "--d", "192", "--omega", "3,50",
+               "--levels", "384", "--seed", "1", "--out", str(problem)) == 0
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dynspec.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "dynspec", "recover", "--in", str(problem),
+                               "--mode", "general", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def _readme_walkthroughs():
     """README's bash blocks that start with a dynspec command, each as a
     list of argument lists (backslash continuations joined)."""

@@ -20,7 +20,8 @@ from dynspec.invariant import recover_operator
 from dynspec.model import (IndexSet, Uniform, make_diffusion_filter, random_circulant,
                            random_diagonalizable, random_signal, shift_operator, simulate)
 from dynspec.prony import prony_support, random_sparse_signal
-from dynspec.spectral import recover_observable_spectrum, recover_spectrum_via_extrapolation
+from dynspec.spectral import (SpectrumEstimate, recover_observable_spectrum,
+                              recover_spectrum_via_extrapolation)
 
 
 def test_complex_pairs_round_trip_is_bit_exact():
@@ -92,6 +93,28 @@ def test_report_round_trip_is_bit_exact(tmp_path, case):
                "prony": ("support", "signal")}.get(case, ())
     assert {name for name in ("support", "taps", "signal")
             if getattr(report, name) is not None} == set(present)
+    per_source = json.loads(path.read_text())["per_source"]
+    assert list(per_source) == sorted(str(src) for src in estimate.per_source)
+    for src, roots in estimate.per_source.items():
+        entry = per_source[str(src)]
+        assert entry["degree"] == roots.size
+        assert pairs_to_complex(entry["roots"]).tobytes() == roots.tobytes()
+
+
+@pytest.mark.parametrize("sources", [{}, {0: 0}, {3: 2, 0: 0, 1: 3, 12: 1}])
+def test_report_slices_each_sources_roots(tmp_path, sources):
+    # each source's roots are its slice of one conversion: rows of a
+    # strided stack, empty lists and no sources at all write what one
+    # conversion per source writes
+    rng = np.random.default_rng(len(sources))
+    stack = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))[:, ::2]
+    per_source = {src: stack[row % 4, :size] for row, (src, size) in enumerate(sources.items())}
+    estimate = SpectrumEstimate(per_source, stack[0], 1e-6)
+    path = tmp_path / "r.json"
+    save_report(str(path), "general", config.TAU_SOLVE, config.DEDUP_REL, estimate)
+    expected = {str(src): {"degree": roots.size, "roots": fileio._complex_pairs(roots)}
+                for src, roots in per_source.items()}
+    assert json.loads(path.read_text())["per_source"] == expected
 
 
 def test_report_without_estimate_has_no_recovered_fields(tmp_path):

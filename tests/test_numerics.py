@@ -1,3 +1,4 @@
+import importlib.machinery
 import math
 import os
 import re
@@ -396,6 +397,65 @@ def test_lstsq_missing_lapack_extension_names_the_directory(monkeypatch, tmp_pat
     with pytest.raises(ImportError, match=f"^scipy's LAPACK extension _flapack not found in "
                                           f"{where}$"):
         numerics._gelsy.__wrapped__()
+
+
+_THREADS_SCRIPT = """
+import ctypes, glob, os, sys
+import scipy
+from dynspec import numerics
+numerics.least_squares([[1.0], [1.0]], [1.0, 2.0])
+# scipy's wheels bundle their OpenBLAS beside the package; other builds
+# link a BLAS this script cannot name, and print "-"
+libs = glob.glob(os.path.join(os.path.dirname(scipy.__path__[0]), "scipy.libs", "*openblas*"))
+count = "-"
+if len(libs) == 1:
+    lib = ctypes.CDLL(libs[0])
+    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            count = str(getattr(lib, name)())
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "scipy.linalg" in sys.modules, count)
+"""
+
+
+@pytest.mark.parametrize("threads", ["2", None])
+def test_lstsq_loads_lapack_on_one_thread_and_restores_the_variable(threads):
+    # in a fresh interpreter, where the first solve loads scipy's LAPACK
+    # itself: its OpenBLAS runs one thread, and OPENBLAS_NUM_THREADS is
+    # afterwards what it was before, set or unset
+    env = dict(os.environ, PYTHONPATH=str(Path(numerics.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    restored, linalg, count = proc.stdout.split()
+    assert (restored, linalg) == (str(threads), "False")
+    assert count in ("1", "-")
+
+
+@pytest.mark.parametrize("threads", ["2", None])
+@pytest.mark.parametrize("extension", [None, b"not a shared library"],
+                         ids=["missing", "unloadable"])
+def test_lstsq_failed_lapack_load_restores_the_thread_variable(monkeypatch, tmp_path, threads,
+                                                               extension):
+    # no extension in scipy's linalg directory, or one that cannot be
+    # loaded: the load raises and leaves OPENBLAS_NUM_THREADS as it was
+    import scipy
+
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    if extension is not None:
+        (tmp_path / "linalg").mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(extension)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError):
+        numerics._gelsy.__wrapped__()
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == threads
 
 
 def test_lstsq_illegal_lapack_argument_raises():
