@@ -210,7 +210,6 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     sampler = Uniform(args.m) if args.m is not None else IndexSet(args.omega)
-    truth_taps = None
 
     if args.mode == "circulant":
         source = DEFAULT_FILTER if args.filter is None else args.filter
@@ -228,10 +227,8 @@ def cmd_simulate(args) -> int:
             if taps.size != args.d:
                 return _fail(f"filter file has {taps.size} taps, expected {args.d}", 2)
             op = Circulant(taps)
-        truth_taps = op.taps
     elif args.mode == "shift":
         op = shift_operator(args.d)
-        truth_taps = op.taps
         if args.sparsity is not None:
             x, _ = random_sparse_signal(args.d, args.sparsity, rng)
         else:
@@ -242,7 +239,9 @@ def cmd_simulate(args) -> int:
 
     samples = simulate(op, x, sampler, args.levels)
     if args.include_truth:
-        save_problem(args.out, samples, truth_taps=truth_taps, truth_signal=x)
+        # _FLAG_SCOPE refuses the flag for diagonalizable operators, which
+        # have no taps
+        save_problem(args.out, samples, truth_taps=op.taps, truth_signal=x)
     else:
         save_problem(args.out, samples)
     kind = f"uniform m={sampler.m}" if isinstance(sampler, Uniform) else f"indices {sampler.omega}"

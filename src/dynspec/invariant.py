@@ -27,7 +27,7 @@ from .errors import (AmbiguousOrdering, DimensionError, InsufficientDataError,
                      NoAnnihilator, NotSymmetricReal, RecoveryError,
                      UnderDetermined)
 from .model import Circulant, SampleSet, Uniform
-from .numerics import as_vector, dft, distinct_points, least_squares
+from .numerics import as_vector, dft, distinct_points, fit_modes
 from .spectral import SpectrumEstimate, search_sources
 
 # Largest imaginary part, relative to the spectral scale, that the
@@ -152,15 +152,10 @@ def recover_signal(samples: SampleSet, a_hat,
                 f"class {j} has repeated transfer values; its aliased signal "
                 "components cannot be separated", class_id=j)
         powers = nodes[None, :] ** levels[:, None] / m
-        # past about 1e154 the rhs's plain norm overflows, as least_squares
-        # expects, and its residual comes from the scaled norms
-        with np.errstate(over="ignore"):
-            values, residual = least_squares(powers, series[:, j])
-        if not residual < tol:
-            raise RecoveryError(
-                f"class {j} alias system is inconsistent with the supplied filter "
-                f"(residual {residual:.3e})")
-        x_hat[freqs] = values
+        x_hat[freqs] = fit_modes(
+            powers, series[:, j], tol,
+            f"class {j} alias system is inconsistent with the supplied filter "
+            "(residual {residual:.3e})")
     return dft(x_hat, inverse=True)
 
 

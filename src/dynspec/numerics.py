@@ -4,8 +4,9 @@ Everything here is a pure function of its inputs: the DFT in both
 directions (numpy's pocketfft, any length, O(d log d)), rank-revealing
 least squares, the scale-free norm ratio ``relative_norm``, the roots
 of monic polynomials given by their low-order coefficients, the distance
-between two point sets, the shared zero test, and ``distinct_points``,
-the one sweep that both tests separation and deduplicates roots.
+between two point sets, the shared zero test, ``distinct_points``, the
+one greedy pass that both tests separation and deduplicates roots, and
+``fit_modes``, the pipelines' gated fit of known modes.
 Vectors and matrices are plain complex ndarrays; ``as_vector`` and
 ``as_matrix`` check their shape and finiteness.
 
@@ -110,7 +111,7 @@ from itertools import chain
 import numpy as np
 
 from . import config
-from .errors import DimensionError
+from .errors import DimensionError, RecoveryError
 
 _RESIDUAL_FLOOR = float(np.finfo(np.float64).tiny)
 _EPS = float(np.finfo(np.float64).eps)
@@ -138,19 +139,20 @@ _MATCH_NEIGHBOURS = 2
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite, nonempty 1-D complex array."""
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"{name}: expected a nonempty 1-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DimensionError(f"{name}: entries must be finite")
-    return arr
+    return _finite_array(v, 1, name)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite, nonempty 2-D complex array."""
-    arr = np.asarray(M, dtype=np.complex128)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionError(f"{name}: expected a nonempty 2-D array, got shape {arr.shape}")
+    return _finite_array(M, 2, name)
+
+
+def _finite_array(v, ndim: int, name: str) -> np.ndarray:
+    """Coerce to a finite, nonempty complex array of ``ndim`` dimensions,
+    or raise DimensionError naming ``name``."""
+    arr = np.asarray(v, dtype=np.complex128)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionError(f"{name}: expected a nonempty {ndim}-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DimensionError(f"{name}: entries must be finite")
     return arr
@@ -164,78 +166,50 @@ def zero_threshold(scale: float) -> float:
 
 
 def distinct_points(points, tol: float) -> np.ndarray:
-    """The points that survive a greedy sweep: visited in ascending
-    (real, imag) order, a point is dropped when it lies within ``tol`` of
-    an earlier survivor. Survivors are input points, come out in that
-    order, and are pairwise more than ``tol`` apart.
+    """The points that survive a greedy pass: visited in ascending
+    (real, imag) order (``np.lexsort``: stable, NaN parts last), a point
+    is dropped when it is close to an earlier survivor. Survivors are
+    input points, come out in that order, and no two are close.
 
-    A point is dropped exactly when some pair of points is within
-    ``tol``, so ``distinct_points(v, tol).size == v.size`` tests that
-    every pairwise distance exceeds ``tol``: one sweep serves both that
-    separation test and root deduplication. Since survivors are in
-    ascending real order, only the trailing ones whose real part lies
-    within ``tol`` of a point can be its duplicate: a sweep line,
-    quadratic only when every real part is that close, with no dense
-    distance table.
+    A point z_j is close to an earlier z_i when neither
+    ``z_j.real - z_i.real > tol`` nor ``abs(z_j - z_i) > tol`` holds. A
+    NaN distance therefore counts as close, but only within ``tol`` in
+    real part: ``complex(3, nan)`` is dropped when an earlier survivor's
+    real part lies within ``tol`` of 3 and kept otherwise, where a test
+    of distances alone would drop it beside any point. The distance is
+    ``np.hypot`` of the parts, which has the bits of Python's complex
+    ``abs`` (the C library's hypot); numpy's vectorized complex ``abs``
+    differs from it in the last bit on about 2 in 5 random points.
 
-    The sweep is a Python loop, about 0.5 us a point, and merged spectra
-    are usually separated already: no two of invariant-wide's 1,536 roots
-    are within ``tol``. So for finite points and a finite ``tol >= 0`` a
-    whole-array certificate (``_separated``) goes first: when it proves
-    that no point would be dropped, the sorted points are the answer.
-    Otherwise the sweep runs, unchanged; a merge where roots coincide
-    always takes it.
+    A point is dropped exactly when some pair of points is close, so
+    ``distinct_points(v, tol).size == v.size`` tests that every pairwise
+    distance exceeds ``tol``: one pass serves both that separation test
+    and root deduplication, with no dense distance table. z_j's
+    candidates are the earlier points from the ``searchsorted`` position
+    of z_j.real - tol among the real parts, widened by a few ulps so that
+    rounding cannot leave out one whose real gap is not above ``tol``; a
+    point whose real part is +inf or NaN, and every point at a NaN
+    ``tol``, takes all earlier points. The candidate pairs are tested
+    over whole arrays, in chunks (``_ranges``), and only the close ones
+    are then walked, in order, each dropping its later point when its
+    earlier one survives. Separated points give no close pair: no two of
+    invariant-wide's 1,536 roots are within ``tol``, and their merge takes
+    about 0.15 ms. A cluster of k coincident roots gives k (k - 1) / 2
+    close pairs to walk.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    if 0 <= tol < math.inf and np.isfinite(pts).all():
-        ordered = np.sort(pts)
-        if _separated(ordered, tol):
-            return ordered
-    reps: list[complex] = []
-    for z in pts[np.lexsort((pts.imag, pts.real))].tolist():
-        if _is_new(z, reps, tol):
-            reps.append(z)
-    return np.array(reps, dtype=np.complex128)
-
-
-def _separated(ordered: np.ndarray, tol: float) -> bool:
-    """Whether the sweep of ``distinct_points`` keeps every one of the
-    finite points ``ordered``, sorted by (real, imag), at a finite
-    ``tol >= 0``; False also when that is not proved.
-
-    If no point is dropped, every earlier point is a survivor, and the
-    sweep compares a point z with the earlier points back to the first
-    whose real part ``rep`` has ``z.real - rep.real > tol``: a contiguous
-    run, since the rounded difference grows as ``rep`` falls. The run
-    here starts at the ``searchsorted`` position of z.real - tol, widened
-    by a few ulps, so it holds all of the sweep's run; each of its pairs
-    is tested with the sweep's test, ``not abs(z - rep) > tol``, against
-    ``tol`` raised by a few ulps, so a pair the sweep finds close, at
-    exactly ``tol`` included, is never missed to a different rounding of
-    the distance. If no pair is flagged, no point is dropped. Pairs are
-    tested in chunks (``_ranges``), and the first flagged one ends the
-    test. Separated points are distinct, since ``tol >= 0``, so the order
-    of ``np.sort`` (by real part, then imaginary) is the sweep's
-    ``lexsort`` order, with no ties for stability to settle.
-    """
-    re = ordered.real
-    lo = re.searchsorted(re - (tol + (np.abs(re) + tol) * (4 * _EPS)), "left")
-    above = tol * (1 + 4 * _EPS)
-    for i, j in _ranges(lo, np.arange(ordered.size)):
-        if not (np.abs(ordered[i] - ordered[j]) > above).all():
-            return False
-    return True
-
-
-def _is_new(z: complex, reps: list, tol: float) -> bool:
-    """Whether z is farther than tol from every survivor in reps, which
-    are in ascending real order with real parts at most z.real."""
-    for rep in reversed(reps):
-        if z.real - rep.real > tol:
-            return True
-        if not abs(z - rep) > tol:
-            return False
-    return True
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    re, index, keep = pts.real, np.arange(pts.size), [True] * pts.size
+    with np.errstate(invalid="ignore", over="ignore"):
+        # NaN where the real part is +inf or NaN, or tol is NaN
+        bound = re - (tol + (np.abs(re) + tol) * (4 * _EPS))
+        lo = np.minimum(np.where(np.isnan(bound), 0, re.searchsorted(bound, "left")), index)
+        for j, i in _ranges(lo, index):
+            gap = re[j] - re[i]
+            close = ~(gap > tol) & ~(np.hypot(gap, pts.imag[j] - pts.imag[i]) > tol)
+            for earlier, later in zip(i[close].tolist(), j[close].tolist()):
+                keep[later] = keep[later] and not keep[earlier]
+    return pts[np.array(keep, dtype=bool)]
 
 
 def dft(v, inverse: bool = False) -> np.ndarray:
@@ -315,11 +289,10 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
     itself overflows, near the top of the float range, and a non-finite
     one is returned as it is. The rhs's plain norm, taken first, overflows
     for entries past about 1e154, which numpy reports as a RuntimeWarning;
-    the callers that solve on raw data (``invariant.recover_signal``,
-    ``prony.prony_values``) silence it, while the degree search solves on
-    data scaled into [0.5, 1) and never meets it. A 3 x 3 solve costs
-    about 8 us (see the module docstring); scanning both inputs would add
-    4-5 us, and ``np.errstate`` about 1 us.
+    ``fit_modes``, which solves on raw data, silences it, while the degree
+    search solves on data scaled into [0.5, 1) and never meets it. A 3 x 3
+    solve costs about 8 us (see the module docstring); scanning both inputs
+    would add 4-5 us, and ``np.errstate`` about 1 us.
 
     The product, where it is still formed, is numpy's own einsum loop,
     not the BLAS product ``A @ sol``: OpenBLAS runs a complex mat-vec
@@ -358,6 +331,23 @@ def least_squares(M, rhs) -> tuple[np.ndarray, float]:
         # a non-finite entry anywhere in A or b lands here
         _check_inputs(A, b)
     return sol, rel
+
+
+def fit_modes(modes, data, tol: float, refusal: str) -> np.ndarray:
+    """The least-squares values of known modes, the columns of ``modes``,
+    that reproduce ``data``: raises RecoveryError with the message
+    ``refusal.format(residual=...)`` unless the relative residual is
+    below ``tol``, so a NaN residual is refused too.
+
+    The pipelines fit on raw data, whose rhs's plain norm overflows past
+    about 1e154, as ``least_squares`` expects: its residual then comes
+    from the scaled norms, and the overflow's warning is silenced here.
+    """
+    with np.errstate(over="ignore"):
+        values, residual = least_squares(modes, data)
+    if not residual < tol:
+        raise RecoveryError(refusal.format(residual=residual))
+    return values
 
 
 @functools.cache

@@ -17,7 +17,7 @@ from . import config
 from .errors import (DimensionError, InsufficientDataError, NotShiftSpectrum,
                      RecoveryError)
 from .model import IndexSet, SampleSet
-from .numerics import as_vector, dft, least_squares, zero_threshold
+from .numerics import as_vector, dft, fit_modes, zero_threshold
 from .spectral import SpectrumEstimate, recover_observable_spectrum
 
 
@@ -89,14 +89,8 @@ def prony_values(c, start: int, support, d: int,
         raise DimensionError(f"support size {len(supp)} exceeds the {c.size} entries supplied")
     positions = start + np.arange(c.size)
     modes = np.exp(2j * np.pi * np.outer(positions, supp) / d) / d
-    # past about 1e154 the rhs's plain norm overflows, as least_squares
-    # expects, and its residual comes from the scaled norms
-    with np.errstate(over="ignore"):
-        values, residual = least_squares(modes, c)
-    if not residual < tol:
-        raise RecoveryError(
-            f"support {supp} cannot reproduce the entries "
-            f"(residual {residual:.3e}); support/sample mismatch")
+    values = fit_modes(modes, c, tol, f"support {supp} cannot reproduce the entries "
+                       "(residual {residual:.3e}); support/sample mismatch")
     vmax = float(np.max(np.abs(values)))
     keep = np.abs(values) > zero_threshold(vmax)
     x_hat[np.array(supp)[keep]] = values[keep]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dynspec import config, numerics
+from dynspec import config
 from dynspec.annihilator import scalar_annihilator
 from dynspec.errors import DimensionError, RecoveryError, SpanConditionViolated
 from dynspec.model import (Circulant, Diagonalizable, IndexSet, SampleSet,
@@ -146,23 +146,35 @@ def _conjugate_roots_of_unity(n):
     return np.concatenate([w, w.conj()])
 
 
-def _takes_certificate(points, tol):
-    v = np.asarray(points, dtype=np.complex128)
-    return bool(np.isfinite(v).all()) and numerics._separated(np.sort(v), tol)
+def _sweep_reference(points, tol):
+    """The greedy sweep that distinct_points once ran as a Python loop:
+    each point, in (real, imag) order, is compared with the survivors
+    back to the first that lies more than tol below it in real part."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    reps = []
+    for z in pts[np.lexsort((pts.imag, pts.real))].tolist():
+        for rep in reversed(reps):
+            if z.real - rep.real > tol:
+                reps.append(z)
+                break
+            if not abs(z - rep) > tol:
+                break
+        else:
+            reps.append(z)
+    return np.array(reps, dtype=complex)
 
 
-@pytest.mark.parametrize("tol, certified", [(0.0, True), (1e-3, True), (6.1e-3, True),
+@pytest.mark.parametrize("tol, separated", [(0.0, True), (1e-3, True), (6.1e-3, True),
                                             (6.2e-3, False), (0.05, False)])
-def test_distinct_points_on_conjugate_pairs_with_equal_real_parts(tol, certified):
+def test_distinct_points_on_conjugate_pairs_with_equal_real_parts(tol, separated):
     # 1,022 points whose real parts tie in pairs; neighbours on the circle
     # are 2 sin(pi / 1024) ~ 6.136e-3 apart, so the first three tolerances
     # keep them all
     roots = _conjugate_roots_of_unity(512)
     assert roots.size > 1000 and np.unique(roots.real).size == roots.size // 2
-    assert _takes_certificate(roots, tol) == certified
     kept = distinct_points(roots, tol)
     assert np.array_equal(kept, _merge_roots_quadratic([roots], tol))
-    assert (kept.size == roots.size) == certified
+    assert (kept.size == roots.size) == separated
     merged, tol_used = merge_roots([roots[::2], roots[1::2]], dedup_rel=tol)
     assert np.array_equal(merged, _merge_roots_quadratic([roots], tol_used))
 
@@ -174,11 +186,22 @@ def test_distinct_points_drops_a_pair_exactly_tol_apart():
     for w in (1.0, 0.25, 2.0 ** -40):
         points = np.concatenate([roots * w, [0.0, (3 + 4j) * w]])
         tol = 5 * w
-        assert not _takes_certificate(points, tol)
-        assert _takes_certificate(points[:-1], tol)
+        assert distinct_points(points[:-1], tol).size == points.size - 1
         kept = distinct_points(points, tol)
         assert kept.size == points.size - 1
         assert np.array_equal(kept, _merge_roots_quadratic([points], tol))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_distinct_points_decides_a_pair_at_tol_by_the_scalar_distance(seed):
+    # tol is one pair's distance as Python's complex abs gives it; numpy's
+    # vectorized complex abs differs from that in the last bit on about 2
+    # in 5 random points, which can decide such a pair the other way
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=40) + 1j * rng.normal(size=40)
+    for i, j in rng.integers(0, points.size, size=(20, 2)):
+        tol = abs(complex(points[i] - points[j]))
+        assert np.array_equal(distinct_points(points, tol), _merge_roots_quadratic([points], tol))
 
 
 @pytest.mark.parametrize("chain, survivors", [
@@ -192,7 +215,6 @@ def test_distinct_points_chain_survivors_depend_on_the_order(chain, survivors):
     # is dropped by its surviving predecessor, not by the one before it
     far = _conjugate_roots_of_unity(256) * 100
     points = np.concatenate([far, chain])
-    assert not _takes_certificate(points, 1.0)
     kept = distinct_points(points, 1.0)
     assert np.array_equal(kept, _merge_roots_quadratic([points], 1.0))
     assert np.array_equal(kept[np.abs(kept) < 10], np.array(survivors, dtype=np.complex128))
@@ -201,18 +223,38 @@ def test_distinct_points_chain_survivors_depend_on_the_order(chain, survivors):
 _special_root = st.sampled_from([complex("nan"), complex("inf"), complex("-inf"),
                                  complex(0, float("inf")), complex(float("nan"), 1),
                                  complex(1, float("-inf"))])
+# finite real part, NaN imaginary part: NaN distances to every point
+_nan_imag_root = st.builds(complex, st.integers(-6, 6), st.just(float("nan")))
 
 
 @settings(max_examples=300, deadline=None)
-@given(lists=st.lists(st.lists(_grid_root | _special_root, max_size=12), max_size=4),
+@given(lists=st.lists(st.lists(_grid_root | _special_root | _nan_imag_root, max_size=12),
+                     max_size=4),
        tol=st.sampled_from([0.0, 1, 2, 5]), spread=st.sampled_from([1.0, 1e-3]))
 def test_distinct_points_with_nonfinite_entries_matches_quadratic_greedy(lists, tol, spread):
-    # NaN and inf entries send every set to the sweep, separated or not
-    lists = [[z * spread for z in chunk] for chunk in lists]
+    # scaled part by part, so each special entry keeps its NaN and inf parts
+    lists = [[complex(z.real * spread, z.imag * spread) for z in chunk] for chunk in lists]
     roots = np.array([z for chunk in lists for z in chunk], dtype=np.complex128)
-    with np.errstate(invalid="ignore"):
-        expected = _merge_roots_quadratic(lists, tol * spread)
-    assert np.array_equal(distinct_points(roots, tol * spread), expected, equal_nan=True)
+    kept = distinct_points(roots, tol * spread)
+    assert np.array_equal(kept, _sweep_reference(roots, tol * spread), equal_nan=True)
+    # a NaN distance counts only within tol in real part, so the quadratic
+    # greedy, which compares every pair, decides otherwise once a finite
+    # real part comes with a NaN imaginary one
+    if not (np.isfinite(roots.real) & np.isnan(roots.imag)).any():
+        with np.errstate(invalid="ignore"):
+            expected = _merge_roots_quadratic(lists, tol * spread)
+        assert np.array_equal(kept, expected, equal_nan=True)
+
+
+def test_distinct_points_compares_a_nan_distance_only_within_tol_in_real_part():
+    # complex(3, nan) is a NaN distance from every point: close to those
+    # within tol = 1 of it in real part, on either side, and to no other
+    nan_point = complex(3, float("nan"))
+    for other, close in ((2.5, True), (1.5, False), (3.5, True), (4.5, False)):
+        points = sorted([other, nan_point], key=lambda z: z.real)
+        kept = distinct_points(points, 1.0)
+        assert np.array_equal(kept, points[:1] if close else points, equal_nan=True)
+        assert np.array_equal(kept, _sweep_reference(points, 1.0), equal_nan=True)
 
 
 # -------------------------------------------------------- extrapolation
